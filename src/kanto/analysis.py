@@ -254,28 +254,31 @@ def kfunctional_constants(
     return KFunctionalConstants(sq_x=sq_x, sq_y=sq_y, sq_xy=sq_xy)
 
 
-def mixed_modulus_estimate(
-    f: Callable,
-    delta1: float,
-    delta2: float,
-    box: tuple[float, float, float, float],
-    grid_n: int = 33,
-) -> float:
-    """Grid estimate (lower bound) of the mixed modulus of smoothness.
+# points per axis of the default modulus grid
+MODULUS_GRID = 33
 
-    Scans all pairs of grid points whose coordinate offsets are at most
-    (delta1, delta2) and maximizes |f(x,y) - f(x,y0) - f(x0,y) + f(x0,y0)|.
-    Restricting both corners to one fixed grid makes the estimate exactly
-    monotone in each delta.
+
+def _mixed_max(
+    f11: np.ndarray, f10: np.ndarray, f01: np.ndarray, f00: np.ndarray
+) -> float:
+    """max |f11 - f10 - f01 + f00| over the corner tables.
+
+    Taken as a difference of two y-differences, which is exactly 0 whenever
+    f depends on one variable only.
     """
-    if delta1 < 0 or delta2 < 0:
-        raise ValueError("deltas must be nonnegative")
+    return float(np.abs((f11 - f10) - (f01 - f00)).max())
+
+
+def _grid_pairs_estimate(
+    f: Callable, delta1: float, delta2: float, box: tuple, grid_n: int
+) -> float:
+    # all pairs of points of one grid whose offsets fit in (delta1, delta2)
     x0, y0, x1, y1 = box
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
     xs = np.linspace(x0, x1, grid_n)
     ys = np.linspace(y0, y1, grid_n)
-    vals = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
+    vals = np.broadcast_to(
+        np.asarray(f(xs[:, None], ys[None, :]), dtype=float), (grid_n, grid_n)
+    )
     hx = (x1 - x0) / (grid_n - 1)
     hy = (y1 - y0) / (grid_n - 1)
     m1 = min(grid_n - 1, int(math.floor(delta1 / hx))) if hx > 0 else 0
@@ -283,14 +286,71 @@ def mixed_modulus_estimate(
     best = 0.0
     for sx in range(1, m1 + 1):
         for sy in range(1, m2 + 1):
-            diff = (
-                vals[sx:, sy:]
-                - vals[sx:, :-sy]
-                - vals[:-sx, sy:]
-                + vals[:-sx, :-sy]
+            best = max(
+                best,
+                _mixed_max(
+                    vals[sx:, sy:], vals[sx:, :-sy], vals[:-sx, sy:], vals[:-sx, :-sy]
+                ),
             )
-            best = max(best, float(np.abs(diff).max()))
     return best
+
+
+def _offset_pairs_estimate(
+    f: Callable, delta1: float, delta2: float, box: tuple, grid_n: int
+) -> float:
+    # pairs with offsets (s*d1/2, t*d2/2), s, t in {1, 2}, from every point of
+    # a grid placed so that both corners stay in the box
+    x0, y0, x1, y1 = box
+    d1 = min(delta1, x1 - x0)
+    d2 = min(delta2, y1 - y0)
+    xs = np.linspace(x0, x1 - d1, grid_n)
+    ys = np.linspace(y0, y1 - d2, grid_n)
+    # rows and columns: base grid, then shifted by half, then by the full delta
+    u = np.concatenate([xs, xs + 0.5 * d1, xs + d1])
+    v = np.concatenate([ys, ys + 0.5 * d2, ys + d2])
+    vals = np.broadcast_to(
+        np.asarray(f(u[:, None], v[None, :]), dtype=float), (u.size, v.size)
+    ).reshape(3, grid_n, 3, grid_n)
+    best = 0.0
+    for sx in (1, 2):
+        for sy in (1, 2):
+            best = max(
+                best,
+                _mixed_max(
+                    vals[sx, :, sy], vals[sx, :, 0], vals[0, :, sy], vals[0, :, 0]
+                ),
+            )
+    return best
+
+
+def mixed_modulus_estimate(
+    f: Callable,
+    delta1: float,
+    delta2: float,
+    box: tuple[float, float, float, float],
+    grid_n: int | None = None,
+) -> float:
+    """Grid estimate (lower bound) of the mixed modulus of smoothness.
+
+    Maximizes |f(x,y) - f(x,y0) - f(x0,y) + f(x0,y0)| over pairs of points
+    of the box whose coordinate offsets are at most (delta1, delta2).  With
+    ``grid_n`` the pairs are those of one fixed grid_n x grid_n grid, which
+    makes the estimate exactly monotone in each delta.  Without it the
+    pairs of a ``MODULUS_GRID`` grid are joined by the pairs with offsets
+    (delta1/2 or delta1, delta2/2 or delta2) from every point of such a
+    grid, so the estimate does not collapse to 0 for deltas below the grid
+    spacing.  Either way the cost does not grow as the deltas shrink.
+    """
+    if delta1 < 0 or delta2 < 0:
+        raise ValueError("deltas must be nonnegative")
+    if grid_n is not None:
+        if grid_n < 2:
+            raise ValueError("grid_n must be >= 2")
+        return _grid_pairs_estimate(f, delta1, delta2, box, grid_n)
+    return max(
+        _grid_pairs_estimate(f, delta1, delta2, box, MODULUS_GRID),
+        _offset_pairs_estimate(f, delta1, delta2, box, MODULUS_GRID),
+    )
 
 
 def b_differential_estimate(f: Callable, x0: float, y0: float, h: float) -> float:
@@ -364,8 +424,7 @@ def convergence_study(
     for w in w_list:
         grid = EvalGrid.regular(box, grid_n, w, margin)
         approx = op(f, kernel, grid, quad_order)
-        exact = np.array([float(f(x, y)) for x, y in grid.points])
-        rows.append((float(w), float(np.abs(approx - exact).max())))
+        rows.append((float(w), float(np.abs(approx - grid.sample(f)).max())))
     logw = np.log([w for w, _ in rows])
     loge = np.log([max(e, 1e-300) for _, e in rows])
     coeffs = np.polyfit(logw, loge, 1)
@@ -430,8 +489,7 @@ def polynomial_reproduction_check(
         for i, j in monos:
             p = lambda x, y, i=i, j=j: x**i * y**j
             approx = apply_gw(p, kernel, grid)
-            exact = np.array([p(x, y) for x, y in grid.points])
-            worst = max(worst, float(np.abs(approx - exact).max()))
+            worst = max(worst, float(np.abs(approx - grid.sample(p)).max()))
         return worst
     if operator == "sw":
         design = np.column_stack(

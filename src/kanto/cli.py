@@ -134,8 +134,7 @@ def _cmd_reconstruct(args) -> int:
         else:
             approx = apply_gbs(f, kernel, grid, args.quad_order)
         lines = ["x,y,approx,exact,abs_err"]
-        for (x, y), a in zip(grid.points, approx):
-            e = float(f(x, y))
+        for (x, y), a, e in zip(grid.points, approx, grid.sample(f)):
             lines.append(f"{_g(x)},{_g(y)},{_g(a)},{_g(e)},{_g(abs(a - e))}")
         _emit(lines, args.out)
         return EXIT_OK
@@ -235,8 +234,7 @@ def _cmd_gbs(args) -> int:
     bound = gbs_modulus_bound(kernel, args.w, delta, delta, omega)
     approx = apply_gbs(f, kernel, grid, args.quad_order)
     lines = ["x,y,approx,exact,abs_err,modulus_bound"]
-    for (x, y), a in zip(grid.points, approx):
-        e = float(f(x, y))
+    for (x, y), a, e in zip(grid.points, approx, grid.sample(f)):
         lines.append(
             f"{_g(x)},{_g(y)},{_g(a)},{_g(e)},{_g(abs(a - e))},{_g(bound)}"
         )

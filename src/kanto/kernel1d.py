@@ -24,7 +24,6 @@ __all__ = [
     "bspline_eval",
     "construct_combination_kernel",
     "discrete_moment",
-    "kernel1d_eval",
 ]
 
 # condition number above which the coefficient solve is rejected
@@ -49,7 +48,9 @@ def bspline_eval(n: int, t):
     """
     if n < 1:
         raise ValueError("B-spline order must be >= 1")
-    tt = np.abs(np.asarray(t, dtype=float))
+    # a scalar runs through the array code as well: numpy's scalar power
+    # rounds through libm pow, its array loops do not
+    tt = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
     if n == 1:
         out = np.where(tt < 0.5, 1.0, np.where(tt == 0.5, 0.5, 0.0))
     else:
@@ -60,7 +61,7 @@ def bspline_eval(n: int, t):
         acc /= math.factorial(n - 1)
         out = np.where(tt < 0.5 * n, acc, 0.0)
     if np.ndim(t) == 0:
-        return float(out)
+        return float(out[0])
     return out
 
 
@@ -155,11 +156,6 @@ class ScaledKernel:
 
 
 Kernel1D = Union[CentralBSpline, CombinationKernel, ScaledKernel]
-
-
-def kernel1d_eval(kernel: Kernel1D, t):
-    """Evaluate any univariate kernel variant at ``t`` (dispatch helper)."""
-    return kernel(t)
 
 
 def discrete_moment(kernel: Kernel1D, eta: int, u, absolute: bool = False):

@@ -9,25 +9,28 @@ They differ in what is summed per lattice cell:
 * the boolean-sum cell integrand f(x,v) + f(u,y) - f(u,v), which makes the
   operator exact on additively separable functions.
 
-Accumulation per point runs in ascending (k, j) order with a plain scalar
-accumulator, so results are reproducible bit for bit regardless of the
-thread count (KANTO_THREADS only distributes whole points over threads).
+One core serves all three.  It tabulates the source once per call (only
+on the cells some window touches) and then runs over the window offsets in
+ascending (k, j) order for all points at once, adding an exact zero for
+terms outside a point's window.  Each point so gets the same floating-point
+operations in the same order as a scalar loop over its own window, and
+results are reproducible bit for bit.  Analytic sources must accept numpy
+arrays and evaluate elementwise.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from .functions import TestFunction
+from .kernel1d import Kernel1D
 from .kernel2d import TensorKernel2D, _require_compact, max_support_radius
 
 __all__ = [
@@ -116,13 +119,9 @@ class LatticeField:
         quad_order: int = 5,
     ) -> "LatticeField":
         """Tabulate a function on the lattice rectangle, as samples or averages."""
-        values = np.empty((kmax - kmin + 1, jmax - jmin + 1))
-        for k in range(kmin, kmax + 1):
-            for j in range(jmin, jmax + 1):
-                if kind == KIND_SAMPLES:
-                    values[k - kmin, j - jmin] = f(k / w, j / w)
-                else:
-                    values[k - kmin, j - jmin] = cell_average(f, k, j, w, quad_order)
+        k = np.arange(kmin, kmax + 1)[:, None]
+        j = np.arange(jmin, jmax + 1)[None, :]
+        values = _tabulate(f, k, j, w, kind, quad_order)
         return cls(w=w, kind=kind, values=values, kmin=kmin, jmin=jmin)
 
 
@@ -162,24 +161,14 @@ class EvalGrid:
             raise ValueError("margin leaves an empty interior")
         xs = np.linspace(x0 + margin, x1 - margin, grid_n)
         ys = np.linspace(y0 + margin, y1 - margin, grid_n)
-        pts = [(x, y) for x in xs for y in ys]
-        return cls(points=np.array(pts), w=w)
+        pts = np.column_stack([np.repeat(xs, grid_n), np.tile(ys, grid_n)])
+        return cls(points=pts, w=w)
 
-
-def _thread_count() -> int:
-    raw = os.environ.get("KANTO_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_indexed(func: Callable[[int], float], n: int) -> list:
-    threads = _thread_count()
-    if threads == 1 or n < 2:
-        return [func(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, range(n)))
+    def sample(self, f: Callable) -> np.ndarray:
+        """f at every evaluation point, from one array call."""
+        out = np.empty(len(self.points))
+        out[...] = f(self.points[:, 0], self.points[:, 1])
+        return out
 
 
 @lru_cache(maxsize=16)
@@ -189,11 +178,14 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def cell_average(f: Callable, k: int, j: int, w: float, quad_order: int = 5) -> float:
+def cell_average(f: Callable, k, j, w: float, quad_order: int = 5):
     """Mean of f over the lattice cell [k/w,(k+1)/w] x [j/w,(j+1)/w].
 
     Tensor Gauss-Legendre rule, exact for polynomial degree up to
-    2*quad_order - 1 per axis.
+    2*quad_order - 1 per axis.  With integer arrays ``k`` and ``j`` it
+    returns the array of cell means and calls f once per node on whole
+    arrays; each cell gets the same operations in the same order as a
+    scalar call.
     """
     nodes, weights = _gauss_rule(quad_order)
     acc = 0.0
@@ -205,101 +197,173 @@ def cell_average(f: Callable, k: int, j: int, w: float, quad_order: int = 5) -> 
             row += wl * f(u, v)
         acc += wi * row
     # per-axis weights sum to 2; 1/4 turns the integral rule into a mean
-    return float(0.25 * acc)
+    mean = 0.25 * acc
+    return float(mean) if np.ndim(mean) == 0 else mean
 
 
-def _lattice_window(t: float, lo: float, hi: float) -> range:
+def _tabulate(
+    f: Callable, k, j, w: float, kind: str, quad_order: int | None
+) -> np.ndarray:
+    """Point samples f(k/w, j/w) or cell averages of f at lattice indices k, j."""
+    if kind == KIND_SAMPLES:
+        vals = f(k / w, j / w)
+    else:
+        vals = cell_average(f, k, j, w, quad_order)
+    out = np.empty(np.broadcast(k, j).shape)
+    out[...] = vals
+    return out
+
+
+class _AxisWindows(NamedTuple):
+    """Lattice windows of all evaluation points along one axis.
+
+    Point i's window runs from ``first[i]`` to ``last[i]``.  Column ``a``
+    holds index ``first + a``: ``weights[a]`` is its kernel value and
+    ``inside[a]`` says whether it lies in the point's window (windows differ
+    in width by at most one, so the last column can fall outside).
+    """
+
+    first: np.ndarray
+    last: np.ndarray
+    weights: list
+    inside: list
+
+
+def _axis_windows(kernel: Kernel1D, t: np.ndarray) -> _AxisWindows:
+    lo, hi = kernel.support
     # chi(t - k) can be nonzero only for t - hi < k < t - lo; endpoint hits
     # evaluate to exactly zero and are harmless
-    return range(math.ceil(t - hi), math.floor(t - lo) + 1)
+    first = np.ceil(t - hi)
+    last = np.floor(t - lo)
+    cols = int((last - first).max()) + 1 if t.size else 0
+    return _AxisWindows(
+        first.astype(np.int64),
+        last.astype(np.int64),
+        [kernel(t - (first + a)) for a in range(cols)],
+        [first + a <= last for a in range(cols)],
+    )
 
 
-def _check_coverage(field: LatticeField, kernel: TensorKernel2D, grid: EvalGrid):
-    lox, hix = kernel.support_x
-    loy, hiy = kernel.support_y
-    for x, y in grid.points:
-        ks = _lattice_window(grid.w * x, lox, hix)
-        js = _lattice_window(grid.w * y, loy, hiy)
-        for k in (ks.start, ks.stop - 1):
-            if not field.kmin <= k <= field.kmax:
-                raise MissingData(k, js.start)
-        for j in (js.start, js.stop - 1):
-            if not field.jmin <= j <= field.jmax:
-                raise MissingData(ks.start, j)
-
-
-def _resolve_sample_source(field: SourceField, w: float) -> Callable[[int, int], float]:
-    if isinstance(field, LatticeField):
-        if field.kind != KIND_SAMPLES:
-            raise ValueError("sample-based operator needs a field of kind 'samples'")
-        if field.w != w:
-            raise ValueError("lattice rate of field and grid disagree")
-        return field.get
-    f = field
-
-    def value(k: int, j: int) -> float:
-        return f(k / w, j / w)
-
-    return value
-
-
-def _resolve_average_source(
-    field: SourceField, w: float, quad_order: int
-) -> Callable[[int, int], float]:
-    if isinstance(field, LatticeField):
-        if field.kind != KIND_CELL_AVERAGES:
-            raise ValueError(
-                "average-based operator needs a field of kind 'cell_averages'"
-            )
-        if field.w != w:
-            raise ValueError("lattice rate of field and grid disagree")
-        return field.get
-    f = field
-    cache: dict = {}
-
-    def value(k: int, j: int) -> float:
-        key = (k, j)
-        got = cache.get(key)
-        if got is None:
-            got = cell_average(f, k, j, w, quad_order)
-            cache[key] = got
-        return got
-
-    return value
+def _grid_windows(
+    kernel: TensorKernel2D, grid: EvalGrid
+) -> tuple[_AxisWindows, _AxisWindows]:
+    pts = grid.points
+    return (
+        _axis_windows(kernel.kx, grid.w * pts[:, 0]),
+        _axis_windows(kernel.ky, grid.w * pts[:, 1]),
+    )
 
 
 def _windowed_sum(
-    kernel: TensorKernel2D, grid: EvalGrid, value: Callable[[int, int], float]
+    kx: _AxisWindows, ky: _AxisWindows, term: Callable[[int, int], np.ndarray]
 ) -> np.ndarray:
-    lox, hix = kernel.support_x
-    loy, hiy = kernel.support_y
+    """sum over each point's window of (cx * cy) * term, for all points at once.
+
+    ``term(a, b)`` gives the summand of window column (a, b) at every point.
+    Offsets run in ascending order and a term outside a point's window adds
+    an exact zero, so each point gets the operations of the scalar loop
+    ``acc += (cx[k] * cy[j]) * value(k, j)`` in ascending (k, j) order, bit
+    for bit.
+    """
+    acc = np.zeros(len(kx.first))
+    for a, (cx, in_k) in enumerate(zip(kx.weights, kx.inside)):
+        for b, (cy, in_j) in enumerate(zip(ky.weights, ky.inside)):
+            acc = acc + np.where(in_k & in_j, (cx * cy) * term(a, b), 0.0)
+    return acc
+
+
+def _gather(values: np.ndarray, rows: list, cols: list) -> Callable:
+    """term(a, b) of a table: rows[a] and cols[b] locate window column (a, b)."""
+    return lambda a, b: values[rows[a], cols[b]]
+
+
+def _field_table(field: LatticeField, kx: _AxisWindows, ky: _AxisWindows) -> Callable:
+    # clipping only moves columns outside a window, which add zero anyway
+    nk, nj = field.values.shape
+    return _gather(
+        field.values,
+        [np.clip(kx.first + a - field.kmin, 0, nk - 1) for a in range(len(kx.weights))],
+        [np.clip(ky.first + b - field.jmin, 0, nj - 1) for b in range(len(ky.weights))],
+    )
+
+
+def _distinct_columns(axis: _AxisWindows) -> tuple[np.ndarray, list]:
+    """Sorted distinct indices over all window columns, and each column's position."""
+    cols = len(axis.weights)
+    idx, pos = np.unique(
+        (axis.first[:, None] + np.arange(cols)).ravel(), return_inverse=True
+    )
+    return idx, list(pos.reshape(len(axis.first), cols).T.copy())
+
+
+def _index_table(
+    kx: _AxisWindows, ky: _AxisWindows, cell_values: Callable
+) -> Callable:
+    """Table of ``cell_values(k, j)`` over the distinct window indices of each axis.
+
+    ``cell_values`` is called once, on the whole rectangle of those indices
+    (not on their whole range, which a coarse grid at a high rate would
+    make large).
+    """
+    ks, rows = _distinct_columns(kx)
+    js, cols = _distinct_columns(ky)
+    return _gather(cell_values(ks[:, None], js[None, :]), rows, cols)
+
+
+def _check_coverage(field: LatticeField, kx: _AxisWindows, ky: _AxisWindows) -> None:
+    """Raise MissingData at the first end of the first window that leaves the field."""
+    bad = np.flatnonzero(
+        (kx.first < field.kmin)
+        | (kx.last > field.kmax)
+        | (ky.first < field.jmin)
+        | (ky.last > field.jmax)
+    )
+    if not bad.size:
+        return
+    i = bad[0]
+    k0, k1, j0, j1 = (int(v[i]) for v in (kx.first, kx.last, ky.first, ky.last))
+    for k in (k0, k1):
+        if not field.kmin <= k <= field.kmax:
+            raise MissingData(k, j0)
+    for j in (j0, j1):
+        if not field.jmin <= j <= field.jmax:
+            raise MissingData(k0, j)
+
+
+def _lattice_series(
+    field: SourceField,
+    kind: str,
+    kernel: TensorKernel2D,
+    grid: EvalGrid,
+    quad_order: int | None,
+) -> np.ndarray:
+    _require_compact(kernel)
+    kx, ky = _grid_windows(kernel, grid)
     w = grid.w
-    pts = grid.points
-
-    def at(i: int) -> float:
-        x, y = pts[i]
-        t1 = w * x
-        t2 = w * y
-        ks = _lattice_window(t1, lox, hix)
-        js = _lattice_window(t2, loy, hiy)
-        cx = kernel.kx(t1 - np.arange(ks.start, ks.stop, dtype=float))
-        cy = kernel.ky(t2 - np.arange(js.start, js.stop, dtype=float))
-        acc = 0.0
-        for a, k in zip(cx, ks):
-            for b, j in zip(cy, js):
-                acc += (a * b) * value(k, j)
-        return float(acc)
-
-    return np.array(_map_indexed(at, len(pts)))
+    if not isinstance(field, LatticeField):
+        table = _index_table(
+            kx, ky, lambda k, j: _tabulate(field, k, j, w, kind, quad_order)
+        )
+        return _windowed_sum(kx, ky, table)
+    _check_coverage(field, kx, ky)
+    if field.kind != kind:
+        based = "sample" if kind == KIND_SAMPLES else "average"
+        raise ValueError(f"{based}-based operator needs a field of kind {kind!r}")
+    if field.w != w:
+        raise ValueError("lattice rate of field and grid disagree")
+    acc = _windowed_sum(kx, ky, _field_table(field, kx, ky))
+    # a NaN result means a hole in some window: report the first one, in
+    # point order and then ascending (k, j)
+    for i in np.flatnonzero(np.isnan(acc)):
+        for k in range(kx.first[i], kx.last[i] + 1):
+            for j in range(ky.first[i], ky.last[i] + 1):
+                field.get(k, j)
+    return acc
 
 
 def apply_gw(field: SourceField, kernel: TensorKernel2D, grid: EvalGrid) -> np.ndarray:
     """Sampling series from point samples: sum chi(wx-k, wy-j) f(k/w, j/w)."""
-    _require_compact(kernel)
-    if isinstance(field, LatticeField):
-        _check_coverage(field, kernel, grid)
-    value = _resolve_sample_source(field, grid.w)
-    return _windowed_sum(kernel, grid, value)
+    return _lattice_series(field, KIND_SAMPLES, kernel, grid, quad_order=None)
 
 
 def apply_sw(
@@ -310,15 +374,24 @@ def apply_sw(
 ) -> np.ndarray:
     """Sampling series from cell averages instead of point samples.
 
-    An analytic field has its cell averages computed on demand with the
-    same quadrature as :meth:`LatticeField.from_function`, so both routes
+    An analytic field has its cell averages computed with the same
+    quadrature as :meth:`LatticeField.from_function`, so both routes
     produce identical floating-point output.
     """
-    _require_compact(kernel)
-    if isinstance(field, LatticeField):
-        _check_coverage(field, kernel, grid)
-    value = _resolve_average_source(field, grid.w, quad_order)
-    return _windowed_sum(kernel, grid, value)
+    return _lattice_series(field, KIND_CELL_AVERAGES, kernel, grid, quad_order)
+
+
+def _axis_means(g: Callable, axis: _AxisWindows, w: float, quad_order: int) -> list:
+    """Per window column a: mean of g over [(first+a)/w, (first+a+1)/w]."""
+    nodes, weights = _gauss_rule(quad_order)
+    means = []
+    for a in range(len(axis.weights)):
+        k = axis.first + a
+        m = 0.0
+        for gi, wi in zip(nodes, weights):
+            m += 0.5 * wi * g((k + 0.5 * (gi + 1.0)) / w)
+        means.append(m)
+    return means
 
 
 def apply_gbs(
@@ -338,42 +411,13 @@ def apply_gbs(
     if isinstance(field, LatticeField):
         raise ValueError("boolean-sum operator needs an analytic field")
     f = field
-    lox, hix = kernel.support_x
-    loy, hiy = kernel.support_y
     w = grid.w
-    pts = grid.points
-    nodes, weights = _gauss_rule(quad_order)
-
-    def at(i: int) -> float:
-        x, y = pts[i]
-        t1 = w * x
-        t2 = w * y
-        ks = _lattice_window(t1, lox, hix)
-        js = _lattice_window(t2, loy, hiy)
-        cx = kernel.kx(t1 - np.arange(ks.start, ks.stop, dtype=float))
-        cy = kernel.ky(t2 - np.arange(js.start, js.stop, dtype=float))
-        mean_u: dict = {}
-        mean_v: dict = {}
-        acc = 0.0
-        for a, k in zip(cx, ks):
-            mu = mean_u.get(k)
-            if mu is None:
-                mu = 0.0
-                for gi, wi in zip(nodes, weights):
-                    mu += 0.5 * wi * f((k + 0.5 * (gi + 1.0)) / w, y)
-                mean_u[k] = mu
-            for b, j in zip(cy, js):
-                mv = mean_v.get(j)
-                if mv is None:
-                    mv = 0.0
-                    for gl, wl in zip(nodes, weights):
-                        mv += 0.5 * wl * f(x, (j + 0.5 * (gl + 1.0)) / w)
-                    mean_v[j] = mv
-                m2 = cell_average(f, k, j, w, quad_order)
-                acc += (a * b) * (mv + mu - m2)
-        return float(acc)
-
-    return np.array(_map_indexed(at, len(pts)))
+    x, y = grid.points[:, 0], grid.points[:, 1]
+    kx, ky = _grid_windows(kernel, grid)
+    mean_u = _axis_means(lambda u: f(u, y), kx, w, quad_order)
+    mean_v = _axis_means(lambda v: f(x, v), ky, w, quad_order)
+    cell = _index_table(kx, ky, lambda k, j: cell_average(f, k, j, w, quad_order))
+    return _windowed_sum(kx, ky, lambda a, b: mean_v[b] + mean_u[a] - cell(a, b))
 
 
 def representation_residual(

@@ -27,6 +27,7 @@ from kanto import (
     polynomial_reproduction_check,
     sw_remainder_bound,
 )
+from kanto.functions import DEFAULT_BOX
 from kanto.kernel2d import MomentTable
 
 rng = np.random.default_rng(3)
@@ -193,6 +194,32 @@ class TestModulusMachinery:
         small = mixed_modulus_estimate(f, d1, d2, UNIT_BOX, grid_n=17)
         large = mixed_modulus_estimate(f, d1 + grow1, d2 + grow2, UNIT_BOX, grid_n=17)
         assert small <= large + 1e-15
+
+    @pytest.mark.parametrize("w", [11.0, 20.0, 40.0])
+    def test_default_grid_resolves_small_deltas(self, w):
+        # xy has mixed modulus exactly delta1 * delta2; a fixed 33-point grid
+        # on the 3-wide default box fits no offset once delta < 3/32
+        delta = 1.0 / w
+        got = mixed_modulus_estimate(fn_lookup("xy"), delta, delta, DEFAULT_BOX)
+        assert 0.25 * delta * delta <= got <= delta * delta + 1e-14
+
+    def test_default_grid_cost_does_not_depend_on_delta(self):
+        counts = []
+        for w in (11.0, 2000.0, 20000.0):
+            sizes = []
+
+            def f(x, y):
+                sizes.append(np.broadcast(x, y).size)
+                return x * y
+
+            mixed_modulus_estimate(f, 1.0 / w, 1.0 / w, DEFAULT_BOX)
+            counts.append(sum(sizes))
+        assert counts[0] == counts[1] == counts[2] <= 33 * 33 + 99 * 99
+
+    @pytest.mark.parametrize("name", ["x", "y", "x2", "y2", "const1"])
+    def test_single_variable_functions_have_zero_modulus(self, name):
+        got = mixed_modulus_estimate(fn_lookup(name), 0.05, 0.05, DEFAULT_BOX)
+        assert got == 0.0
 
     def test_differential_estimate_product(self):
         assert b_differential_estimate(

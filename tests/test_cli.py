@@ -225,6 +225,16 @@ class TestGbsCommand:
             assert float(row[4]) <= float(row[5])
 
 
+    def test_bound_column_dominates_at_fine_rate(self):
+        # the modulus estimate once fell to 0 for w >= 11 on the default box
+        proc = run_cli("gbs", "--fn", "sin_x_cos_y", "--w", "20")
+        assert proc.returncode == 0
+        rows = parse_csv(proc.stdout)[1]
+        bound = float(rows[0][5])
+        assert bound > 0.0
+        assert all(float(row[4]) <= bound for row in rows)
+
+
 class TestDeterminism:
     def test_byte_identical_across_thread_counts(self):
         args = (

@@ -1,0 +1,221 @@
+"""The vectorised windowed-sum core against scalar per-point oracles.
+
+Every operator must reproduce, bit for bit, the scalar loop that walks one
+point's window in ascending (k, j) order: ``acc += (a * b) * value(k, j)``.
+The cases cover random points and points on a window edge (``w*x - hi`` an
+integer, where windows are one wider), both fixture kernels, all three
+operators, and lattice-field as well as analytic sources.  Missing data
+must be reported at the same (k, j) as the scalar implementation did.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kanto import (
+    CentralBSpline,
+    EvalGrid,
+    LatticeField,
+    MissingData,
+    TensorKernel2D,
+    apply_gbs,
+    apply_gw,
+    apply_sw,
+    cell_average,
+    construct_combination_kernel,
+    fn_lookup,
+)
+from kanto.operators import KIND_CELL_AVERAGES, KIND_SAMPLES
+
+_chi3 = construct_combination_kernel(3, (2.0, 3.0, 4.0))
+KERNELS = {
+    "chibar3": TensorKernel2D(_chi3, _chi3),
+    "m3_tensor": TensorKernel2D(CentralBSpline(3), CentralBSpline(3)),
+}
+FUNCTIONS = ("sin_x_cos_y", "gaussian", "x2y2")
+QUAD_ORDER = 5
+
+
+def windows(kernel, w, x, y):
+    lox, hix = kernel.support_x
+    loy, hiy = kernel.support_y
+    ks = range(math.ceil(w * x - hix), math.floor(w * x - lox) + 1)
+    js = range(math.ceil(w * y - hiy), math.floor(w * y - loy) + 1)
+    return ks, js
+
+
+def dense_patch(kernel, value, w, x, y):
+    """Scalar windowed sum at one point, the loop of acceptance test 11."""
+    ks, js = windows(kernel, w, x, y)
+    acc = 0.0
+    for k in ks:
+        a = kernel.kx(w * x - float(k))
+        for j in js:
+            b = kernel.ky(w * y - float(j))
+            acc += (a * b) * value(k, j)
+    return acc
+
+
+def gbs_value(f, w, x, y):
+    """Boolean-sum summand f(x,v) + f(u,y) - f(u,v), averaged over cell (k, j)."""
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
+
+    def mean_u(k):
+        mu = 0.0
+        for gi, wi in zip(nodes, weights):
+            mu += 0.5 * wi * f((k + 0.5 * (gi + 1.0)) / w, y)
+        return mu
+
+    def mean_v(j):
+        mv = 0.0
+        for gl, wl in zip(nodes, weights):
+            mv += 0.5 * wl * f(x, (j + 0.5 * (gl + 1.0)) / w)
+        return mv
+
+    return lambda k, j: mean_v(j) + mean_u(k) - cell_average(f, k, j, w, QUAD_ORDER)
+
+
+def oracle(op, source, kernel, w, x, y):
+    if op == "gbs":
+        value = gbs_value(source, w, x, y)
+    elif isinstance(source, LatticeField):
+        value = source.get
+    elif op == "gw":
+        value = lambda k, j: source(k / w, j / w)
+    else:
+        value = lambda k, j: cell_average(source, k, j, w, QUAD_ORDER)
+    return dense_patch(kernel, value, w, x, y)
+
+
+def apply(op, source, kernel, grid):
+    if op == "gw":
+        return apply_gw(source, kernel, grid)
+    if op == "sw":
+        return apply_sw(source, kernel, grid, QUAD_ORDER)
+    return apply_gbs(source, kernel, grid, QUAD_ORDER)
+
+
+rates = st.one_of(
+    st.integers(min_value=2, max_value=50).map(float),
+    st.floats(min_value=2.0, max_value=50.0),
+    # w*x is exact for these, so the edge points below hit the edge exactly
+    st.sampled_from([2.0, 4.0, 8.0, 16.0, 32.0]),
+)
+
+
+@st.composite
+def grids(draw):
+    w = draw(rates)
+    # both fixture kernels have half-integer support ends, so w*x - hi is
+    # an integer exactly when w*x is a half-integer
+    edge = st.integers(min_value=-40, max_value=110).map(lambda n: (n + 0.5) / w)
+    coord = st.one_of(st.floats(min_value=-1.0, max_value=2.0), edge)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    return EvalGrid(points=points, w=w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    grid=grids(),
+    kernel_name=st.sampled_from(sorted(KERNELS)),
+    op=st.sampled_from(["gw", "sw", "gbs"]),
+    fn_name=st.sampled_from(FUNCTIONS),
+    via_field=st.booleans(),
+)
+@example(
+    grid=EvalGrid(points=[(0.0625, 0.0625), (0.33, 0.7)], w=8.0),
+    kernel_name="m3_tensor",
+    op="sw",
+    fn_name="sin_x_cos_y",
+    via_field=True,
+)
+def test_core_matches_scalar_oracle_bitwise(grid, kernel_name, op, fn_name, via_field):
+    kernel = KERNELS[kernel_name]
+    f = fn_lookup(fn_name)
+    w = grid.w
+    source = f
+    if via_field and op != "gbs":
+        kind = KIND_SAMPLES if op == "gw" else KIND_CELL_AVERAGES
+        lo = math.floor(w * grid.points.min()) - 8
+        hi = math.ceil(w * grid.points.max()) + 8
+        source = LatticeField.from_function(f, w, lo, hi, lo, hi, kind, QUAD_ORDER)
+    got = apply(op, source, kernel, grid)
+    want = [oracle(op, source, kernel, w, x, y) for x, y in grid.points]
+    assert got.tolist() == want
+
+
+def test_edge_points_have_wider_windows():
+    # the edge example above really exercises a window one column wider
+    kernel = KERNELS["m3_tensor"]
+    ks, _ = windows(kernel, 8.0, 0.0625, 0.0625)
+    assert len(ks) == 4
+    ks, _ = windows(kernel, 8.0, 0.33, 0.7)
+    assert len(ks) == 3
+
+
+def first_missing(field, kernel, grid):
+    """(k, j) the scalar implementation reported, or None.
+
+    It checked the window ends of every point first, in point order, and
+    then read the windows point by point in ascending (k, j) order.
+    """
+    w = grid.w
+    spans = []
+    for x, y in grid.points:
+        ks, js = windows(kernel, w, x, y)
+        for k in (ks.start, ks.stop - 1):
+            if not field.kmin <= k <= field.kmax:
+                return (k, js.start)
+        for j in (js.start, js.stop - 1):
+            if not field.jmin <= j <= field.jmax:
+                return (ks.start, j)
+        spans.append((ks, js))
+    for ks, js in spans:
+        for k in ks:
+            for j in js:
+                if math.isnan(field.values[k - field.kmin, j - field.jmin]):
+                    return (k, j)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    w=st.integers(min_value=2, max_value=50).map(float),
+    kernel_name=st.sampled_from(sorted(KERNELS)),
+    op=st.sampled_from(["gw", "sw"]),
+    pad=st.tuples(*[st.integers(min_value=0, max_value=8)] * 4),
+    points=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=5
+    ),
+    holes=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=3),
+)
+@example(  # a hole inside the only window
+    w=10.0, kernel_name="m3_tensor", op="gw", pad=(8, 8, 8, 8),
+    points=[(0.7, 0.3)], holes=[(15 / 26, 11 / 26)],
+)
+@example(  # the window leaves the field at its upper k end
+    w=10.0, kernel_name="m3_tensor", op="sw", pad=(8, 0, 8, 8),
+    points=[(0.2, 0.2), (1.0, 0.5)], holes=[],
+)
+def test_missing_data_reports_the_scalar_index(w, kernel_name, op, pad, points, holes):
+    kernel = KERNELS[kernel_name]
+    kind = KIND_SAMPLES if op == "gw" else KIND_CELL_AVERAGES
+    kmin, kmax = -pad[0], math.ceil(w) + pad[1]
+    jmin, jmax = -pad[2], math.ceil(w) + pad[3]
+    field = LatticeField.from_function(
+        fn_lookup("gaussian"), w, kmin, kmax, jmin, jmax, kind, QUAD_ORDER
+    )
+    for hx, hy in holes:
+        field.values[round(hx * (kmax - kmin)), round(hy * (jmax - jmin))] = np.nan
+    grid = EvalGrid(points=points, w=w)
+    want = first_missing(field, kernel, grid)
+    if want is None:
+        got = apply(op, field, kernel, grid)
+        assert got.tolist() == [oracle(op, field, kernel, w, x, y) for x, y in points]
+    else:
+        with pytest.raises(MissingData) as err:
+            apply(op, field, kernel, grid)
+        assert (err.value.k, err.value.j) == want

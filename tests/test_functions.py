@@ -58,6 +58,15 @@ class TestCatalogValues:
         assert vals.shape == (7, 7)
         assert vals[3, 5] == pytest.approx(float(f(xs[3], xs[5])), abs=1e-15)
 
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_scalar_calls_bitwise_equal_array_call(self, name):
+        # the operators call entries on arrays, scalar oracles point by point
+        f = fn_lookup(name)
+        pts = np.random.default_rng(3).uniform(-3.0, 5.0, size=(2000, 2))
+        vec = f(pts[:, 0], pts[:, 1])
+        assert [float(f(x, y)) for x, y in pts] == vec.tolist()
+        assert [float(f(float(x), float(y))) for x, y in pts] == vec.tolist()
+
     def test_unknown_name(self):
         with pytest.raises(UnknownFunction) as err:
             fn_lookup("does_not_exist")

@@ -91,6 +91,16 @@ class TestBsplineValues:
         for t, v in zip(ts, vec):
             assert bspline_eval(3, float(t)) == v
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        ts=st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=20),
+    )
+    def test_scalar_bitwise_equals_array_element(self, n, ts):
+        # the operators evaluate kernels on arrays, scalar oracles on floats
+        vec = bspline_eval(n, np.array(ts))
+        assert [bspline_eval(n, t) for t in ts] == vec.tolist()
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=6),

@@ -95,6 +95,19 @@ class TestEvalGrid:
         with pytest.raises(ValueError):
             EvalGrid(points=[(0.0, 0.0)], w=0.0)
 
+    def test_regular_matches_nested_loop(self):
+        box = (-1.0, -0.5, 2.0, 1.5)
+        grid = EvalGrid.regular(box, 7, 3.0, margin=0.1)
+        xs = np.linspace(-0.9, 1.9, 7)
+        ys = np.linspace(-0.4, 1.4, 7)
+        assert grid.points.tolist() == [[x, y] for x in xs for y in ys]
+
+    def test_sample_matches_pointwise_calls(self):
+        f = fn_lookup("x2y2")
+        grid = EvalGrid.regular((-1.0, -1.0, 2.0, 2.0), 6, 10.0)
+        assert grid.sample(f).tolist() == [float(f(x, y)) for x, y in grid.points]
+        assert grid.sample(lambda x, y: 3.0).tolist() == [3.0] * 36
+
 
 class TestSampleSeries:
     def test_bitwise_against_dense_patch(self, chibar3, m3_tensor):
@@ -130,6 +143,28 @@ class TestSampleSeries:
         via_field = apply_gw(field, m3_tensor, grid)
         via_fn = apply_gw(f, m3_tensor, grid)
         assert np.array_equal(via_field, via_fn)
+
+    def test_average_field_route_matches_analytic_route(self, m3_tensor):
+        f = fn_lookup("gaussian")
+        field = LatticeField.from_function(
+            f, 8.0, -12, 20, -12, 20, kind=KIND_CELL_AVERAGES
+        )
+        grid = EvalGrid.regular((0.0, 0.0, 1.0, 1.0), 5, 8.0)
+        via_field = apply_sw(field, m3_tensor, grid)
+        via_fn = apply_sw(f, m3_tensor, grid)
+        assert np.array_equal(via_field, via_fn)
+
+    def test_from_function_matches_scalar_tabulation(self):
+        f = fn_lookup("sin_x_cos_y")
+        w = 7.0
+        samples = LatticeField.from_function(f, w, -3, 4, -2, 5)
+        averages = LatticeField.from_function(
+            f, w, -3, 4, -2, 5, kind=KIND_CELL_AVERAGES
+        )
+        for k in range(-3, 5):
+            for j in range(-2, 6):
+                assert samples.get(k, j) == f(k / w, j / w)
+                assert averages.get(k, j) == cell_average(f, k, j, w)
 
     def test_translation_covariance(self, m3_tensor):
         f = fn_lookup("gaussian")
