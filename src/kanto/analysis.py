@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .csvio import write_csv
 from .functions import TestFunction, UnsupportedOrder, sup_norm_estimate
 from .kernel2d import (
     MomentTable,
@@ -257,6 +258,12 @@ def kfunctional_constants(
 # points per axis of the default modulus grid
 MODULUS_GRID = 33
 
+# A mixed difference is rounding noise, and counts as 0, when it is at most
+# this times the sum of the magnitudes of its four f values: about one eps
+# for the rounding of the f values, half an eps for each of the three
+# subtractions, and a margin.
+MIXED_ROUNDING = 4.0 * np.finfo(float).eps
+
 
 def _mixed_max(
     f11: np.ndarray, f10: np.ndarray, f01: np.ndarray, f00: np.ndarray
@@ -264,9 +271,12 @@ def _mixed_max(
     """max |f11 - f10 - f01 + f00| over the corner tables.
 
     Taken as a difference of two y-differences, which is exactly 0 whenever
-    f depends on one variable only.
+    f depends on one variable only.  A difference within the rounding error
+    of its terms counts as 0, so additively separable f give exactly 0.
     """
-    return float(np.abs((f11 - f10) - (f01 - f00)).max())
+    mixed = np.abs((f11 - f10) - (f01 - f00))
+    noise = MIXED_ROUNDING * (np.abs(f11) + np.abs(f10) + np.abs(f01) + np.abs(f00))
+    return float(np.where(mixed > noise, mixed, 0.0).max())
 
 
 def _grid_pairs_estimate(
@@ -379,14 +389,16 @@ class ConvergenceTable:
         we = self.w_times_error
         return all(b < a for a, b in zip(we, we[1:]))
 
-    def to_csv(self, path) -> None:
-        lines = ["w,sup_error"]
-        for w, e in self.rows:
-            lines.append(f"{format(w, '.17g')},{format(e, '.17g')}")
-        lines.append(f"slope,{format(self.fitted_slope, '.17g')}")
-        from pathlib import Path
-
-        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    def to_csv(self, path=None) -> None:
+        """Write w,sup_error rows and a final slope row to path, or to stdout."""
+        write_csv(
+            ("w", "sup_error"),
+            (
+                [w for w, _ in self.rows] + ["slope"],
+                [e for _, e in self.rows] + [self.fitted_slope],
+            ),
+            path,
+        )
 
 
 _OPERATORS = {
@@ -511,15 +523,11 @@ class BoundReport:
     constants: dict
     inputs: dict
 
-    def to_csv(self, path) -> None:
-        from pathlib import Path
-
-        lines = ["name,value"]
-        for name, value in self.constants.items():
-            lines.append(f"{name},{format(value, '.17g')}")
-        for name, value in self.inputs.items():
-            lines.append(f"input_{name},{format(value, '.17g')}")
-        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    def to_csv(self, path=None) -> None:
+        """Write name,value rows (inputs prefixed input_) to path, or to stdout."""
+        names = [*self.constants, *(f"input_{name}" for name in self.inputs)]
+        values = [*self.constants.values(), *self.inputs.values()]
+        write_csv(("name", "value"), (names, values), path)
 
 
 def build_bound_report(

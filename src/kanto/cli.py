@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .analysis import (
     gbs_modulus_bound,
     mixed_modulus_estimate,
 )
+from .csvio import write_csv
 from .functions import UnknownFunction, fn_lookup
 from .kernel1d import (
     CentralBSpline,
@@ -45,6 +47,7 @@ from .operators import (
     EvalGrid,
     LatticeField,
     MissingData,
+    _check_rate,
     admissible_box,
     apply_gbs,
     apply_gw,
@@ -63,10 +66,6 @@ VALIDATION_GRID = 32
 VALIDATION_TOL = 1e-8
 
 
-def _g(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
@@ -74,10 +73,32 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _check_rates(args) -> None:
+    """Reject a lattice rate flag that is not finite and positive, by name."""
+    for flag in ("--w", "--input-w"):
+        w = getattr(args, flag[2:].replace("-", "_"), None)
+        if w is not None:
+            _check_rate(w, flag)
+    if hasattr(args, "w_list"):
+        args.w_list = tuple(
+            _check_rate(w, "--w-list") for w in _parse_floats(args.w_list)
+        )
+
+
+def _admissible_hint(field: LatticeField, kernel: TensorKernel2D) -> str:
+    try:
+        box = admissible_box(field, kernel)
+    except ValueError as exc:
+        return f"no box is admissible: {exc}"
+    return "admissible box: --box=%.17g,%.17g,%.17g,%.17g" % box
+
+
 def _parse_box(text: str) -> tuple[float, float, float, float]:
     parts = _parse_floats(text)
     if len(parts) != 4:
         raise ValueError("box needs exactly four numbers: x0,y0,x1,y1")
+    if not all(map(math.isfinite, parts)):
+        raise ValueError("box corners must be finite")
     x0, y0, x1, y1 = parts
     if x0 >= x1 or y0 >= y1:
         raise ValueError("box must satisfy x0 < x1 and y0 < y1")
@@ -98,14 +119,6 @@ def _build_kernel(args) -> TensorKernel2D:
     kernel = TensorKernel2D(axis, axis)
     validate_kernel(kernel, grid_n=VALIDATION_GRID, tol=VALIDATION_TOL)
     return kernel
-
-
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text, newline="\n")
-    else:
-        sys.stdout.write(text)
 
 
 def _load_field(args, kernel: TensorKernel2D) -> LatticeField:
@@ -133,38 +146,39 @@ def _cmd_reconstruct(args) -> int:
             approx = apply_sw(f, kernel, grid, args.quad_order)
         else:
             approx = apply_gbs(f, kernel, grid, args.quad_order)
-        lines = ["x,y,approx,exact,abs_err"]
-        for (x, y), a, e in zip(grid.points, approx, grid.sample(f)):
-            lines.append(f"{_g(x)},{_g(y)},{_g(a)},{_g(e)},{_g(abs(a - e))}")
-        _emit(lines, args.out)
+        exact = grid.sample(f)
+        write_csv(
+            ("x", "y", "approx", "exact", "abs_err"),
+            (*grid.points.T, approx, exact, np.abs(approx - exact)),
+            args.out,
+        )
         return EXIT_OK
     field = _load_field(args, kernel)
     box = _parse_box(args.box) if args.box else admissible_box(field, kernel)
     grid = EvalGrid.regular(box, args.grid_n, field.w)
-    if args.op == "gw":
-        approx = apply_gw(field, kernel, grid)
-    elif args.op == "sw":
-        approx = apply_sw(field, kernel, grid, args.quad_order)
-    else:
+    if args.op == "gbs":
         raise ValueError("the boolean-sum operator needs --fn, not --input")
-    lines = ["x,y,approx"]
-    for (x, y), a in zip(grid.points, approx):
-        lines.append(f"{_g(x)},{_g(y)},{_g(a)}")
-    _emit(lines, args.out)
+    try:
+        if args.op == "gw":
+            approx = apply_gw(field, kernel, grid)
+        else:
+            approx = apply_sw(field, kernel, grid, args.quad_order)
+    except MissingData as exc:
+        raise MissingData(exc.k, exc.j, _admissible_hint(field, kernel)) from None
+    write_csv(("x", "y", "approx"), (*grid.points.T, approx), args.out)
     return EXIT_OK
 
 
 def _cmd_moments(args) -> int:
     kernel = _build_kernel(args)
     table = MomentTable.compute(kernel, eta_max=args.eta_max, grid_n=args.grid_n)
-    lines = ["p1,p2,algebraic_mean,spread,absolute_sup"]
-    for p1, p2 in table.index_pairs():
-        lines.append(
-            f"{p1},{p2},{_g(table.algebraic_mean[(p1, p2)])},"
-            f"{_g(table.algebraic_spread[(p1, p2)])},"
-            f"{_g(table.absolute_sup[(p1, p2)])}"
-        )
-    _emit(lines, args.out)
+    pairs = table.index_pairs()
+    columns = [[p1 for p1, _ in pairs], [p2 for _, p2 in pairs]]
+    for moments in (table.algebraic_mean, table.algebraic_spread, table.absolute_sup):
+        columns.append([moments[pair] for pair in pairs])
+    write_csv(
+        ("p1", "p2", "algebraic_mean", "spread", "absolute_sup"), columns, args.out
+    )
     return EXIT_OK
 
 
@@ -174,12 +188,7 @@ def _cmd_bounds(args) -> int:
     box = _parse_box(args.box) if args.box else f.default_box
     profile = FunctionProfile.from_function(f, box)
     report = build_bound_report(kernel, args.w, profile, grid_n=args.grid_n)
-    lines = ["name,value"]
-    for name, value in report.constants.items():
-        lines.append(f"{name},{_g(value)}")
-    for name, value in report.inputs.items():
-        lines.append(f"input_{name},{_g(value)}")
-    _emit(lines, args.out)
+    report.to_csv(args.out)
     return EXIT_OK
 
 
@@ -187,22 +196,16 @@ def _cmd_converge(args) -> int:
     kernel = _build_kernel(args)
     f = fn_lookup(args.fn)
     box = _parse_box(args.box) if args.box else f.default_box
-    w_list = _parse_floats(args.w_list)
     table = convergence_study(
-        f, kernel, args.op, w_list, box, args.grid_n, args.quad_order
+        f, kernel, args.op, args.w_list, box, args.grid_n, args.quad_order
     )
-    lines = ["w,sup_error"]
-    for w, e in table.rows:
-        lines.append(f"{_g(w)},{_g(e)}")
-    lines.append(f"slope,{_g(table.fitted_slope)}")
-    _emit(lines, args.out)
+    table.to_csv(args.out)
     return EXIT_OK
 
 
 def _cmd_kernel_info(args) -> int:
     kernel = _build_kernel(args)
     table = MomentTable.compute(kernel, eta_max=kernel.moment_order, grid_n=args.grid_n)
-    lines = ["name,value"]
     rows = [
         ("r", args.r),
         ("moment_order", kernel.moment_order),
@@ -218,9 +221,8 @@ def _cmd_kernel_info(args) -> int:
         for i, (s, c) in enumerate(zip(kernel.kx.shifts, kernel.kx.coefficients)):
             rows.append((f"shift_{i}", s))
             rows.append((f"coeff_{i}", c))
-    for name, value in rows:
-        lines.append(f"{name},{_g(value)}")
-    _emit(lines, args.out)
+    names, values = zip(*rows)
+    write_csv(("name", "value"), (names, np.array(values, dtype=float)), args.out)
     return EXIT_OK
 
 
@@ -233,12 +235,15 @@ def _cmd_gbs(args) -> int:
     omega = mixed_modulus_estimate(f, delta, delta, box)
     bound = gbs_modulus_bound(kernel, args.w, delta, delta, omega)
     approx = apply_gbs(f, kernel, grid, args.quad_order)
-    lines = ["x,y,approx,exact,abs_err,modulus_bound"]
-    for (x, y), a, e in zip(grid.points, approx, grid.sample(f)):
-        lines.append(
-            f"{_g(x)},{_g(y)},{_g(a)},{_g(e)},{_g(abs(a - e))},{_g(bound)}"
-        )
-    _emit(lines, args.out)
+    exact = grid.sample(f)
+    write_csv(
+        ("x", "y", "approx", "exact", "abs_err", "modulus_bound"),
+        (
+            *grid.points.T, approx, exact, np.abs(approx - exact),
+            np.full(exact.shape, bound),
+        ),
+        args.out,
+    )
     return EXIT_OK
 
 
@@ -334,9 +339,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
+        _check_rates(args)
         return args.handler(args)
     except MissingData as exc:
-        print(f"error: missing lattice value at (k={exc.k}, j={exc.j})", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (
         UnknownFunction,

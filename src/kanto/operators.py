@@ -29,6 +29,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
+from .csvio import write_csv
 from .functions import TestFunction
 from .kernel1d import Kernel1D
 from .kernel2d import TensorKernel2D, _require_compact, max_support_radius
@@ -55,16 +56,26 @@ KIND_CELL_AVERAGES = "cell_averages"
 
 
 class MissingData(Exception):
-    """A lattice sample required by the evaluation window is absent."""
+    """A lattice sample required by the evaluation window is absent.
 
-    def __init__(self, k: int, j: int):
-        super().__init__(f"missing lattice value at (k={k}, j={j})")
+    ``hint`` (how to fix the input) is appended to the message.
+    """
+
+    def __init__(self, k: int, j: int, hint: str = ""):
+        message = f"missing lattice value at (k={k}, j={j})"
+        super().__init__(f"{message}; {hint}" if hint else message)
         self.k = k
         self.j = j
 
 
 class CatalogMissingDerivative(Exception):
     """The analytic field lacks a first partial needed by the computation."""
+
+
+def _check_rate(w: float, name: str = "lattice rate w") -> float:
+    if not (math.isfinite(w) and w > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {w!r}")
+    return w
 
 
 @dataclass
@@ -84,8 +95,7 @@ class LatticeField:
     def __post_init__(self):
         if self.kind not in (KIND_SAMPLES, KIND_CELL_AVERAGES):
             raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.w <= 0:
-            raise ValueError("lattice rate w must be positive")
+        _check_rate(self.w)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-d array")
@@ -139,8 +149,7 @@ class EvalGrid:
         object.__setattr__(
             self, "points", np.asarray(self.points, dtype=float).reshape(-1, 2)
         )
-        if self.w <= 0:
-            raise ValueError("lattice rate w must be positive")
+        _check_rate(self.w)
 
     @classmethod
     def regular(
@@ -221,26 +230,41 @@ class _AxisWindows(NamedTuple):
     holds index ``first + a``: ``weights[a]`` is its kernel value and
     ``inside[a]`` says whether it lies in the point's window (windows differ
     in width by at most one, so the last column can fall outside).
+    ``starts`` holds the window start of each distinct coordinate and
+    ``which[i]`` the distinct coordinate of point i.
     """
 
     first: np.ndarray
     last: np.ndarray
     weights: list
     inside: list
+    starts: np.ndarray
+    which: np.ndarray
 
 
 def _axis_windows(kernel: Kernel1D, t: np.ndarray) -> _AxisWindows:
+    """Windows of the coordinates t, computed once per distinct coordinate.
+
+    Tensor grids repeat each coordinate many times.  Coordinates are told
+    apart by their bit pattern, so each point gets exactly the values it
+    would get on its own.
+    """
+    bits, which = np.unique(t.view(np.uint64), return_inverse=True)
+    ts = bits.view(np.float64)
     lo, hi = kernel.support
     # chi(t - k) can be nonzero only for t - hi < k < t - lo; endpoint hits
     # evaluate to exactly zero and are harmless
-    first = np.ceil(t - hi)
-    last = np.floor(t - lo)
-    cols = int((last - first).max()) + 1 if t.size else 0
+    first = np.ceil(ts - hi)
+    last = np.floor(ts - lo)
+    cols = int((last - first).max()) + 1 if ts.size else 0
+    starts = first.astype(np.int64)
     return _AxisWindows(
-        first.astype(np.int64),
-        last.astype(np.int64),
-        [kernel(t - (first + a)) for a in range(cols)],
-        [first + a <= last for a in range(cols)],
+        starts[which],
+        last.astype(np.int64)[which],
+        [kernel(ts - (first + a))[which] for a in range(cols)],
+        [(first + a <= last)[which] for a in range(cols)],
+        starts,
+        which,
     )
 
 
@@ -291,9 +315,9 @@ def _distinct_columns(axis: _AxisWindows) -> tuple[np.ndarray, list]:
     """Sorted distinct indices over all window columns, and each column's position."""
     cols = len(axis.weights)
     idx, pos = np.unique(
-        (axis.first[:, None] + np.arange(cols)).ravel(), return_inverse=True
+        (axis.starts[:, None] + np.arange(cols)).ravel(), return_inverse=True
     )
-    return idx, list(pos.reshape(len(axis.first), cols).T.copy())
+    return idx, list(pos.reshape(len(axis.starts), cols)[axis.which].T.copy())
 
 
 def _index_table(
@@ -476,14 +500,12 @@ def _meta_path(path) -> Path:
 
 def write_lattice_csv(field: LatticeField, path) -> None:
     """Write k,j,value rows plus a .meta.json sidecar with rate, kind, bounds."""
-    path = Path(path)
-    lines = ["k,j,value"]
-    for k in range(field.kmin, field.kmax + 1):
-        for j in range(field.jmin, field.jmax + 1):
-            val = field.values[k - field.kmin, j - field.jmin]
-            if not math.isnan(val):
-                lines.append(f"{k},{j},{format(val, '.17g')}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    rows, cols = np.nonzero(~np.isnan(field.values))  # ascending (k, j)
+    write_csv(
+        ("k", "j", "value"),
+        (rows + field.kmin, cols + field.jmin, field.values[rows, cols]),
+        path,
+    )
     meta = {
         "w": field.w,
         "kind": field.kind,
@@ -496,12 +518,16 @@ def write_lattice_csv(field: LatticeField, path) -> None:
 
 
 def read_lattice_csv(path) -> LatticeField:
-    """Read a k,j,value CSV with its .meta.json sidecar; absent cells become NaN."""
+    """Read a k,j,value CSV with its .meta.json sidecar; absent cells become NaN.
+
+    A repeated (k, j) row is an error, not an overwrite.
+    """
     path = Path(path)
     meta = json.loads(_meta_path(path).read_text())
     kmin, kmax = int(meta["kmin"]), int(meta["kmax"])
     jmin, jmax = int(meta["jmin"]), int(meta["jmax"])
     values = np.full((kmax - kmin + 1, jmax - jmin + 1), np.nan)
+    seen = np.zeros(values.shape, dtype=bool)
     lines = path.read_text().splitlines()
     if not lines or lines[0].strip() != "k,j,value":
         raise ValueError(f"{path}: expected header 'k,j,value'")
@@ -512,6 +538,9 @@ def read_lattice_csv(path) -> LatticeField:
         k, j = int(k_s), int(j_s)
         if not (kmin <= k <= kmax and jmin <= j <= jmax):
             raise ValueError(f"{path}: index ({k},{j}) outside declared bounds")
+        if seen[k - kmin, j - jmin]:
+            raise ValueError(f"{path}: duplicate row for index ({k},{j})")
+        seen[k - kmin, j - jmin] = True
         values[k - kmin, j - jmin] = float(v_s)
     return LatticeField(
         w=float(meta["w"]),

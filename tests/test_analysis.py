@@ -182,6 +182,29 @@ class TestModulusMachinery:
         f = fn_lookup("sin_x_plus_cos_y")
         assert mixed_modulus_estimate(f, 0.5, 0.5, UNIT_BOX) <= 1e-14
 
+    @pytest.mark.parametrize("name", ["x_plus_y", "y_minus_x", "sin_x_plus_cos_y"])
+    @pytest.mark.parametrize("w", [1.0, 10.0, 20.0, 40.0, 2000.0])
+    def test_exactly_zero_for_separable_functions(self, name, w):
+        f = fn_lookup(name)
+        for box in (f.default_box, UNIT_BOX, (-0.98, -1.013, 2.017, 1.99)):
+            assert mixed_modulus_estimate(f, 1 / w, 1 / w, box) == 0.0
+            assert mixed_modulus_estimate(f, 1 / w, 1 / w, box, grid_n=17) == 0.0
+
+    def test_rounding_cut_leaves_other_estimates_unchanged(self):
+        # the estimates at delta = 1/20 before differences within rounding
+        # error counted as 0
+        pinned = {
+            "gaussian": "0x1.e1a28db797d00p-10",
+            "sin_x_cos_y": "0x1.4727f667abde3p-9",
+            "sin_y_minus_x": "0x1.479c0f1e1ea00p-9",
+            "x2y2": "0x1.3f8a0902de000p-5",
+            "xy": "0x1.47ae147ae1800p-9",
+        }
+        for name, value in pinned.items():
+            f = fn_lookup(name)
+            got = mixed_modulus_estimate(f, 0.05, 0.05, f.default_box)
+            assert got == float.fromhex(value), name
+
     @settings(max_examples=40, deadline=None)
     @given(
         d1=st.floats(min_value=0.01, max_value=0.9),

@@ -142,6 +142,28 @@ class TestReconstruct:
         assert proc.returncode == 3
         assert "(k=" in proc.stderr
 
+    def test_missing_data_prints_usable_box(self, tmp_path):
+        field = LatticeField.from_function(fn_lookup("x"), 10.0, 0, 10, 0, 10)
+        path = tmp_path / "small.csv"
+        write_lattice_csv(field, path)
+        args = ("reconstruct", "--input", str(path), "--kernel", "bspline", "--grid-n", "4")
+        proc = run_cli(*args, "--box=-5,-5,5,5")
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1
+        assert "(k=-51, j=-51); admissible box: --box=" in proc.stderr
+        box_flag = proc.stderr.split()[-1]
+        assert run_cli(*args, box_flag).returncode == 0
+
+    def test_duplicate_row_is_a_config_error(self, tmp_path):
+        field = LatticeField.from_function(fn_lookup("x"), 10.0, -8, 18, -8, 18)
+        path = tmp_path / "dup.csv"
+        write_lattice_csv(field, path)
+        with path.open("a") as fh:
+            fh.write("3,4,0.5\n")
+        proc = run_cli("reconstruct", "--input", str(path), "--grid-n", "2")
+        assert proc.returncode == 2
+        assert "dup.csv" in proc.stderr and "(3,4)" in proc.stderr
+
     def test_fn_and_input_conflict(self, tmp_path):
         proc = run_cli("reconstruct", "--fn", "x", "--input", "whatever.csv")
         assert proc.returncode == 2
@@ -171,6 +193,30 @@ class TestErrorPaths:
     def test_bad_box(self):
         proc = run_cli("reconstruct", "--fn", "x", "--box", "1,2,3")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "flag, args",
+        [
+            ("--w", ("bounds", "--fn", "gaussian", "--w", "0")),
+            ("--w", ("reconstruct", "--fn", "x", "--w", "inf")),
+            ("--w", ("gbs", "--fn", "xy", "--w", "nan")),
+            ("--w", ("reconstruct", "--fn", "x", "--w=-3")),
+            ("--w-list", ("converge", "--fn", "x", "--w-list", "5,nan")),
+            ("--w-list", ("converge", "--fn", "x", "--w-list", "0,5")),
+            ("--input-w", ("reconstruct", "--input", "missing.pgm", "--input-w", "inf")),
+        ],
+    )
+    def test_bad_rate_names_its_flag(self, flag, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"error: {flag} must be finite and > 0")
+
+    @pytest.mark.parametrize("box", ["--box=nan,0,1,1", "--box=0,0,inf,1"])
+    def test_non_finite_box(self, box):
+        proc = run_cli("reconstruct", "--fn", "x", box)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: box corners must be finite\n"
 
     def test_missing_subcommand(self):
         proc = run_cli()

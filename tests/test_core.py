@@ -6,6 +6,8 @@ The cases cover random points and points on a window edge (``w*x - hi`` an
 integer, where windows are one wider), both fixture kernels, all three
 operators, and lattice-field as well as analytic sources.  Missing data
 must be reported at the same (k, j) as the scalar implementation did.
+Kernel windows, computed once per distinct coordinate, must equal the
+windows evaluated at every point.
 """
 
 import math
@@ -28,7 +30,12 @@ from kanto import (
     construct_combination_kernel,
     fn_lookup,
 )
-from kanto.operators import KIND_CELL_AVERAGES, KIND_SAMPLES
+from kanto.operators import (
+    KIND_CELL_AVERAGES,
+    KIND_SAMPLES,
+    _axis_windows,
+    _distinct_columns,
+)
 
 _chi3 = construct_combination_kernel(3, (2.0, 3.0, 4.0))
 KERNELS = {
@@ -219,3 +226,48 @@ def test_missing_data_reports_the_scalar_index(w, kernel_name, op, pad, points, 
         with pytest.raises(MissingData) as err:
             apply(op, field, kernel, grid)
         assert (err.value.k, err.value.j) == want
+
+
+def per_point_windows(kernel, t):
+    """Window ends and column weights evaluated at every point, repeats and all."""
+    lo, hi = kernel.support
+    first = np.ceil(t - hi)
+    last = np.floor(t - lo)
+    cols = int((last - first).max()) + 1
+    weights = [kernel(t - (first + a)) for a in range(cols)]
+    inside = [first + a <= last for a in range(cols)]
+    return first.astype(np.int64), last.astype(np.int64), weights, inside
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+@st.composite
+def axis_coordinates(draw):
+    w = draw(rates)
+    if draw(st.booleans()):  # one axis of a tensor grid
+        n = draw(st.integers(min_value=1, max_value=12))
+        box = draw(st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)))
+        grid = EvalGrid.regular((min(box), 0.0, max(box) + 0.1, 1.0), n, w)
+        return w * grid.points[:, draw(st.sampled_from([0, 1]))]
+    edge = st.integers(min_value=-40, max_value=110).map(lambda m: (m + 0.5) / w)
+    coord = st.one_of(st.floats(-1.0, 2.0), edge, st.sampled_from([0.0, -0.0]))
+    return w * np.array(draw(st.lists(coord, min_size=1, max_size=30)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=axis_coordinates(), kernel_name=st.sampled_from(sorted(KERNELS)))
+def test_axis_windows_per_distinct_coordinate_match_per_point(t, kernel_name):
+    axis = KERNELS[kernel_name].kx
+    got = _axis_windows(axis, t)
+    first, last, weights, inside = per_point_windows(axis, t)
+    assert got.first.tolist() == first.tolist()
+    assert got.last.tolist() == last.tolist()
+    assert [bits(c) for c in got.weights] == [bits(c) for c in weights]
+    assert [c.tolist() for c in got.inside] == [c.tolist() for c in inside]
+    # distinct window indices and each column's position among them
+    idx, pos = _distinct_columns(got)
+    span = (first[:, None] + np.arange(len(weights))).T
+    assert idx.tolist() == sorted(set(span.ravel().tolist()))
+    assert [idx[p].tolist() for p in pos] == span.tolist()

@@ -95,6 +95,13 @@ class TestEvalGrid:
         with pytest.raises(ValueError):
             EvalGrid(points=[(0.0, 0.0)], w=0.0)
 
+    @pytest.mark.parametrize("w", [-1.0, math.inf, math.nan])
+    def test_non_finite_or_negative_rate_rejected(self, w):
+        with pytest.raises(ValueError):
+            EvalGrid(points=[(0.0, 0.0)], w=w)
+        with pytest.raises(ValueError):
+            LatticeField(w=w, kind=KIND_SAMPLES, values=np.zeros((2, 2)), kmin=0, jmin=0)
+
     def test_regular_matches_nested_loop(self):
         box = (-1.0, -0.5, 2.0, 1.5)
         grid = EvalGrid.regular(box, 7, 3.0, margin=0.1)
@@ -382,6 +389,15 @@ class TestLatticeIO:
         assert np.isnan(back.values[1, 2])
         with pytest.raises(MissingData):
             back.get(1, 2)
+
+    def test_duplicate_row_rejected(self, tmp_path):
+        field = LatticeField.from_function(fn_lookup("x"), 4.0, 0, 3, 0, 3)
+        path = tmp_path / "dup.csv"
+        write_lattice_csv(field, path)
+        with path.open("a") as fh:
+            fh.write("1,2,7.0\n")
+        with pytest.raises(ValueError, match=r"dup\.csv: duplicate row for index \(1,2\)"):
+            read_lattice_csv(path)
 
     def test_meta_kind_round_trip(self, tmp_path):
         f = fn_lookup("x")
