@@ -22,7 +22,7 @@ from .kernel2d import (
     max_moment,
     moment_constancy_check,
 )
-from .operators import EvalGrid, apply_gbs, apply_gw, apply_sw, interior_margin
+from .operators import OPERATORS, EvalGrid, interior_margin
 
 __all__ = [
     "BoundReport",
@@ -91,6 +91,14 @@ class FunctionProfile:
         return max(self.entry((2, 0)), self.entry((1, 1)), self.entry((0, 2)))
 
 
+def _derivative_factor(profile: FunctionProfile, r: int) -> float:
+    """A_r + B_r + sum_i C(r, i) A_(r-i) B_i over the pure-derivative sup norms."""
+    deriv = profile.entry((r, 0)) + profile.entry((0, r))
+    for i in range(1, r):
+        deriv += math.comb(r, i) * profile.entry((r - i, 0)) * profile.entry((0, i))
+    return deriv
+
+
 def gw_error_bound(
     profile: FunctionProfile,
     kernel: TensorKernel2D,
@@ -107,9 +115,7 @@ def gw_error_bound(
     """
     if r < 1:
         raise ValueError("moment order r must be >= 1")
-    deriv = profile.entry((r, 0)) + profile.entry((0, r))
-    for i in range(1, r):
-        deriv += math.comb(r, i) * profile.entry((r - i, 0)) * profile.entry((0, i))
+    deriv = _derivative_factor(profile, r)
     mr = max_moment(kernel, r, grid_n)
     return (c / math.factorial(r)) * (mr / w**r) * deriv
 
@@ -134,6 +140,22 @@ def _abs_moments(kernel: TensorKernel2D, eta_max: int, grid_n: int) -> dict:
 
 
 def _modulus_constants(mom: dict, w: float) -> tuple[float, float, float]:
+    """The 1/w, 1/w and 1/w^2 constants of the modulus bound.
+
+    The modulus and differential bounds and ``build_bound_report`` call this
+    before any other use of w, so it rejects a rate whose powers up to w^4,
+    the highest one a constant divides by, overflow or underflow to 0.  When
+    w^4 is finite and nonzero, so are the lower powers.
+    """
+    try:
+        w4 = w**4
+    except OverflowError:
+        w4 = math.inf
+    if not (math.isfinite(w4) and w4 != 0.0):
+        raise ValueError(
+            f"lattice rate w={w!r} is out of range for the bound constants: "
+            "w**4 must be finite and nonzero"
+        )
     lin_x = (mom[(0, 0)] + 2.0 * mom[(1, 0)]) / (2.0 * w)
     lin_y = (mom[(0, 0)] + 2.0 * mom[(0, 1)]) / (2.0 * w)
     bilin = (
@@ -163,27 +185,8 @@ def gbs_modulus_bound(
     return (1.0 + lin_x / delta1 + lin_y / delta2 + bilin / (delta1 * delta2)) * omega
 
 
-def gbs_differential_bound(
-    kernel: TensorKernel2D,
-    w: float,
-    delta1: float,
-    delta2: float,
-    db_sup: float,
-    omega_db: float,
-    grid_n: int = 64,
-) -> float:
-    """Boolean-sum error bound for targets with a bounded mixed differential.
-
-    ``db_sup`` bounds the mixed differential itself, ``omega_db`` its mixed
-    modulus at (delta1, delta2).  The four kernel constants scale like
-    1/w^2, 1/w^3, 1/w^3 and 1/w^4.
-    """
-    if delta1 <= 0 or delta2 <= 0:
-        raise ValueError("deltas must be positive")
-    mom = _abs_moments(kernel, 4, grid_n)
-    bilin = (
-        mom[(0, 0)] + 2.0 * mom[(1, 0)] + 2.0 * mom[(0, 1)] + 4.0 * mom[(1, 1)]
-    ) / (4.0 * w * w)
+def _differential_constants(mom: dict, w: float) -> tuple[float, float, float]:
+    """The 1/w^3, 1/w^3 and 1/w^4 constants of the differential bound."""
     cub_x = (
         mom[(0, 0)]
         + 3.0 * mom[(2, 0)]
@@ -211,6 +214,29 @@ def gbs_differential_bound(
         + 9.0 * mom[(2, 1)]
         + 9.0 * mom[(1, 1)]
     ) / (9.0 * w**4)
+    return cub_x, cub_y, quart
+
+
+def gbs_differential_bound(
+    kernel: TensorKernel2D,
+    w: float,
+    delta1: float,
+    delta2: float,
+    db_sup: float,
+    omega_db: float,
+    grid_n: int = 64,
+) -> float:
+    """Boolean-sum error bound for targets with a bounded mixed differential.
+
+    ``db_sup`` bounds the mixed differential itself, ``omega_db`` its mixed
+    modulus at (delta1, delta2).  The four kernel constants scale like
+    1/w^2, 1/w^3, 1/w^3 and 1/w^4.
+    """
+    if delta1 <= 0 or delta2 <= 0:
+        raise ValueError("deltas must be positive")
+    mom = _abs_moments(kernel, 4, grid_n)
+    _, _, bilin = _modulus_constants(mom, w)
+    cub_x, cub_y, quart = _differential_constants(mom, w)
     return bilin * (3.0 * db_sup + omega_db) + (
         cub_x / delta1 + cub_y / delta2 + quart / (delta1 * delta2)
     ) * omega_db
@@ -401,13 +427,6 @@ class ConvergenceTable:
         )
 
 
-_OPERATORS = {
-    "gw": lambda f, kernel, grid, quad_order: apply_gw(f, kernel, grid),
-    "sw": apply_sw,
-    "gbs": apply_gbs,
-}
-
-
 def convergence_study(
     f: Callable,
     kernel: TensorKernel2D,
@@ -428,7 +447,7 @@ def convergence_study(
     if any(b <= a for a, b in zip(w_list, w_list[1:])):
         raise ValueError("w_list must be strictly increasing")
     try:
-        op = _OPERATORS[operator]
+        op = OPERATORS[operator]
     except KeyError:
         raise ValueError(f"unknown operator {operator!r}; use gw, sw or gbs") from None
     margin = interior_margin(kernel, min(w_list))
@@ -493,27 +512,25 @@ def polynomial_reproduction_check(
     instead of fixing them, returns the largest residual of an
     overdetermined same-degree polynomial fit to the operator output.
     """
+    if operator not in ("gw", "sw"):
+        raise ValueError(f"unknown operator {operator!r}; use gw or sw")
     margin = interior_margin(kernel, w)
     grid = EvalGrid.regular(box, grid_n, w, margin)
     monos = _monomials_upto(r - 1)
+    design = np.column_stack(
+        [grid.points[:, 0] ** i * grid.points[:, 1] ** j for i, j in monos]
+    )
     worst = 0.0
-    if operator == "gw":
-        for i, j in monos:
-            p = lambda x, y, i=i, j=j: x**i * y**j
-            approx = apply_gw(p, kernel, grid)
-            worst = max(worst, float(np.abs(approx - grid.sample(p)).max()))
-        return worst
-    if operator == "sw":
-        design = np.column_stack(
-            [grid.points[:, 0] ** i * grid.points[:, 1] ** j for i, j in monos]
-        )
-        for i, j in monos:
-            p = lambda x, y, i=i, j=j: x**i * y**j
-            approx = apply_sw(p, kernel, grid, quad_order)
+    for i, j in monos:
+        p = lambda x, y, i=i, j=j: x**i * y**j
+        approx = OPERATORS[operator](p, kernel, grid, quad_order)
+        if operator == "gw":
+            residual = approx - grid.sample(p)
+        else:
             fit, *_ = np.linalg.lstsq(design, approx, rcond=None)
-            worst = max(worst, float(np.abs(design @ fit - approx).max()))
-        return worst
-    raise ValueError(f"unknown operator {operator!r}; use gw or sw")
+            residual = design @ fit - approx
+        worst = max(worst, float(np.abs(residual).max()))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -543,32 +560,20 @@ def build_bound_report(
     table = MomentTable.compute(kernel, eta_max=max(r, 4), grid_n=grid_n)
     c = table.rth_moment_constant(r)
     mom = table.absolute_sup
-    deriv = profile.entry((r, 0)) + profile.entry((0, r))
-    for i in range(1, r):
-        deriv += math.comb(r, i) * profile.entry((r - i, 0)) * profile.entry((0, i))
     lin_x, lin_y, bilin = _modulus_constants(mom, w)
+    cub_x, cub_y, quart = _differential_constants(mom, w)
     kf = kfunctional_constants(kernel, w, grid_n)
     constants = {
-        "rate_deriv_factor": deriv,
-        "rate_bound": (c / math.factorial(r)) * (table.max_by_order[r] / w**r) * deriv,
-        "remainder": (7.0 * profile.second_order_max / (12.0 * w * w)) * mom[(0, 0)],
+        "rate_deriv_factor": _derivative_factor(profile, r),
+        "rate_bound": gw_error_bound(profile, kernel, r, c, w, grid_n),
+        "remainder": sw_remainder_bound(profile, kernel, w, grid_n),
         "mod_lin_x": lin_x,
         "mod_lin_y": lin_y,
         "mod_bilin": bilin,
         "diff_bilin": bilin,
-        "diff_x": (
-            mom[(0, 0)] + 3.0 * mom[(2, 0)] + 3.0 * mom[(1, 0)]
-            + 2.0 * mom[(0, 1)] + 6.0 * mom[(2, 1)] + 6.0 * mom[(1, 1)]
-        ) / (6.0 * w**3),
-        "diff_y": (
-            mom[(0, 0)] + 3.0 * mom[(0, 2)] + 3.0 * mom[(0, 1)]
-            + 2.0 * mom[(1, 0)] + 6.0 * mom[(1, 2)] + 6.0 * mom[(1, 1)]
-        ) / (6.0 * w**3),
-        "diff_bilin2": (
-            mom[(0, 0)] + 3.0 * mom[(2, 0)] + 3.0 * mom[(0, 2)]
-            + 3.0 * mom[(0, 1)] + 3.0 * mom[(1, 0)] + 9.0 * mom[(2, 2)]
-            + 9.0 * mom[(1, 2)] + 9.0 * mom[(2, 1)] + 9.0 * mom[(1, 1)]
-        ) / (9.0 * w**4),
+        "diff_x": cub_x,
+        "diff_y": cub_y,
+        "diff_bilin2": quart,
         "kfun_x": kf.sq_x,
         "kfun_y": kf.sq_y,
         "kfun_xy": kf.sq_xy,

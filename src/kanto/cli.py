@@ -5,7 +5,8 @@ writes a CSV (to --out, or stdout).  Floats are printed with 17 significant
 digits so runs can be compared byte for byte.
 
 Exit codes: 0 success, 2 configuration error (unknown function, singular
-kernel system, failed kernel validation, bad flags), 3 missing lattice data.
+kernel system, failed kernel validation, bad flags, an array too large to
+allocate), 3 missing lattice data.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .analysis import (
     mixed_modulus_estimate,
 )
 from .csvio import write_csv
-from .functions import UnknownFunction, fn_lookup
+from .functions import TestFunction, UnknownFunction, fn_lookup
 from .kernel1d import (
     CentralBSpline,
     CombinationKernel,
@@ -43,15 +44,13 @@ from .kernel2d import (
     validate_kernel,
 )
 from .operators import (
+    OPERATORS,
     CatalogMissingDerivative,
     EvalGrid,
     LatticeField,
     MissingData,
     _check_rate,
     admissible_box,
-    apply_gbs,
-    apply_gw,
-    apply_sw,
     read_lattice_csv,
     read_pgm,
 )
@@ -64,6 +63,8 @@ EXIT_DATA = 3
 
 VALIDATION_GRID = 32
 VALIDATION_TOL = 1e-8
+
+FN_HEADER = ("x", "y", "approx", "exact", "abs_err")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -132,26 +133,26 @@ def _load_field(args, kernel: TensorKernel2D) -> LatticeField:
     return field
 
 
+def _fn_and_box(args) -> tuple[TestFunction, tuple[float, float, float, float]]:
+    """The catalog function of --fn, and --box or else its default box."""
+    f = fn_lookup(args.fn)
+    return f, _parse_box(args.box) if args.box else f.default_box
+
+
+def _fn_columns(args, kernel: TensorKernel2D, f: TestFunction, box) -> tuple:
+    """The FN_HEADER columns of operator --op applied to f on the --box grid."""
+    grid = EvalGrid.regular(box, args.grid_n, args.w)
+    approx = OPERATORS[args.op](f, kernel, grid, args.quad_order)
+    exact = grid.sample(f)
+    return (*grid.points.T, approx, exact, np.abs(approx - exact))
+
+
 def _cmd_reconstruct(args) -> int:
     kernel = _build_kernel(args)
     if (args.fn is None) == (args.input is None):
         raise ValueError("give exactly one of --fn or --input")
     if args.fn is not None:
-        f = fn_lookup(args.fn)
-        box = _parse_box(args.box) if args.box else f.default_box
-        grid = EvalGrid.regular(box, args.grid_n, args.w)
-        if args.op == "gw":
-            approx = apply_gw(f, kernel, grid)
-        elif args.op == "sw":
-            approx = apply_sw(f, kernel, grid, args.quad_order)
-        else:
-            approx = apply_gbs(f, kernel, grid, args.quad_order)
-        exact = grid.sample(f)
-        write_csv(
-            ("x", "y", "approx", "exact", "abs_err"),
-            (*grid.points.T, approx, exact, np.abs(approx - exact)),
-            args.out,
-        )
+        write_csv(FN_HEADER, _fn_columns(args, kernel, *_fn_and_box(args)), args.out)
         return EXIT_OK
     field = _load_field(args, kernel)
     box = _parse_box(args.box) if args.box else admissible_box(field, kernel)
@@ -159,10 +160,7 @@ def _cmd_reconstruct(args) -> int:
     if args.op == "gbs":
         raise ValueError("the boolean-sum operator needs --fn, not --input")
     try:
-        if args.op == "gw":
-            approx = apply_gw(field, kernel, grid)
-        else:
-            approx = apply_sw(field, kernel, grid, args.quad_order)
+        approx = OPERATORS[args.op](field, kernel, grid, args.quad_order)
     except MissingData as exc:
         raise MissingData(exc.k, exc.j, _admissible_hint(field, kernel)) from None
     write_csv(("x", "y", "approx"), (*grid.points.T, approx), args.out)
@@ -184,8 +182,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_bounds(args) -> int:
     kernel = _build_kernel(args)
-    f = fn_lookup(args.fn)
-    box = _parse_box(args.box) if args.box else f.default_box
+    f, box = _fn_and_box(args)
     profile = FunctionProfile.from_function(f, box)
     report = build_bound_report(kernel, args.w, profile, grid_n=args.grid_n)
     report.to_csv(args.out)
@@ -194,8 +191,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_converge(args) -> int:
     kernel = _build_kernel(args)
-    f = fn_lookup(args.fn)
-    box = _parse_box(args.box) if args.box else f.default_box
+    f, box = _fn_and_box(args)
     table = convergence_study(
         f, kernel, args.op, args.w_list, box, args.grid_n, args.quad_order
     )
@@ -228,22 +224,13 @@ def _cmd_kernel_info(args) -> int:
 
 def _cmd_gbs(args) -> int:
     kernel = _build_kernel(args)
-    f = fn_lookup(args.fn)
-    box = _parse_box(args.box) if args.box else f.default_box
-    grid = EvalGrid.regular(box, args.grid_n, args.w)
+    f, box = _fn_and_box(args)
     delta = 1.0 / args.w
     omega = mixed_modulus_estimate(f, delta, delta, box)
     bound = gbs_modulus_bound(kernel, args.w, delta, delta, omega)
-    approx = apply_gbs(f, kernel, grid, args.quad_order)
-    exact = grid.sample(f)
-    write_csv(
-        ("x", "y", "approx", "exact", "abs_err", "modulus_bound"),
-        (
-            *grid.points.T, approx, exact, np.abs(approx - exact),
-            np.full(exact.shape, bound),
-        ),
-        args.out,
-    )
+    columns = _fn_columns(args, kernel, f, box)
+    bounds = np.full(len(columns[0]), bound)
+    write_csv((*FN_HEADER, "modulus_bound"), (*columns, bounds), args.out)
     return EXIT_OK
 
 
@@ -276,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--input-w", type=float, default=None, help="override the input lattice rate"
     )
-    sub.add_argument("--op", choices=["gw", "sw", "gbs"], default="gw")
+    sub.add_argument("--op", choices=list(OPERATORS), default="gw")
     sub.add_argument("--w", type=float, default=10.0, help="lattice rate")
     sub.add_argument("--box", help="evaluation box x0,y0,x1,y1")
     sub.add_argument("--grid-n", type=int, default=20)
@@ -303,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("converge", help="sup-error table over increasing rates")
     _add_kernel_options(sub)
     sub.add_argument("--fn", required=True, help="catalog function name")
-    sub.add_argument("--op", choices=["gw", "sw", "gbs"], default="gw")
+    sub.add_argument("--op", choices=list(OPERATORS), default="gw")
     sub.add_argument("--w-list", default="5,10,20,40", help="comma-separated rates")
     sub.add_argument("--box", help="evaluation box x0,y0,x1,y1")
     sub.add_argument("--grid-n", type=int, default=20)
@@ -327,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--grid-n", type=int, default=20)
     sub.add_argument("--quad-order", type=int, default=5)
     sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.set_defaults(handler=_cmd_gbs)
+    sub.set_defaults(handler=_cmd_gbs, op="gbs")
 
     return parser
 
@@ -354,6 +341,9 @@ def main(argv=None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "EvalGrid",
     "LatticeField",
     "MissingData",
+    "OPERATORS",
     "SourceField",
     "admissible_box",
     "apply_gbs",
@@ -251,6 +252,16 @@ def _axis_windows(kernel: Kernel1D, t: np.ndarray) -> _AxisWindows:
     """
     bits, which = np.unique(t.view(np.uint64), return_inverse=True)
     ts = bits.view(np.float64)
+    # from 2**53 on, floats skip integers, so window ends and the int64
+    # lattice indices would be wrong
+    bad = ~(np.abs(ts) < 2.0**53)
+    if bad.any():
+        raise ValueError(
+            f"scaled coordinate {float(ts[bad][0])!r} (lattice rate times a "
+            "point coordinate) must be finite and below 2**53 in magnitude, "
+            "where lattice indices stop being exact; lower the rate or move "
+            "the box toward 0"
+        )
     lo, hi = kernel.support
     # chi(t - k) can be nonzero only for t - hi < k < t - lo; endpoint hits
     # evaluate to exactly zero and are harmless
@@ -444,6 +455,16 @@ def apply_gbs(
     return _windowed_sum(kx, ky, lambda a, b: mean_v[b] + mean_u[a] - cell(a, b))
 
 
+# Operator name -> op(source, kernel, grid, quad_order).  Each value is an
+# apply function itself or calls the module global apply_gw, so rebinding
+# those names (as a tracing wrapper does) reaches every caller.
+OPERATORS = {
+    "gw": lambda field, kernel, grid, quad_order: apply_gw(field, kernel, grid),
+    "sw": apply_sw,
+    "gbs": apply_gbs,
+}
+
+
 def representation_residual(
     f: TestFunction,
     kernel: TensorKernel2D,
@@ -526,6 +547,11 @@ def read_lattice_csv(path) -> LatticeField:
     meta = json.loads(_meta_path(path).read_text())
     kmin, kmax = int(meta["kmin"]), int(meta["kmax"])
     jmin, jmax = int(meta["jmin"]), int(meta["jmax"])
+    if kmax < kmin or jmax < jmin:
+        raise ValueError(
+            f"{_meta_path(path)}: inverted index bounds "
+            f"k {kmin}..{kmax}, j {jmin}..{jmax}"
+        )
     values = np.full((kmax - kmin + 1, jmax - jmin + 1), np.nan)
     seen = np.zeros(values.shape, dtype=bool)
     lines = path.read_text().splitlines()

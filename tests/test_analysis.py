@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kanto import (
+    CentralBSpline,
     EvalGrid,
     FunctionProfile,
     MissingProfileEntry,
+    TensorKernel2D,
     apply_gbs,
     apply_gw,
     apply_sw,
@@ -417,6 +419,32 @@ class TestBoundReport:
         assert lines[0] == "name,value"
         assert lines[1].split(",")[0] == "rate_deriv_factor"
         assert any(line.startswith("input_w,") for line in lines)
+
+    @pytest.mark.parametrize("kernel_name", ["chibar3", "m3_tensor", "m2", "m4"])
+    @pytest.mark.parametrize("fn_name", ["gaussian", "sin_x_cos_y", "xy", "x2y2"])
+    def test_constants_equal_the_standalone_bounds(self, kernel_name, fn_name, request):
+        if kernel_name in ("m2", "m4"):
+            axis = CentralBSpline(int(kernel_name[1]))
+            kernel = TensorKernel2D(axis, axis)
+        else:
+            kernel = request.getfixturevalue(kernel_name)
+        profile = FunctionProfile.from_function(fn_lookup(fn_name))
+        r = kernel.moment_order
+        c = MomentTable.compute(kernel, eta_max=max(r, 4)).rth_moment_constant(r)
+        d1, d2, omega, db = 0.3, 0.7, 1.3, 2.1
+        for w in (3.0, 10.0, 37.5):
+            k = build_bound_report(kernel, w, profile).constants
+            assert k["rate_bound"] == gw_error_bound(profile, kernel, r, c, w)
+            assert k["remainder"] == sw_remainder_bound(profile, kernel, w)
+            assert gbs_modulus_bound(kernel, w, d1, d2, omega) == (
+                1.0 + k["mod_lin_x"] / d1 + k["mod_lin_y"] / d2
+                + k["mod_bilin"] / (d1 * d2)
+            ) * omega
+            assert gbs_differential_bound(kernel, w, d1, d2, db, omega) == (
+                k["diff_bilin"] * (3.0 * db + omega)
+                + (k["diff_x"] / d1 + k["diff_y"] / d2 + k["diff_bilin2"] / (d1 * d2))
+                * omega
+            )
 
     def test_plain_spline_uses_its_own_order(self, m3_tensor):
         profile = FunctionProfile.from_function(fn_lookup("sin_x_cos_y"))

@@ -1,5 +1,6 @@
 """End-to-end CLI checks through subprocess: formats, exit codes, determinism."""
 
+import json
 import subprocess
 import sys
 
@@ -217,6 +218,54 @@ class TestErrorPaths:
         proc = run_cli("reconstruct", "--fn", "x", box)
         assert proc.returncode == 2
         assert proc.stderr == "error: box corners must be finite\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("bounds", "--fn", "xy", "--w", "1e300"),
+            ("bounds", "--fn", "sin_x_cos_y", "--w", "1e-300"),
+            ("gbs", "--fn", "xy", "--w", "1e-300", "--grid-n", "2"),
+        ],
+    )
+    def test_bound_rate_outside_float_range(self, args):
+        # w**4 overflows or underflows to 0; was an OverflowError or
+        # ZeroDivisionError traceback with exit 1
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("error: lattice rate w=")
+
+    def test_scaled_coordinates_past_2_53(self):
+        # was exit 0 with approx 24.94 where the exact value is 1.5
+        args = ("reconstruct", "--fn", "x_plus_y", "--box", "0.5,0.5,1,1", "--grid-n", "2")
+        proc = run_cli(*args, "--w", "2e16")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert "2**53" in proc.stderr
+        proc = run_cli(*args, "--w", "4e15")
+        assert proc.returncode == 0
+        _, rows = parse_csv(proc.stdout)
+        assert max(float(row[4]) for row in rows) < 1e-13
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            # 8 EiB of values: numpy refuses before touching memory
+            ((0, 10**9, 0, 10**9), "error: out of memory: "),
+            ((5, 1, 0, 3), "bad.meta.json: inverted index bounds"),
+        ],
+    )
+    def test_lattice_bounds_from_meta(self, tmp_path, bounds, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("k,j,value\n0,0,1\n")
+        kmin, kmax, jmin, jmax = bounds
+        meta = {"w": 1.0, "kind": "samples", "kmin": kmin, "kmax": kmax,
+                "jmin": jmin, "jmax": jmax}
+        (tmp_path / "bad.meta.json").write_text(json.dumps(meta))
+        proc = run_cli("reconstruct", "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert message in proc.stderr
 
     def test_missing_subcommand(self):
         proc = run_cli()

@@ -1,7 +1,10 @@
-"""CLI output pinned by sha256: every README example and the benchmark argvs.
+"""CLI output pinned by sha256: every README example, the benchmark argvs,
+and argvs that reach each operator dispatch.
 
-The digests were taken from the code before the CSV writer was shared by
-all tables, so any change to the bytes a command prints shows up here.
+The README and benchmark digests were taken from the code before the CSV
+writer was shared by all tables, the dispatch ones from the code before
+the operator registry; any change to the bytes a command prints shows up
+here.
 Inputs are built in the test: a cell-average lattice CSV, a small PGM, and
 the benchmark's own seeded inputs at smoke size.
 """
@@ -37,10 +40,21 @@ README = {
     "gbs": ("gbs", "--fn", "xy", "--w", "10"),
 }
 
+# operator and kernel choices that no README example reaches
+DISPATCH = {
+    "reconstruct_gbs": ("reconstruct", "--fn", "xy", "--op", "gbs", "--w", "10"),
+    "converge_sw": ("converge", "--fn", "x2", "--op", "sw", "--w-list", "5,10,20"),
+    "bounds_bspline": (
+        "bounds", "--fn", "sin_x_cos_y", "--kernel", "bspline", "--r", "2", "--w", "10",
+    ),
+}
+
 DIGESTS = {
     "bounds": "890d69cde06a0fdd0de9d6eca14c2050fed666ccf8365c9eb4509773080ad39b",
+    "bounds_bspline": "e8ab2e082268ce6686c721957cffc3d4d8b4c817fea69d01ce12654c0cab1411",
     "catalog_sw": "1b43fd32f17d619b6ff8d8b0066ea245ec4648800a97b9a9acc35289b180e696",
     "converge": "15b2694bd8ac2b47f7b619ec228744f5814cc21371818e2877edf024d86d487c",
+    "converge_sw": "040d6e85e86fa56ab6c682897c8a4d1e61029303c0edf364d15636afe17137dd",
     "gbs": "456e0fbccc53fee67eb7686f996dd2863d2d1d5026188c97b19173e0c896b22c",
     "gbs_converge": "2ec534443d0711043c3957cd6c042b7a94cb3a85a7335cf7fe608aee34694a5b",
     "grid_csv": "854bff71b33660dd5fa8ff53a0d88be9fc077fd5d9cb68e7b7e4d840f2cee4f0",
@@ -49,6 +63,7 @@ DIGESTS = {
     "moments": "d947dca87075e3928bc7cfcadcc9342796276f24110c4f3c3f95ea7f46413b26",
     "reconstruct_csv": "048f8975dbadfe5fba0d4bc26cf634815cb45f8a652a8c3198632cecc76bb921",
     "reconstruct_fn": "f358893aa62ba3d5562da54a21016da403f7f07593b3be7347b1004486cba641",
+    "reconstruct_gbs": "888ecbb9264de9dac1845550b618ee8a35fcb5e6cbca004df75ac76cb1392101",
     "reconstruct_pgm": "239e287d28a8eacd6e792e6992cbe9ce121949f1603fe396cb698c9291a5e584",
 }
 
@@ -82,6 +97,11 @@ def run(argv, out) -> str:
 def test_readme_example(name, inputs, tmp_path):
     argv = [a.format(**inputs) for a in README[name]]
     assert run(argv, tmp_path / "out.csv") == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCH))
+def test_dispatch_example(name, tmp_path):
+    assert run(DISPATCH[name], tmp_path / "out.csv") == DIGESTS[name]
 
 
 def test_lattice_csv_writer(inputs):
