@@ -267,6 +267,49 @@ class TestErrorPaths:
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert message in proc.stderr
 
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ({"w": 1.0, "kind": "samples", "kmax": 3, "jmin": 0, "jmax": 3},
+             "bad.meta.json: missing key 'kmin'"),
+            ([1.0, "samples", 0, 3, 0, 3], "bad.meta.json: expected a JSON object"),
+            ({"w": 1.0, "kind": "samples", "kmin": None, "kmax": 3, "jmin": 0,
+              "jmax": 3}, "bad.meta.json: key 'kmin' has invalid value None"),
+        ],
+    )
+    def test_malformed_meta_names_file_and_key(self, tmp_path, meta, message):
+        # were KeyError and TypeError tracebacks with exit 1
+        path = tmp_path / "bad.csv"
+        path.write_text("k,j,value\n0,0,1\n")
+        (tmp_path / "bad.meta.json").write_text(json.dumps(meta))
+        proc = run_cli("reconstruct", "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert message in proc.stderr
+
+    @pytest.mark.parametrize("row", ["0,1", "0,1,2,3", "0,x,1", "0,1,abc"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        # "0,1" was "not enough values to unpack (expected 3, got 2)"
+        path = tmp_path / "bad.csv"
+        path.write_text(f"k,j,value\n0,0,1\n{row}\n")
+        meta = {"w": 1.0, "kind": "samples", "kmin": 0, "kmax": 3, "jmin": 0, "jmax": 3}
+        (tmp_path / "bad.meta.json").write_text(json.dumps(meta))
+        proc = run_cli("reconstruct", "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert "bad.csv: line 3: " in proc.stderr
+
+    @pytest.mark.parametrize("op", ["gw", "sw", "gbs"])
+    def test_rate_where_the_source_overflows(self, op):
+        # the cells k/w sit near 1e300, where x2y2 overflows: was exit 0 with
+        # every approx NaN, after numpy RuntimeWarnings on stderr
+        proc = run_cli(
+            "reconstruct", "--fn", "x2y2", "--op", op, "--w", "1e-300", "--grid-n", "2"
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert "lattice rate 1e-300" in proc.stderr
+
     def test_missing_subcommand(self):
         proc = run_cli()
         assert proc.returncode == 2

@@ -2,18 +2,22 @@
 
 Every table used to be printed row by row as
 ``",".join(format(float(v), ".17g") ...)``; the writer formats each
-distinct float once and must give the same bytes, whatever the columns
-hold: heavy repeats, both zeros, NaN, infinities and subnormals.
+distinct float once, computes its digits in numpy, and must give the same
+bytes, whatever the columns hold: heavy repeats, both zeros, NaN payloads,
+infinities, subnormals, ties and values next to powers of ten.
 """
 
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kanto.csvio import format_csv, write_csv
+from kanto.csvio import _BLOCK, format_csv, write_csv
 
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1e308, 0.1]
 
@@ -85,3 +89,119 @@ def test_write_csv_targets(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdout", io.StringIO())
     write_csv(["a"], [[1.0]])
     assert sys.stdout.getvalue() == "a\n1\n"
+
+
+def from_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+def assert_same_lines(got, want):
+    """got == want, reporting the first differing lines instead of a diff."""
+    pairs = zip(got.splitlines(), want.splitlines())
+    bad = [(i, g, w) for i, (g, w) in enumerate(pairs) if g != w]
+    assert not bad, bad[:5]
+    assert got == want
+
+
+def assert_floats_match(x):
+    x = np.asarray(x, dtype=float)
+    assert_same_lines(format_csv(["v"], [x]), old_rows(["v"], [x.tolist()]))
+
+
+BIT_PATTERNS = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from([
+        # NaN payloads, negative NaNs, subnormals, the normal extremes, -0
+        0x7FF0000000000001, 0x7FF8000000000000, 0x7FFFFFFFFFFFFFFF,
+        0xFFF0000000000001, 0xFFF8000000000123,
+        0x0000000000000001, 0x000FFFFFFFFFFFFF, 0x8000000000000001,
+        0x0010000000000000, 0x7FEFFFFFFFFFFFFF, 0x8000000000000000,
+    ]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(BIT_PATTERNS, min_size=1, max_size=40))
+def test_any_bit_pattern_matches_percent_g(bits):
+    assert_floats_match(from_bits(bits))
+
+
+def test_random_bit_patterns():
+    rng = np.random.default_rng(20261018)
+    assert_floats_match(from_bits(rng.integers(0, 2**64, 50_000, dtype=np.uint64)))
+    assert_floats_match(rng.uniform(-3.0, 3.0, 50_000))
+
+
+def ulps_around(values, ulps):
+    """Every double within ``ulps`` steps of each of ``values``, both signs."""
+    centers = np.abs(np.asarray(values, dtype=float)).view(np.uint64)
+    steps = np.arange(-ulps, ulps + 1, dtype=np.int64).view(np.uint64)
+    bits = (centers[:, None] + steps).ravel()
+    near = bits.view(np.float64)
+    return np.concatenate([near, -near])
+
+
+def test_next_to_powers_of_ten():
+    # log10 may round up just below 10**k (the double of 1e-248 is
+    # 9.9999999999999998e-249), and rounding there can reach 10**17
+    assert_floats_match(ulps_around([float(f"1e{k}") for k in range(-300, 301)], 6))
+    assert format_csv(["v"], [np.array([1e-248])]) == "v\n9.9999999999999998e-249\n"
+
+
+def test_exponent_switches_and_fast_range_ends():
+    # %g switches layout at 1e-4/1e-5 and 1e16/1e17; the numpy digits
+    # cover 1e-250 < |x| < 1e250
+    assert_floats_match(ulps_around([1e-5, 1e-4, 1e16, 1e17, 1e-250, 1e250], 50))
+    assert_floats_match([9.9999999999999991e-05, 0.0001, 99999999999999984.0, 1e17])
+
+
+def test_ties_round_half_even():
+    # 18 significant digits ending in 5: the 17th digit is decided by the
+    # exact binary value, as %.17g does
+    rng = np.random.default_rng(5)
+    # step 1/4 with 16 integer digits, and step 1/8 with 15
+    m = rng.integers(2**50, 2**51, 2000).astype(float)
+    n = rng.integers(2**49, 10**15, 2000).astype(float)
+    ties = [m + 0.25, m + 0.75, n + 0.125, n + 0.375, n + 0.625, n + 0.875]
+    ties.append(np.ldexp(1.0, -np.arange(1, 1075)))
+    ties.append(np.ldexp(3.0, -np.arange(1, 1075)))
+    assert_floats_match(np.concatenate(ties))
+    tie = np.array([1234567890123456.25])
+    assert format_csv(["v"], [tie]) == "v\n1234567890123456.2\n"
+
+
+def test_rows_across_block_boundaries():
+    rows = 2 * _BLOCK + 3
+    rng = np.random.default_rng(11)
+    # short texts first, then long ones in the next block of distinct values
+    distinct = np.concatenate(
+        [np.arange(1.0, _BLOCK + 1.0), rng.uniform(-1e6, 1e6, _BLOCK + 3)]
+    )
+    columns = [
+        distinct,
+        rng.choice([0.5, -0.0, np.nan, 1e300, 0.1], rows),
+        rng.integers(-(10**12), 10**12, rows),
+        ["slope" if i % 7 else 0.25 * i for i in range(rows)],
+    ]
+    header = ["d", "r", "i", "l"]
+    want = old_rows(header, [list(c) for c in columns])
+    assert_same_lines(format_csv(header, columns), want)
+
+
+def test_writing_imports_neither_fractions_nor_decimal():
+    # either module would add import time and memory to every CLI run
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from kanto.csvio import format_csv\n"
+        "format_csv(['a', 'b'], [np.array([0.1, 1e-200, 3e249, 0.0]), [1, 2, 3, 4]])\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
