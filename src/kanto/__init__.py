@@ -44,14 +44,9 @@ from .kernel1d import (
     discrete_moment,
 )
 from .kernel2d import (
-    MomentConstancy,
     MomentTable,
     TensorKernel2D,
     UnsupportedKernel,
-    absolute_moment,
-    algebraic_moment,
-    max_moment,
-    moment_constancy_check,
     partition_of_unity_check,
     validate_kernel,
 )

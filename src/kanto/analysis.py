@@ -16,12 +16,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .functions import TestFunction, UnsupportedOrder, sup_norm_estimate
-from .kernel2d import (
-    MomentTable,
-    TensorKernel2D,
-    max_moment,
-    moment_constancy_check,
-)
+from .kernel2d import MomentTable, TensorKernel2D
 from .operators import OPERATORS, EvalGrid, interior_margin
 
 __all__ = [
@@ -116,7 +111,7 @@ def gw_error_bound(
     if r < 1:
         raise ValueError("moment order r must be >= 1")
     deriv = _derivative_factor(profile, r)
-    mr = max_moment(kernel, r, grid_n)
+    mr = MomentTable.compute(kernel, eta_max=r, grid_n=grid_n).max_by_order[r]
     return (c / math.factorial(r)) * (mr / w**r) * deriv
 
 
@@ -128,15 +123,9 @@ def sw_remainder_bound(
     (7 M / (12 w^2)) times the unsigned kernel mass, with M the largest
     second-derivative sup norm.
     """
-    from .kernel2d import absolute_moment
-
     m = profile.second_order_max
-    return (7.0 * m / (12.0 * w * w)) * absolute_moment(kernel, 0, 0, grid_n)
-
-
-def _abs_moments(kernel: TensorKernel2D, eta_max: int, grid_n: int) -> dict:
-    table = MomentTable.compute(kernel, eta_max=eta_max, grid_n=grid_n)
-    return table.absolute_sup
+    mass = MomentTable.compute(kernel, eta_max=0, grid_n=grid_n).absolute_sup[(0, 0)]
+    return (7.0 * m / (12.0 * w * w)) * mass
 
 
 def _modulus_constants(mom: dict, w: float) -> tuple[float, float, float]:
@@ -180,7 +169,7 @@ def gbs_modulus_bound(
     """
     if delta1 <= 0 or delta2 <= 0:
         raise ValueError("deltas must be positive")
-    mom = _abs_moments(kernel, 2, grid_n)
+    mom = MomentTable.compute(kernel, eta_max=2, grid_n=grid_n).absolute_sup
     lin_x, lin_y, bilin = _modulus_constants(mom, w)
     return (1.0 + lin_x / delta1 + lin_y / delta2 + bilin / (delta1 * delta2)) * omega
 
@@ -234,7 +223,7 @@ def gbs_differential_bound(
     """
     if delta1 <= 0 or delta2 <= 0:
         raise ValueError("deltas must be positive")
-    mom = _abs_moments(kernel, 4, grid_n)
+    mom = MomentTable.compute(kernel, eta_max=4, grid_n=grid_n).absolute_sup
     _, _, bilin = _modulus_constants(mom, w)
     cub_x, cub_y, quart = _differential_constants(mom, w)
     return bilin * (3.0 * db_sup + omega_db) + (
@@ -260,11 +249,7 @@ def kfunctional_constants(
     whose moments of order 1..2 vanish they reduce to 1/(3w^2), 1/(3w^2)
     and 1/(9w^4).
     """
-    need = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)]
-    m = {
-        idx: moment_constancy_check(kernel, idx[0], idx[1], grid_n).value
-        for idx in need
-    }
+    m = MomentTable.compute(kernel, eta_max=4, grid_n=grid_n).algebraic_mean
     sq_x = (m[(0, 0)] + 3.0 * m[(2, 0)] - 3.0 * m[(1, 0)]) / (3.0 * w * w)
     sq_y = (m[(0, 0)] + 3.0 * m[(0, 2)] - 3.0 * m[(0, 1)]) / (3.0 * w * w)
     sq_xy = (

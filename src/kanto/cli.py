@@ -39,7 +39,6 @@ from .kernel2d import (
     MomentTable,
     TensorKernel2D,
     UnsupportedKernel,
-    absolute_moment,
     partition_of_unity_check,
     validate_kernel,
 )
@@ -210,7 +209,7 @@ def _cmd_kernel_info(args) -> int:
         ("support_y_lo", kernel.support_y[0]),
         ("support_y_hi", kernel.support_y[1]),
         ("partition_deviation", partition_of_unity_check(kernel, args.grid_n)),
-        ("abs_mass", absolute_moment(kernel, 0, 0, args.grid_n)),
+        ("abs_mass", table.absolute_sup[(0, 0)]),
         ("moment_constant", table.rth_moment_constant(kernel.moment_order)),
     ]
     if isinstance(kernel.kx, CombinationKernel):

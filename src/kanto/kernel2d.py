@@ -3,37 +3,26 @@
 All moment quantities here are finite sums over the integer lattice inside
 the kernel support window.  Algebraic moments keep signs; absolute moments
 take absolute values of both kernel and offsets and are reported as a sup
-over a grid on the periodicity cell [0,1)^2.
+over a grid on the periodicity cell [0,1)^2.  :class:`MomentTable` is the
+one place that turns axis moments into these 2-D quantities.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .kernel1d import Kernel1D, discrete_moment
 
 __all__ = [
-    "CONSTANCY_TOL",
-    "MomentConstancy",
     "MomentTable",
     "TensorKernel2D",
     "UnsupportedKernel",
-    "absolute_moment",
-    "absolute_moment_at",
-    "algebraic_moment",
-    "max_moment",
     "max_support_radius",
-    "moment_constancy_check",
     "partition_of_unity_check",
     "validate_kernel",
 ]
-
-# spread threshold below which a lattice moment counts as constant in (u,v)
-CONSTANCY_TOL = 1e-10
 
 
 class UnsupportedKernel(Exception):
@@ -83,81 +72,6 @@ def _unit_grid(grid_n: int) -> np.ndarray:
     return np.arange(grid_n, dtype=float) / grid_n
 
 
-def algebraic_moment(
-    kernel: TensorKernel2D, p1: int, p2: int, u: float, v: float
-) -> float:
-    """Signed lattice moment sum_{k,j} chi(u-k, v-j) (u-k)^p1 (v-j)^p2.
-
-    For a tensor kernel the double sum factors into the product of the two
-    axis moments; both factors are exact finite sums.
-    """
-    _require_compact(kernel)
-    return discrete_moment(kernel.kx, p1, u) * discrete_moment(kernel.ky, p2, v)
-
-
-def absolute_moment_at(
-    kernel: TensorKernel2D, p1: int, p2: int, u: float, v: float
-) -> float:
-    """Unsigned moment sum at a single point: |chi| and |offsets| throughout."""
-    _require_compact(kernel)
-    return discrete_moment(kernel.kx, p1, u, absolute=True) * discrete_moment(
-        kernel.ky, p2, v, absolute=True
-    )
-
-
-def absolute_moment(
-    kernel: TensorKernel2D, p1: int, p2: int, grid_n: int = 64
-) -> float:
-    """Sup (grid max over [0,1)^2) of the unsigned moment sum.
-
-    The summand is 1-periodic in each variable, so the unit cell grid is
-    enough; ``grid_n`` points per axis.
-    """
-    _require_compact(kernel)
-    us = _unit_grid(grid_n)
-    ax = discrete_moment(kernel.kx, p1, us, absolute=True)
-    ay = discrete_moment(kernel.ky, p2, us, absolute=True)
-    return float(np.outer(ax, ay).max())
-
-
-def max_moment(kernel: TensorKernel2D, eta: int, grid_n: int = 64) -> float:
-    """Max of the absolute moments over all index pairs with p1 + p2 = eta."""
-    return max(
-        absolute_moment(kernel, p1, eta - p1, grid_n) for p1 in range(eta + 1)
-    )
-
-
-@dataclass(frozen=True)
-class MomentConstancy:
-    """Outcome of a moment constancy scan over the unit cell."""
-
-    constant: bool
-    value: float
-    spread: float
-
-
-def moment_constancy_check(
-    kernel: TensorKernel2D, p1: int, p2: int, grid_n: int = 64
-) -> MomentConstancy:
-    """Scan the algebraic moment over a grid on [0,1)^2.
-
-    Returns its mean, max-minus-min spread, and whether the spread is below
-    ``CONSTANCY_TOL``.  Kernels built for approximation order r are expected
-    to be constant for all p1 + p2 < r.
-    """
-    _require_compact(kernel)
-    us = _unit_grid(grid_n)
-    ax = discrete_moment(kernel.kx, p1, us)
-    ay = discrete_moment(kernel.ky, p2, us)
-    grid = np.outer(ax, ay)
-    spread = float(grid.max() - grid.min())
-    return MomentConstancy(
-        constant=spread <= CONSTANCY_TOL,
-        value=float(grid.mean()),
-        spread=spread,
-    )
-
-
 def partition_of_unity_check(kernel: TensorKernel2D, grid_n: int = 64) -> float:
     """Max deviation of sum_{k,j} chi(u-k, v-j) from 1 over the unit cell grid."""
     _require_compact(kernel)
@@ -186,7 +100,14 @@ def validate_kernel(
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Precomputed moment summary for all index pairs with p1 + p2 <= eta_max."""
+    """Moment summary for all index pairs with p1 + p2 <= eta_max.
+
+    Over a ``grid_n``-point grid per axis of the unit cell, each pair
+    (p1, p2) gets the mean and the max-minus-min spread of the signed moment
+    sum_{k,j} chi(u-k, v-j) (u-k)^p1 (v-j)^p2, and the max of its unsigned
+    version (|chi| and |offsets| throughout).  ``max_by_order[eta]`` is the
+    largest unsigned max over p1 + p2 = eta.
+    """
 
     eta_max: int
     grid_n: int
@@ -199,7 +120,46 @@ class MomentTable:
     def compute(
         cls, kernel: TensorKernel2D, eta_max: int = 3, grid_n: int = 64
     ) -> "MomentTable":
-        return _moment_table_cached(kernel, eta_max, grid_n)
+        """Tabulate every pair; each call builds a fresh table.
+
+        For a tensor kernel each 2-D moment grid is the outer product of two
+        axis moments, so every axis moment is computed once per call (and
+        once for both axes when they share one kernel).
+        """
+        _require_compact(kernel)
+        if eta_max < 0:
+            raise ValueError(f"eta_max must be >= 0, got {eta_max}")
+        us = _unit_grid(grid_n)
+        axis_moments: dict = {}
+
+        def axis(kern: Kernel1D, p: int, absolute: bool) -> np.ndarray:
+            key = (kern, p, absolute)
+            if key not in axis_moments:
+                axis_moments[key] = discrete_moment(kern, p, us, absolute=absolute)
+            return axis_moments[key]
+
+        mean: dict = {}
+        spread: dict = {}
+        sup: dict = {}
+        max_by_order: dict = {}
+        for eta in range(eta_max + 1):
+            pairs = [(p1, eta - p1) for p1 in range(eta + 1)]
+            for p1, p2 in pairs:
+                grid = np.outer(axis(kernel.kx, p1, False), axis(kernel.ky, p2, False))
+                mean[(p1, p2)] = float(grid.mean())
+                spread[(p1, p2)] = float(grid.max() - grid.min())
+                sup[(p1, p2)] = float(
+                    np.outer(axis(kernel.kx, p1, True), axis(kernel.ky, p2, True)).max()
+                )
+            max_by_order[eta] = max(sup[pair] for pair in pairs)
+        return cls(
+            eta_max=eta_max,
+            grid_n=grid_n,
+            algebraic_mean=mean,
+            algebraic_spread=spread,
+            absolute_sup=sup,
+            max_by_order=max_by_order,
+        )
 
     def index_pairs(self):
         return sorted(self.algebraic_mean, key=lambda p: (p[0] + p[1], -p[0]))
@@ -217,32 +177,3 @@ class MomentTable:
         return max(
             abs(self.algebraic_mean[(p1, r - p1)]) for p1 in range(r + 1)
         )
-
-
-@lru_cache(maxsize=64)
-def _moment_table_cached(
-    kernel: TensorKernel2D, eta_max: int, grid_n: int
-) -> MomentTable:
-    _require_compact(kernel)
-    mean: dict = {}
-    spread: dict = {}
-    sup: dict = {}
-    max_by_order: dict = {}
-    for eta in range(eta_max + 1):
-        best = 0.0
-        for p1 in range(eta + 1):
-            p2 = eta - p1
-            mc = moment_constancy_check(kernel, p1, p2, grid_n)
-            mean[(p1, p2)] = mc.value
-            spread[(p1, p2)] = mc.spread
-            sup[(p1, p2)] = absolute_moment(kernel, p1, p2, grid_n)
-            best = max(best, sup[(p1, p2)])
-        max_by_order[eta] = best
-    return MomentTable(
-        eta_max=eta_max,
-        grid_n=grid_n,
-        algebraic_mean=mean,
-        algebraic_spread=spread,
-        absolute_sup=sup,
-        max_by_order=max_by_order,
-    )

@@ -46,6 +46,7 @@ __all__ = [
     "apply_gw",
     "apply_sw",
     "cell_average",
+    "interior_margin",
     "read_lattice_csv",
     "read_pgm",
     "representation_residual",
@@ -282,11 +283,10 @@ def _axis_windows(kernel: Kernel1D, t: np.ndarray) -> _AxisWindows:
 def _grid_windows(
     kernel: TensorKernel2D, grid: EvalGrid
 ) -> tuple[_AxisWindows, _AxisWindows]:
-    pts = grid.points
-    return (
-        _axis_windows(kernel.kx, grid.w * pts[:, 0]),
-        _axis_windows(kernel.ky, grid.w * pts[:, 1]),
-    )
+    # an overflow to inf is left to the finiteness check of _axis_windows
+    with np.errstate(over="ignore"):
+        tx, ty = grid.w * grid.points[:, 0], grid.w * grid.points[:, 1]
+    return _axis_windows(kernel.kx, tx), _axis_windows(kernel.ky, ty)
 
 
 def _windowed_sum(
@@ -635,20 +635,41 @@ def read_pgm(path) -> LatticeField:
             while pos < len(data) and data[pos : pos + 1] != b"\n":
                 pos += 1
             continue
+        if pos == len(data):
+            break
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         tokens.append(data[start:pos])
     pos += 1  # single whitespace byte after maxval
-    magic, width_s, height_s, maxval_s = tokens
-    if magic != b"P5":
-        raise ValueError("only binary (P5) PGM is supported")
-    width, height, maxval = int(width_s), int(height_s), int(maxval_s)
+    if tokens and tokens[0] != b"P5":
+        raise ValueError(f"{path}: only binary (P5) PGM is supported")
+    if len(tokens) < 4:
+        raise ValueError(
+            f"{path}: PGM header ends after {len(tokens)} of its 4 fields "
+            "(P5, width, height, maxval)"
+        )
+
+    def header_int(name: str, token: bytes) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            text = token[:20].decode("ascii", "replace")
+            raise ValueError(f"{path}: PGM {name} {text!r} is not an integer") from None
+
+    width, height, maxval = (
+        header_int(name, token)
+        for name, token in zip(("width", "height", "maxval"), tokens[1:])
+    )
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: PGM size {width}x{height} must be at least 1x1")
     if maxval != 255:
-        raise ValueError("only maxval 255 PGM is supported")
+        raise ValueError(f"{path}: only maxval 255 PGM is supported, got {maxval}")
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
-        raise ValueError("PGM raster truncated")
+        raise ValueError(
+            f"{path}: PGM raster truncated: {len(raster)} of {width * height} bytes"
+        )
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     values = pixels.T.astype(float, order="C")  # row k is image column k
     values /= 255.0

@@ -79,12 +79,9 @@ class TestRateBound:
         ones = {idx: 1.0 for idx in [(1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3)]}
         profile = FunctionProfile(sup_norms=ones, box=UNIT_BOX)
         got = gw_error_bound(profile, chibar3, 3, 1.0, 1.0, grid_n=16)
-        from kanto.kernel2d import max_moment
-
         h = 1.0 + 1.0 + math.comb(3, 1) + math.comb(3, 2)
-        assert got == pytest.approx(
-            (1.0 / 6.0) * max_moment(chibar3, 3, 16) * h, rel=1e-12
-        )
+        m3 = MomentTable.compute(chibar3, eta_max=3, grid_n=16).max_by_order[3]
+        assert got == pytest.approx((1.0 / 6.0) * m3 * h, rel=1e-12)
 
     def test_rate_scaling_is_exact(self, chibar3):
         profile = FunctionProfile.from_function(fn_lookup("sin_x_cos_y"))
@@ -113,11 +110,10 @@ class TestRateBound:
 
 class TestRemainderBound:
     def test_formula(self, m3_tensor):
-        from kanto.kernel2d import absolute_moment
-
         profile = FunctionProfile.from_function(fn_lookup("x2"))
         w = 10.0
-        expected = (7.0 * 2.0 / (12.0 * w * w)) * absolute_moment(m3_tensor, 0, 0, 64)
+        mass = MomentTable.compute(m3_tensor, eta_max=0, grid_n=64).absolute_sup[(0, 0)]
+        expected = (7.0 * 2.0 / (12.0 * w * w)) * mass
         assert sw_remainder_bound(profile, m3_tensor, w) == pytest.approx(
             expected, rel=1e-12
         )

@@ -310,6 +310,53 @@ class TestErrorPaths:
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert "lattice rate 1e-300" in proc.stderr
 
+    def test_scaled_coordinates_overflow_without_warning(self):
+        # w * x overflows to inf: was a numpy RuntimeWarning before the message
+        proc = run_cli(
+            "reconstruct", "--fn", "xy", "--w", "1e306", "--grid-n", "2",
+            "--box=100,100,2000,2000",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert "2**53" in proc.stderr
+
+    def test_negative_eta_max(self):
+        # was exit 0 with only the header row
+        proc = run_cli("moments", "--eta-max", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: eta_max must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # was "only binary (P5) PGM is supported"
+            (
+                b"",
+                "PGM header ends after 0 of its 4 fields (P5, width, height, maxval)",
+            ),
+            # was "invalid literal for int() with base 10: b''"
+            (
+                b"P5\n3 2",
+                "PGM header ends after 3 of its 4 fields (P5, width, height, maxval)",
+            ),
+            # was "invalid literal for int() with base 10: b'abc'"
+            (b"P5\nabc 2\n255\n" + bytes(6), "PGM width 'abc' is not an integer"),
+            (b"P5\n3 2\n2x5\n" + bytes(6), "PGM maxval '2x5' is not an integer"),
+            # was "PGM raster truncated"
+            (b"P5\n-3 2\n255\n" + bytes(6), "PGM size -3x2 must be at least 1x1"),
+            (b"P5\n3 0\n255\n", "PGM size 3x0 must be at least 1x1"),
+            (b"P5\n3 2\n255\n" + bytes(4), "PGM raster truncated: 4 of 6 bytes"),
+            (b"P2\n3 2\n255\n" + bytes(6), "only binary (P5) PGM is supported"),
+        ],
+    )
+    def test_malformed_pgm_names_file_and_fault(self, tmp_path, data, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        proc = run_cli("reconstruct", "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {path}: {message}\n"
+
     def test_missing_subcommand(self):
         proc = run_cli()
         assert proc.returncode == 2

@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 
 from kanto import (
     CentralBSpline,
+    FunctionProfile,
     ScaledKernel,
     TensorKernel2D,
     UnsupportedKernel,
-    absolute_moment,
-    algebraic_moment,
-    max_moment,
-    moment_constancy_check,
+    build_bound_report,
+    construct_combination_kernel,
+    discrete_moment,
+    fn_lookup,
     partition_of_unity_check,
     validate_kernel,
 )
-from kanto.kernel2d import MomentTable, absolute_moment_at
+from kanto.kernel2d import MomentTable
 
 rng = np.random.default_rng(1)
 
@@ -38,6 +39,45 @@ def dense_moment_oracle(kernel, p1, p2, u, v, absolute=False):
             else:
                 total += val * a**p1 * b**p2
     return total
+
+
+def axis_product(kernel, p1, p2, u, v, absolute=False):
+    """The factored moment: product of the two axis moments at (u, v)."""
+    return discrete_moment(kernel.kx, p1, u, absolute=absolute) * discrete_moment(
+        kernel.ky, p2, v, absolute=absolute
+    )
+
+
+def reference_table(kernel, eta_max, grid_n):
+    """Pair-by-pair moment summary, as computed before the shared moment table.
+
+    Every pair recomputes its own axis moments; the table must agree with
+    this bit for bit.
+    """
+    us = np.arange(grid_n, dtype=float) / grid_n
+
+    def constancy(p1, p2):
+        grid = np.outer(
+            discrete_moment(kernel.kx, p1, us), discrete_moment(kernel.ky, p2, us)
+        )
+        return float(grid.mean()), float(grid.max() - grid.min())
+
+    def absolute(p1, p2):
+        ax = discrete_moment(kernel.kx, p1, us, absolute=True)
+        ay = discrete_moment(kernel.ky, p2, us, absolute=True)
+        return float(np.outer(ax, ay).max())
+
+    pairs = [(p1, eta - p1) for eta in range(eta_max + 1) for p1 in range(eta + 1)]
+    scans = {pair: constancy(*pair) for pair in pairs}
+    return (
+        {pair: mean for pair, (mean, _) in scans.items()},
+        {pair: spread for pair, (_, spread) in scans.items()},
+        {pair: absolute(*pair) for pair in pairs},
+        {
+            eta: max(absolute(p1, eta - p1) for p1 in range(eta + 1))
+            for eta in range(eta_max + 1)
+        },
+    )
 
 
 class TestTensorKernel:
@@ -87,58 +127,55 @@ class TestMoments:
             for _ in range(10):
                 u, v = rng.uniform(0.0, 1.0, size=2)
                 for p1, p2 in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 2)]:
-                    assert algebraic_moment(
-                        kernel, p1, p2, float(u), float(v)
-                    ) == pytest.approx(
-                        dense_moment_oracle(kernel, p1, p2, float(u), float(v)),
-                        abs=1e-9,
-                    )
-                    assert absolute_moment_at(
-                        kernel, p1, p2, float(u), float(v)
-                    ) == pytest.approx(
-                        dense_moment_oracle(
-                            kernel, p1, p2, float(u), float(v), absolute=True
-                        ),
-                        abs=1e-9,
-                    )
+                    for absolute in (False, True):
+                        assert axis_product(
+                            kernel, p1, p2, float(u), float(v), absolute
+                        ) == pytest.approx(
+                            dense_moment_oracle(
+                                kernel, p1, p2, float(u), float(v), absolute
+                            ),
+                            abs=1e-9,
+                        )
 
     def test_absolute_moment_grid_refinement(self, chibar3):
         # the 64-point grid is nested in the 256-point grid
-        for p1, p2 in [(0, 0), (1, 1), (3, 0)]:
-            coarse = absolute_moment(chibar3, p1, p2, 64)
-            fine = absolute_moment(chibar3, p1, p2, 256)
+        coarse_table = MomentTable.compute(chibar3, eta_max=3, grid_n=64)
+        fine_table = MomentTable.compute(chibar3, eta_max=3, grid_n=256)
+        for pair in [(0, 0), (1, 1), (3, 0)]:
+            coarse = coarse_table.absolute_sup[pair]
+            fine = fine_table.absolute_sup[pair]
             assert fine >= coarse - 1e-12
             assert fine - coarse <= 5e-3 * max(1.0, coarse)
 
     def test_periodicity(self, chibar3):
         for _ in range(5):
             u, v = rng.uniform(0.0, 1.0, size=2)
-            assert algebraic_moment(chibar3, 2, 1, u, v) == pytest.approx(
-                algebraic_moment(chibar3, 2, 1, u + 1.0, v), abs=1e-10
+            assert axis_product(chibar3, 2, 1, u, v) == pytest.approx(
+                axis_product(chibar3, 2, 1, u + 1.0, v), abs=1e-10
             )
-            assert algebraic_moment(chibar3, 2, 1, u, v) == pytest.approx(
-                algebraic_moment(chibar3, 2, 1, u, v + 2.0), abs=1e-10
+            assert axis_product(chibar3, 2, 1, u, v) == pytest.approx(
+                axis_product(chibar3, 2, 1, u, v + 2.0), abs=1e-10
             )
 
     def test_box_kernel_second_moment_not_constant(self):
         box = TensorKernel2D(CentralBSpline(1), CentralBSpline(1))
-        result = moment_constancy_check(box, 2, 0, 32)
-        assert not result.constant
-        assert result.spread == pytest.approx(0.25, abs=1e-12)
+        table = MomentTable.compute(box, eta_max=2, grid_n=32)
+        assert table.algebraic_spread[(2, 0)] > 1e-10
+        assert table.algebraic_spread[(2, 0)] == pytest.approx(0.25, abs=1e-12)
 
     def test_quadratic_spline_moment_constancy(self, m3_tensor):
-        second = moment_constancy_check(m3_tensor, 2, 0, 64)
-        assert second.constant
-        assert second.value == pytest.approx(0.25, abs=1e-12)
-        first = moment_constancy_check(m3_tensor, 1, 0, 64)
-        assert first.constant
-        assert first.value == pytest.approx(0.0, abs=1e-12)
+        table = MomentTable.compute(m3_tensor, eta_max=2, grid_n=64)
+        assert table.algebraic_spread[(2, 0)] <= 1e-10
+        assert table.algebraic_mean[(2, 0)] == pytest.approx(0.25, abs=1e-12)
+        assert table.algebraic_spread[(1, 0)] <= 1e-10
+        assert table.algebraic_mean[(1, 0)] == pytest.approx(0.0, abs=1e-12)
 
     def test_max_moment_matches_componentwise(self, chibar3):
-        expected = max(
-            absolute_moment(chibar3, p1, 2 - p1, 64) for p1 in range(3)
-        )
-        assert max_moment(chibar3, 2, 64) == expected
+        # the order-2 maximum does not depend on how far the table reaches
+        wide = MomentTable.compute(chibar3, eta_max=4, grid_n=64)
+        expected = max(wide.absolute_sup[(p1, 2 - p1)] for p1 in range(3))
+        narrow = MomentTable.compute(chibar3, eta_max=2, grid_n=64)
+        assert narrow.max_by_order[2] == expected
 
 
 class TestMomentTable:
@@ -173,10 +210,46 @@ class TestMomentTable:
             )
             assert table.max_by_order[eta] == expected
 
-    def test_compute_is_cached(self, chibar3):
-        first = MomentTable.compute(chibar3, eta_max=3, grid_n=64)
-        second = MomentTable.compute(chibar3, eta_max=3, grid_n=64)
-        assert first is second
+    def test_mutating_a_table_leaves_later_tables_alone(self, chibar3):
+        # was one cached table per kernel: zeroing an entry moved the default
+        # kernel's mod_bilin from 12.07 to 11.80
+        profile = FunctionProfile.from_function(fn_lookup("gaussian"))
+        report = build_bound_report(chibar3, 10.0, profile)
+        first = MomentTable.compute(chibar3, eta_max=4)
+        sup_00 = first.absolute_sup[(0, 0)]
+        first.absolute_sup[(0, 0)] = 0.0
+        first.algebraic_mean[(3, 0)] = 0.0
+        first.max_by_order[3] = 0.0
+        second = MomentTable.compute(chibar3, eta_max=4)
+        assert second is not first
+        assert second.absolute_sup[(0, 0)] == sup_00
+        assert build_bound_report(chibar3, 10.0, profile) == report
+
+    def test_negative_eta_max_rejected(self, chibar3):
+        with pytest.raises(ValueError, match="eta_max"):
+            MomentTable.compute(chibar3, eta_max=-1)
+
+    @pytest.mark.parametrize("grid_n", [1, 7, 64])
+    @pytest.mark.parametrize("eta_max", range(6))
+    @pytest.mark.parametrize("name", ["chibar3", "m3", "box", "chi4_m3"])
+    def test_matches_pair_by_pair_reference(self, name, eta_max, grid_n, chi3, m3):
+        kernels = {
+            "chibar3": TensorKernel2D(chi3, chi3),
+            "m3": TensorKernel2D(m3, m3),
+            "box": TensorKernel2D(CentralBSpline(1), CentralBSpline(1)),
+            # differing axes: the axis moments must not be shared
+            "chi4_m3": TensorKernel2D(
+                construct_combination_kernel(4, (2.0, 3.0, 4.0, 5.0)), m3
+            ),
+        }
+        table = MomentTable.compute(kernels[name], eta_max=eta_max, grid_n=grid_n)
+        mean, spread, sup, by_order = reference_table(kernels[name], eta_max, grid_n)
+        assert (table.eta_max, table.grid_n) == (eta_max, grid_n)
+        # == on the dicts compares every float exactly
+        assert table.algebraic_mean == mean
+        assert table.algebraic_spread == spread
+        assert table.absolute_sup == sup
+        assert table.max_by_order == by_order
 
 
 class TestValidation:
@@ -192,7 +265,7 @@ class TestValidation:
         with pytest.raises(UnsupportedKernel):
             validate_kernel(bad)
         with pytest.raises(UnsupportedKernel):
-            absolute_moment(bad, 0, 0, 8)
+            MomentTable.compute(bad, eta_max=0, grid_n=8)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -201,6 +274,6 @@ class TestValidation:
     )
     def test_absolute_moment_bounds_pointwise(self, u, v):
         kernel = TensorKernel2D(CentralBSpline(3), CentralBSpline(3))
-        sup = absolute_moment(kernel, 1, 1, 64)
+        sup = MomentTable.compute(kernel, eta_max=2, grid_n=64).absolute_sup[(1, 1)]
         # the sup over the scan grid bounds nearby points up to continuity slack
-        assert absolute_moment_at(kernel, 1, 1, u, v) <= sup + 0.05
+        assert axis_product(kernel, 1, 1, u, v, absolute=True) <= sup + 0.05
