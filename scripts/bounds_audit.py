@@ -16,6 +16,7 @@ from kanto import (
     EvalGrid,
     FunctionProfile,
     MissingProfileEntry,
+    MomentTable,
     TensorKernel2D,
     UnsupportedOrder,
     apply_gbs,
@@ -51,6 +52,7 @@ def main() -> int:
 
     axis = construct_combination_kernel(3, (2.0, 3.0, 4.0))
     kernel = TensorKernel2D(axis, axis)
+    moments = MomentTable.compute(kernel, eta_max=2)
     w = args.w
 
     failures = 0
@@ -72,7 +74,7 @@ def main() -> int:
         gbs_err, _ = observed_error(apply_gbs, f, kernel, w, args.grid_n)
         delta = 1.0 / w
         omega = mixed_modulus_estimate(f, delta, delta, BOX)
-        mod_bound = gbs_modulus_bound(kernel, w, delta, delta, omega)
+        mod_bound = gbs_modulus_bound(moments, w, delta, delta, omega)
         checks.append(("gbs_modulus", gbs_err, mod_bound))
 
         for label, observed, bound in checks:

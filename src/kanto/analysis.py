@@ -15,7 +15,12 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .csvio import write_csv
-from .functions import TestFunction, UnsupportedOrder, sup_norm_estimate
+from .functions import (
+    CATALOG_ORDERS,
+    TestFunction,
+    UnsupportedOrder,
+    sup_norm_estimate,
+)
 from .kernel2d import MomentTable, TensorKernel2D
 from .operators import OPERATORS, EvalGrid, interior_margin
 
@@ -38,14 +43,6 @@ __all__ = [
     "sw_remainder_bound",
 ]
 
-PROFILE_ORDERS = [
-    (1, 0), (0, 1),
-    (2, 0), (1, 1), (0, 2),
-    (3, 0), (2, 1), (1, 2), (0, 3),
-    (2, 2),
-]
-
-
 class MissingProfileEntry(Exception):
     """The function profile lacks a sup norm required by a bound."""
 
@@ -67,7 +64,7 @@ class FunctionProfile:
         if box is None:
             box = f.default_box
         norms = {}
-        for idx in PROFILE_ORDERS:
+        for idx in CATALOG_ORDERS:
             try:
                 norms[idx] = sup_norm_estimate(f, idx, box, grid_n)
             except UnsupportedOrder:
@@ -95,37 +92,32 @@ def _derivative_factor(profile: FunctionProfile, r: int) -> float:
 
 
 def gw_error_bound(
-    profile: FunctionProfile,
-    kernel: TensorKernel2D,
-    r: int,
-    c: float,
-    w: float,
-    grid_n: int = 64,
+    profile: FunctionProfile, moments: MomentTable, r: int, w: float
 ) -> float:
     """Sup-error bound for the sample-based series on a C^r function.
 
-    ``c`` is the order-r moment plateau of the kernel and the derivative
-    factor is the binomially weighted sum of products of pure-derivative sup
-    norms; the bound decays like w^-r.
+    ``moments`` must hold order r; its order-r moment plateau and largest
+    unsigned order-r moment scale the derivative factor, the binomially
+    weighted sum of products of pure-derivative sup norms.  The bound
+    decays like w^-r.
     """
     if r < 1:
         raise ValueError("moment order r must be >= 1")
     deriv = _derivative_factor(profile, r)
-    mr = MomentTable.compute(kernel, eta_max=r, grid_n=grid_n).max_by_order[r]
-    return (c / math.factorial(r)) * (mr / w**r) * deriv
+    c = moments.rth_moment_constant(r)
+    return (c / math.factorial(r)) * (moments.max_by_order[r] / w**r) * deriv
 
 
 def sw_remainder_bound(
-    profile: FunctionProfile, kernel: TensorKernel2D, w: float, grid_n: int = 64
+    profile: FunctionProfile, moments: MomentTable, w: float
 ) -> float:
     """Bound on the second-order residual of the average-based series.
 
-    (7 M / (12 w^2)) times the unsigned kernel mass, with M the largest
-    second-derivative sup norm.
+    (7 M / (12 w^2)) times the unsigned kernel mass, read from ``moments``
+    (order 0), with M the largest second-derivative sup norm.
     """
     m = profile.second_order_max
-    mass = MomentTable.compute(kernel, eta_max=0, grid_n=grid_n).absolute_sup[(0, 0)]
-    return (7.0 * m / (12.0 * w * w)) * mass
+    return (7.0 * m / (12.0 * w * w)) * moments.absolute_sup[(0, 0)]
 
 
 def _modulus_constants(mom: dict, w: float) -> tuple[float, float, float]:
@@ -154,23 +146,17 @@ def _modulus_constants(mom: dict, w: float) -> tuple[float, float, float]:
 
 
 def gbs_modulus_bound(
-    kernel: TensorKernel2D,
-    w: float,
-    delta1: float,
-    delta2: float,
-    omega: float,
-    grid_n: int = 64,
+    moments: MomentTable, w: float, delta1: float, delta2: float, omega: float
 ) -> float:
     """Boolean-sum error bound driven by the mixed modulus of smoothness.
 
     ``omega`` is (an upper estimate of) the mixed modulus of the target at
-    (delta1, delta2); the three kernel constants scale like 1/w, 1/w and
-    1/w^2.
+    (delta1, delta2); the three kernel constants, read from ``moments``
+    (order 2), scale like 1/w, 1/w and 1/w^2.
     """
     if delta1 <= 0 or delta2 <= 0:
         raise ValueError("deltas must be positive")
-    mom = MomentTable.compute(kernel, eta_max=2, grid_n=grid_n).absolute_sup
-    lin_x, lin_y, bilin = _modulus_constants(mom, w)
+    lin_x, lin_y, bilin = _modulus_constants(moments.absolute_sup, w)
     return (1.0 + lin_x / delta1 + lin_y / delta2 + bilin / (delta1 * delta2)) * omega
 
 
@@ -207,23 +193,22 @@ def _differential_constants(mom: dict, w: float) -> tuple[float, float, float]:
 
 
 def gbs_differential_bound(
-    kernel: TensorKernel2D,
+    moments: MomentTable,
     w: float,
     delta1: float,
     delta2: float,
     db_sup: float,
     omega_db: float,
-    grid_n: int = 64,
 ) -> float:
     """Boolean-sum error bound for targets with a bounded mixed differential.
 
     ``db_sup`` bounds the mixed differential itself, ``omega_db`` its mixed
-    modulus at (delta1, delta2).  The four kernel constants scale like
-    1/w^2, 1/w^3, 1/w^3 and 1/w^4.
+    modulus at (delta1, delta2).  The four kernel constants, read from
+    ``moments`` (order 4), scale like 1/w^2, 1/w^3, 1/w^3 and 1/w^4.
     """
     if delta1 <= 0 or delta2 <= 0:
         raise ValueError("deltas must be positive")
-    mom = MomentTable.compute(kernel, eta_max=4, grid_n=grid_n).absolute_sup
+    mom = moments.absolute_sup
     _, _, bilin = _modulus_constants(mom, w)
     cub_x, cub_y, quart = _differential_constants(mom, w)
     return bilin * (3.0 * db_sup + omega_db) + (
@@ -239,17 +224,15 @@ class KFunctionalConstants(NamedTuple):
     sq_xy: float
 
 
-def kfunctional_constants(
-    kernel: TensorKernel2D, w: float, grid_n: int = 64
-) -> KFunctionalConstants:
+def kfunctional_constants(moments: MomentTable, w: float) -> KFunctionalConstants:
     """Identities for the series applied to (u-x)^2, (v-y)^2 and their product.
 
-    These are exact evaluations, not upper bounds, so they combine signed
-    moment means: odd-order moments enter with a minus sign.  For kernels
-    whose moments of order 1..2 vanish they reduce to 1/(3w^2), 1/(3w^2)
-    and 1/(9w^4).
+    These are exact evaluations, not upper bounds, so they combine the
+    signed moment means of ``moments`` (order 4): odd-order moments enter
+    with a minus sign.  For kernels whose moments of order 1..2 vanish they
+    reduce to 1/(3w^2), 1/(3w^2) and 1/(9w^4).
     """
-    m = MomentTable.compute(kernel, eta_max=4, grid_n=grid_n).algebraic_mean
+    m = moments.algebraic_mean
     sq_x = (m[(0, 0)] + 3.0 * m[(2, 0)] - 3.0 * m[(1, 0)]) / (3.0 * w * w)
     sq_y = (m[(0, 0)] + 3.0 * m[(0, 2)] - 3.0 * m[(0, 1)]) / (3.0 * w * w)
     sq_xy = (
@@ -275,6 +258,10 @@ MODULUS_GRID = 33
 # subtractions, and a margin.
 MIXED_ROUNDING = 4.0 * np.finfo(float).eps
 
+# Sums of four f values at most this large in magnitude stay finite, so no
+# mixed difference or rounding level overflows.
+VALUE_LIMIT = np.finfo(float).max / 4.0
+
 
 def _mixed_max(
     f11: np.ndarray, f10: np.ndarray, f01: np.ndarray, f00: np.ndarray
@@ -290,6 +277,27 @@ def _mixed_max(
     return float(np.where(mixed > noise, mixed, 0.0).max())
 
 
+def _f_table(f: Callable, u: np.ndarray, v: np.ndarray, box: tuple) -> np.ndarray:
+    """f on the points (u[i], v[l]), as a float table.
+
+    A value that is not finite, or above ``VALUE_LIMIT`` in magnitude, is a
+    ValueError naming the point and the box.
+    """
+    vals = np.broadcast_to(
+        np.asarray(f(u[:, None], v[None, :]), dtype=float), (u.size, v.size)
+    )
+    bad = np.argwhere(~(np.abs(vals) <= VALUE_LIMIT))
+    if bad.size:
+        i, l = bad[0]
+        fault = "not finite"
+        if np.isfinite(vals[i, l]):
+            fault = f"above {VALUE_LIMIT:.3g} in magnitude"
+        raise ValueError(
+            f"function is {fault} at ({u[i]:.6g}, {v[l]:.6g}) in box {box}"
+        )
+    return vals
+
+
 def _grid_pairs_estimate(
     f: Callable, delta1: float, delta2: float, box: tuple, grid_n: int
 ) -> float:
@@ -297,13 +305,12 @@ def _grid_pairs_estimate(
     x0, y0, x1, y1 = box
     xs = np.linspace(x0, x1, grid_n)
     ys = np.linspace(y0, y1, grid_n)
-    vals = np.broadcast_to(
-        np.asarray(f(xs[:, None], ys[None, :]), dtype=float), (grid_n, grid_n)
-    )
+    vals = _f_table(f, xs, ys, box)
     hx = (x1 - x0) / (grid_n - 1)
     hy = (y1 - y0) / (grid_n - 1)
-    m1 = min(grid_n - 1, int(math.floor(delta1 / hx))) if hx > 0 else 0
-    m2 = min(grid_n - 1, int(math.floor(delta2 / hy))) if hy > 0 else 0
+    # delta / h overflows to inf when h is subnormal
+    m1 = int(math.floor(min(grid_n - 1, delta1 / hx))) if hx > 0 else 0
+    m2 = int(math.floor(min(grid_n - 1, delta2 / hy))) if hy > 0 else 0
     best = 0.0
     for sx in range(1, m1 + 1):
         for sy in range(1, m2 + 1):
@@ -329,9 +336,7 @@ def _offset_pairs_estimate(
     # rows and columns: base grid, then shifted by half, then by the full delta
     u = np.concatenate([xs, xs + 0.5 * d1, xs + d1])
     v = np.concatenate([ys, ys + 0.5 * d2, ys + d2])
-    vals = np.broadcast_to(
-        np.asarray(f(u[:, None], v[None, :]), dtype=float), (u.size, v.size)
-    ).reshape(3, grid_n, 3, grid_n)
+    vals = _f_table(f, u, v, box).reshape(3, grid_n, 3, grid_n)
     best = 0.0
     for sx in (1, 2):
         for sy in (1, 2):
@@ -360,18 +365,21 @@ def mixed_modulus_estimate(
     pairs of a ``MODULUS_GRID`` grid are joined by the pairs with offsets
     (delta1/2 or delta1, delta2/2 or delta2) from every point of such a
     grid, so the estimate does not collapse to 0 for deltas below the grid
-    spacing.  Either way the cost does not grow as the deltas shrink.
+    spacing.  Either way the cost does not grow as the deltas shrink.  An
+    f value that is not finite, or too large for the sums of four of them to
+    stay finite, is a ValueError naming the box.
     """
     if delta1 < 0 or delta2 < 0:
         raise ValueError("deltas must be nonnegative")
-    if grid_n is not None:
-        if grid_n < 2:
-            raise ValueError("grid_n must be >= 2")
-        return _grid_pairs_estimate(f, delta1, delta2, box, grid_n)
-    return max(
-        _grid_pairs_estimate(f, delta1, delta2, box, MODULUS_GRID),
-        _offset_pairs_estimate(f, delta1, delta2, box, MODULUS_GRID),
-    )
+    with np.errstate(all="ignore"):
+        if grid_n is not None:
+            if grid_n < 2:
+                raise ValueError("grid_n must be >= 2")
+            return _grid_pairs_estimate(f, delta1, delta2, box, grid_n)
+        return max(
+            _grid_pairs_estimate(f, delta1, delta2, box, MODULUS_GRID),
+            _offset_pairs_estimate(f, delta1, delta2, box, MODULUS_GRID),
+        )
 
 
 def b_differential_estimate(f: Callable, x0: float, y0: float, h: float) -> float:
@@ -539,19 +547,18 @@ def build_bound_report(
     r: int | None = None,
     grid_n: int = 64,
 ) -> BoundReport:
-    """Evaluate every bound constant at one rate for one function profile."""
+    """Every bound constant at one rate for one profile, from one moment table."""
     if r is None:
         r = kernel.moment_order
     table = MomentTable.compute(kernel, eta_max=max(r, 4), grid_n=grid_n)
-    c = table.rth_moment_constant(r)
     mom = table.absolute_sup
     lin_x, lin_y, bilin = _modulus_constants(mom, w)
     cub_x, cub_y, quart = _differential_constants(mom, w)
-    kf = kfunctional_constants(kernel, w, grid_n)
+    kf = kfunctional_constants(table, w)
     constants = {
         "rate_deriv_factor": _derivative_factor(profile, r),
-        "rate_bound": gw_error_bound(profile, kernel, r, c, w, grid_n),
-        "remainder": sw_remainder_bound(profile, kernel, w, grid_n),
+        "rate_bound": gw_error_bound(profile, table, r, w),
+        "remainder": sw_remainder_bound(profile, table, w),
         "mod_lin_x": lin_x,
         "mod_lin_y": lin_y,
         "mod_bilin": bilin,
@@ -566,7 +573,7 @@ def build_bound_report(
     inputs = {
         "w": float(w),
         "r": float(r),
-        "moment_constant": c,
+        "moment_constant": table.rth_moment_constant(r),
         "max_abs_moment_r": table.max_by_order[r],
         "abs_mass": mom[(0, 0)],
     }

@@ -226,7 +226,8 @@ def _cmd_gbs(args) -> int:
     f, box = _fn_and_box(args)
     delta = 1.0 / args.w
     omega = mixed_modulus_estimate(f, delta, delta, box)
-    bound = gbs_modulus_bound(kernel, args.w, delta, delta, omega)
+    moments = MomentTable.compute(kernel, eta_max=2)
+    bound = gbs_modulus_bound(moments, args.w, delta, delta, omega)
     columns = _fn_columns(args, kernel, f, box)
     bounds = np.full(len(columns[0]), bound)
     write_csv((*FN_HEADER, "modulus_bound"), (*columns, bounds), args.out)

@@ -13,6 +13,7 @@ could differ in the last bit from the same point inside an array call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -249,7 +250,8 @@ def sup_norm_estimate(
     Grid maximum over ``grid_n x grid_n`` points, refined once by a finer
     scan of the cell around the argmax.  This is a lower estimate of the
     true sup; on the catalog functions the refinement leaves it within
-    grid-resolution accuracy.
+    grid-resolution accuracy.  A partial that is not finite on the scanned
+    points (a box where it overflows, say) is a ValueError.
     """
     if box is None:
         box = f.default_box
@@ -257,14 +259,20 @@ def sup_norm_estimate(
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     part = _partial_callable(f, *multi_index)
-    xs = np.linspace(x0, x1, grid_n)
-    ys = np.linspace(y0, y1, grid_n)
-    vals = np.abs(part(xs[:, None], ys[None, :]))
-    i, l = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    best = float(vals[i, l])
-    hx = (x1 - x0) / (grid_n - 1)
-    hy = (y1 - y0) / (grid_n - 1)
-    fx = np.linspace(max(x0, xs[i] - hx), min(x1, xs[i] + hx), 21)
-    fy = np.linspace(max(y0, ys[l] - hy), min(y1, ys[l] + hy), 21)
-    fine = float(np.abs(part(fx[:, None], fy[None, :])).max())
+    with np.errstate(all="ignore"):
+        xs = np.linspace(x0, x1, grid_n)
+        ys = np.linspace(y0, y1, grid_n)
+        vals = np.abs(part(xs[:, None], ys[None, :]))
+        i, l = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        best = float(vals[i, l])
+        hx = (x1 - x0) / (grid_n - 1)
+        hy = (y1 - y0) / (grid_n - 1)
+        fx = np.linspace(max(x0, xs[i] - hx), min(x1, xs[i] + hx), 21)
+        fy = np.linspace(max(y0, ys[l] - hy), min(y1, ys[l] + hy), 21)
+        fine = float(np.abs(part(fx[:, None], fy[None, :])).max())
+    if not (math.isfinite(best) and math.isfinite(fine)):
+        raise ValueError(
+            f"sup norm of the order {multi_index} partial of {f.name} is not "
+            f"finite on box {box}"
+        )
     return max(best, fine)

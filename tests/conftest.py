@@ -1,6 +1,11 @@
 import pytest
 
-from kanto import CentralBSpline, TensorKernel2D, construct_combination_kernel
+from kanto import (
+    CentralBSpline,
+    MomentTable,
+    TensorKernel2D,
+    construct_combination_kernel,
+)
 
 STANDARD_SHIFTS = (2.0, 3.0, 4.0)
 
@@ -23,3 +28,14 @@ def m3():
 @pytest.fixture(scope="session")
 def m3_tensor(m3):
     return TensorKernel2D(m3, m3)
+
+
+# order-4 tables, which every bound can read, on the default 64-point grid
+@pytest.fixture(scope="session")
+def chibar3_moments(chibar3):
+    return MomentTable.compute(chibar3, eta_max=4)
+
+
+@pytest.fixture(scope="session")
+def m3_moments(m3_tensor):
+    return MomentTable.compute(m3_tensor, eta_max=4)

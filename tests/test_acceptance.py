@@ -84,7 +84,7 @@ def test_03_average_series_linear_shift(chibar3):
     )
 
 
-def test_04_remainder_bound_covers_residual(chibar3):
+def test_04_remainder_bound_covers_residual(chibar3, chibar3_moments):
     ok = True
     detail = []
     for name in ("x2", "xy", "sin_x_cos_y"):
@@ -93,7 +93,7 @@ def test_04_remainder_bound_covers_residual(chibar3):
         for w in (5.0, 10.0, 20.0):
             grid = EvalGrid.regular(UNIT_BOX, 6, w)
             residual = float(np.abs(representation_residual(f, chibar3, grid)).max())
-            bound = sw_remainder_bound(profile, chibar3, w)
+            bound = sw_remainder_bound(profile, chibar3_moments, w)
             ok = ok and residual <= bound
             detail.append(f"{name}@w={w:g}: {residual:.3e} vs {bound:.3e}")
     report(4, "second-order-residual-bound", ok, "; ".join(detail))
@@ -105,10 +105,10 @@ def test_05_third_order_rate_with_dominating_bound(chibar3):
     table = convergence_study(
         f, chibar3, "gw", [5.0, 10.0, 20.0, 40.0], WIDE_BOX, grid_n=6
     )
-    c = MomentTable.compute(chibar3, eta_max=3, grid_n=64).rth_moment_constant(3)
+    moments = MomentTable.compute(chibar3, eta_max=3, grid_n=64)
     ok = -3.5 <= table.fitted_slope <= -2.5
     for w, e in table.rows:
-        ok = ok and e <= gw_error_bound(profile, chibar3, 3, c, w)
+        ok = ok and e <= gw_error_bound(profile, moments, 3, w)
     report(
         5,
         "third-order-rate-and-bound",
@@ -142,7 +142,7 @@ def test_07_boolean_sum_exact_on_additive(chibar3):
     report(7, "boolean-sum-additive-exactness", err <= 1e-10, f"error {err:.3e}")
 
 
-def test_08_boolean_sum_modulus_bound(m3_tensor):
+def test_08_boolean_sum_modulus_bound(m3_tensor, m3_moments):
     f = fn_lookup("xy")
     ok = True
     detail = []
@@ -150,13 +150,13 @@ def test_08_boolean_sum_modulus_bound(m3_tensor):
         delta = 1.0 / w
         grid = EvalGrid.regular(UNIT_BOX, 5, w)
         err = sup_error(apply_gbs, f, m3_tensor, grid)
-        bound = gbs_modulus_bound(m3_tensor, w, delta, delta, delta * delta)
+        bound = gbs_modulus_bound(m3_moments, w, delta, delta, delta * delta)
         ok = ok and err <= bound
         detail.append(f"w={w:g}: {err:.3e} vs {bound:.3e}")
     report(8, "boolean-sum-modulus-bound", ok, "; ".join(detail))
 
 
-def test_09_boolean_sum_differential_bound(m3_tensor):
+def test_09_boolean_sum_differential_bound(m3_tensor, m3_moments):
     f = fn_lookup("xy")
     ok = True
     detail = []
@@ -164,18 +164,18 @@ def test_09_boolean_sum_differential_bound(m3_tensor):
         grid = EvalGrid.regular(UNIT_BOX, 5, w)
         err = sup_error(apply_gbs, f, m3_tensor, grid)
         # the mixed differential of uv is constantly 1, so its modulus is 0
-        bound = gbs_differential_bound(m3_tensor, w, 1.0 / w, 1.0 / w, 1.0, 0.0)
+        bound = gbs_differential_bound(m3_moments, w, 1.0 / w, 1.0 / w, 1.0, 0.0)
         ok = ok and err <= bound
         detail.append(f"w={w:g}: {err:.3e} vs {bound:.3e}")
     report(9, "boolean-sum-differential-bound", ok, "; ".join(detail))
 
 
-def test_10_squared_offset_identities_and_scaling(chibar3, m3_tensor):
+def test_10_squared_offset_identities_and_scaling(chibar3, m3_tensor, chibar3_moments):
     gen = np.random.default_rng(5)
     ok = True
     worst = 0.0
     for kernel in (chibar3, m3_tensor):
-        kf = kfunctional_constants(kernel, 10.0)
+        kf = kfunctional_constants(MomentTable.compute(kernel, eta_max=4), 10.0)
         for x0, y0 in gen.uniform(0.2, 0.8, size=(10, 2)):
             single = EvalGrid(points=[(x0, y0)], w=10.0)
             direct_x = apply_sw(lambda u, v, x0=x0: (u - x0) ** 2, kernel, single)[0]
@@ -192,8 +192,8 @@ def test_10_squared_offset_identities_and_scaling(chibar3, m3_tensor):
             ):
                 ok = ok and abs(got - want) <= 1e-8
                 worst = max(worst, abs(got - want))
-    k10 = kfunctional_constants(chibar3, 10.0)
-    k20 = kfunctional_constants(chibar3, 20.0)
+    k10 = kfunctional_constants(chibar3_moments, 10.0)
+    k20 = kfunctional_constants(chibar3_moments, 20.0)
     ok = ok and abs(k10.sq_x / k20.sq_x - 4.0) <= 1e-12 * 4.0
     ok = ok and abs(k10.sq_xy / k20.sq_xy - 16.0) <= 1e-12 * 16.0
     report(

@@ -70,72 +70,80 @@ class TestFunctionProfile:
 
 
 class TestRateBound:
-    def test_zero_for_constant(self, chibar3):
+    def test_zero_for_constant(self, chibar3_moments):
         profile = FunctionProfile.from_function(fn_lookup("const1"))
-        assert gw_error_bound(profile, chibar3, 3, 21.75, 10.0) == 0.0
+        assert gw_error_bound(profile, chibar3_moments, 3, 10.0) == 0.0
 
     def test_derivative_factor_composition(self, chibar3):
         # H = A_r + B_r + sum_i C(r,i) A_{r-i} B_i with all sups equal to 1
         ones = {idx: 1.0 for idx in [(1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3)]}
         profile = FunctionProfile(sup_norms=ones, box=UNIT_BOX)
-        got = gw_error_bound(profile, chibar3, 3, 1.0, 1.0, grid_n=16)
+        table = MomentTable.compute(chibar3, eta_max=3, grid_n=16)
+        got = gw_error_bound(profile, table, 3, 1.0)
         h = 1.0 + 1.0 + math.comb(3, 1) + math.comb(3, 2)
-        m3 = MomentTable.compute(chibar3, eta_max=3, grid_n=16).max_by_order[3]
-        assert got == pytest.approx((1.0 / 6.0) * m3 * h, rel=1e-12)
+        c = table.rth_moment_constant(3)
+        m3 = table.max_by_order[3]
+        assert got == pytest.approx(c * m3 * h / 6.0, rel=1e-12)
 
-    def test_rate_scaling_is_exact(self, chibar3):
+    def test_rate_scaling_is_exact(self, chibar3_moments):
         profile = FunctionProfile.from_function(fn_lookup("sin_x_cos_y"))
-        b10 = gw_error_bound(profile, chibar3, 3, 21.75, 10.0)
-        b20 = gw_error_bound(profile, chibar3, 3, 21.75, 20.0)
+        b10 = gw_error_bound(profile, chibar3_moments, 3, 10.0)
+        b20 = gw_error_bound(profile, chibar3_moments, 3, 20.0)
         assert b10 / b20 == pytest.approx(8.0, rel=1e-12)
 
-    def test_invalid_order(self, chibar3):
+    def test_invalid_order(self, chibar3_moments):
         profile = FunctionProfile.from_function(fn_lookup("x2"))
         with pytest.raises(ValueError):
-            gw_error_bound(profile, chibar3, 0, 1.0, 10.0)
+            gw_error_bound(profile, chibar3_moments, 0, 10.0)
+
+    def test_order_above_the_table(self, chibar3):
+        profile = FunctionProfile.from_function(fn_lookup("sin_x_cos_y"))
+        table = MomentTable.compute(chibar3, eta_max=2)
+        with pytest.raises(ValueError, match="orders <= 2"):
+            gw_error_bound(profile, table, 3, 10.0)
 
     def test_dominates_observed_error(self, chibar3):
         f = fn_lookup("sin_x_cos_y")
         profile = FunctionProfile.from_function(f)
         table = MomentTable.compute(chibar3, eta_max=3, grid_n=64)
-        c = table.rth_moment_constant(3)
         for w in (5.0, 10.0, 20.0):
             grid = EvalGrid.regular(UNIT_BOX, 8, w)
             err = np.abs(
                 apply_gw(f, chibar3, grid)
                 - np.array([float(f(x, y)) for x, y in grid.points])
             ).max()
-            assert err <= gw_error_bound(profile, chibar3, 3, c, w)
+            assert err <= gw_error_bound(profile, table, 3, w)
 
 
 class TestRemainderBound:
     def test_formula(self, m3_tensor):
         profile = FunctionProfile.from_function(fn_lookup("x2"))
         w = 10.0
-        mass = MomentTable.compute(m3_tensor, eta_max=0, grid_n=64).absolute_sup[(0, 0)]
+        table = MomentTable.compute(m3_tensor, eta_max=0, grid_n=64)
+        mass = table.absolute_sup[(0, 0)]
         expected = (7.0 * 2.0 / (12.0 * w * w)) * mass
-        assert sw_remainder_bound(profile, m3_tensor, w) == pytest.approx(
+        assert sw_remainder_bound(profile, table, w) == pytest.approx(
             expected, rel=1e-12
         )
 
-    def test_scaling(self, chibar3):
+    def test_scaling(self, chibar3_moments):
         profile = FunctionProfile.from_function(fn_lookup("xy"))
-        assert sw_remainder_bound(profile, chibar3, 10.0) / sw_remainder_bound(
-            profile, chibar3, 20.0
-        ) == pytest.approx(4.0, rel=1e-12)
+        b10 = sw_remainder_bound(profile, chibar3_moments, 10.0)
+        b20 = sw_remainder_bound(profile, chibar3_moments, 20.0)
+        assert b10 / b20 == pytest.approx(4.0, rel=1e-12)
 
 
 class TestKFunctionalConstants:
-    def test_combination_kernel_closed_form(self, chibar3):
+    def test_combination_kernel_closed_form(self, chibar3_moments):
         w = 10.0
-        kf = kfunctional_constants(chibar3, w)
+        kf = kfunctional_constants(chibar3_moments, w)
         assert kf.sq_x == pytest.approx(1.0 / (3.0 * w * w), abs=1e-12)
         assert kf.sq_y == pytest.approx(1.0 / (3.0 * w * w), abs=1e-12)
         assert kf.sq_xy == pytest.approx(1.0 / (9.0 * w**4), abs=1e-14)
 
-    def test_plain_spline_closed_form(self, m3_tensor):
+    def test_plain_spline_closed_form(self, m3_moments):
         w = 10.0
-        kf = kfunctional_constants(m3_tensor, w)
+        kf = kfunctional_constants(m3_moments, w)
         assert kf.sq_x == pytest.approx(7.0 / (12.0 * w * w), abs=1e-14)
 
     def test_identity_against_direct_application(self, chibar3, m3_tensor):
@@ -143,7 +151,7 @@ class TestKFunctionalConstants:
         # squared offsets, so recompute them operator-side at random points
         w = 10.0
         for kernel in (chibar3, m3_tensor):
-            kf = kfunctional_constants(kernel, w)
+            kf = kfunctional_constants(MomentTable.compute(kernel, eta_max=4), w)
             for x0, y0 in interior_points(5):
                 single = EvalGrid(points=[(x0, y0)], w=w)
                 sq_x = apply_sw(
@@ -157,9 +165,9 @@ class TestKFunctionalConstants:
                 assert kf.sq_x == pytest.approx(sq_x, abs=1e-8)
                 assert kf.sq_xy == pytest.approx(sq_xy, abs=1e-8)
 
-    def test_scaling_laws(self, chibar3):
-        k10 = kfunctional_constants(chibar3, 10.0)
-        k20 = kfunctional_constants(chibar3, 20.0)
+    def test_scaling_laws(self, chibar3_moments):
+        k10 = kfunctional_constants(chibar3_moments, 10.0)
+        k20 = kfunctional_constants(chibar3_moments, 20.0)
         assert k10.sq_x / k20.sq_x == pytest.approx(4.0, rel=1e-12)
         assert k10.sq_xy / k20.sq_xy == pytest.approx(16.0, rel=1e-12)
 
@@ -257,6 +265,22 @@ class TestModulusMachinery:
         assert fine <= 2e-4
         assert fine < coarse / 5.0
 
+    def test_non_finite_values_are_an_error(self):
+        # was an estimate that read every NaN mixed difference as 0
+        box = (0.0, 0.0, 1e300, 1.0)
+        with pytest.raises(ValueError, match="not finite at .* in box"):
+            mixed_modulus_estimate(fn_lookup("x2y2"), 0.1, 0.1, box)
+
+    @pytest.mark.parametrize("grid_n", [None, 5])
+    def test_values_too_large_to_difference_are_an_error(self, grid_n):
+        # finite values whose summed magnitudes overflow: the rounding level
+        # was inf, which hid every difference, so the estimate read 0
+        def f(x, y):
+            return 1.5e308 * np.cos(3.0 * x * y)
+
+        with pytest.raises(ValueError, match="function is above 4.49e[+]307 in"):
+            mixed_modulus_estimate(f, 0.5, 0.5, UNIT_BOX, grid_n=grid_n)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             mixed_modulus_estimate(fn_lookup("xy"), -0.1, 0.1, UNIT_BOX)
@@ -265,7 +289,7 @@ class TestModulusMachinery:
 
 
 class TestBooleanSumBounds:
-    def test_modulus_bound_dominates_product_error(self, m3_tensor):
+    def test_modulus_bound_dominates_product_error(self, m3_tensor, m3_moments):
         f = fn_lookup("xy")
         for w in (5.0, 10.0, 20.0):
             delta = 1.0 / w
@@ -274,28 +298,29 @@ class TestBooleanSumBounds:
                 apply_gbs(f, m3_tensor, grid)
                 - np.array([x * y for x, y in grid.points])
             ).max()
-            bound = gbs_modulus_bound(m3_tensor, w, delta, delta, delta * delta)
+            bound = gbs_modulus_bound(m3_moments, w, delta, delta, delta * delta)
             assert err <= bound
 
-    def test_modulus_bound_scaling_pieces(self, m3_tensor):
+    def test_modulus_bound_scaling_pieces(self, m3_moments):
         # with omega fixed, the three kernel constants scale as 1/w, 1/w, 1/w^2
-        b10 = gbs_modulus_bound(m3_tensor, 10.0, 0.1, 0.1, 1.0) - 1.0
-        b20 = gbs_modulus_bound(m3_tensor, 20.0, 0.1, 0.1, 1.0) - 1.0
+        b10 = gbs_modulus_bound(m3_moments, 10.0, 0.1, 0.1, 1.0) - 1.0
+        b20 = gbs_modulus_bound(m3_moments, 20.0, 0.1, 0.1, 1.0) - 1.0
         assert b10 > b20
         with pytest.raises(ValueError):
-            gbs_modulus_bound(m3_tensor, 10.0, 0.0, 0.1, 1.0)
+            gbs_modulus_bound(m3_moments, 10.0, 0.0, 0.1, 1.0)
 
     def test_differential_bound_with_vanishing_modulus(self, m3_tensor):
         # a target with constant mixed differential: only the first term is live
         w = 10.0
-        bound = gbs_differential_bound(m3_tensor, w, 0.1, 0.1, 1.0, 0.0)
-        mom = MomentTable.compute(m3_tensor, eta_max=4, grid_n=64).absolute_sup
+        table = MomentTable.compute(m3_tensor, eta_max=4, grid_n=64)
+        bound = gbs_differential_bound(table, w, 0.1, 0.1, 1.0, 0.0)
+        mom = table.absolute_sup
         bilin = (
             mom[(0, 0)] + 2 * mom[(1, 0)] + 2 * mom[(0, 1)] + 4 * mom[(1, 1)]
         ) / (4 * w * w)
         assert bound == pytest.approx(3.0 * bilin, rel=1e-12)
 
-    def test_differential_bound_dominates_product_error(self, m3_tensor):
+    def test_differential_bound_dominates_product_error(self, m3_tensor, m3_moments):
         f = fn_lookup("xy")
         for w in (5.0, 10.0):
             grid = EvalGrid.regular(UNIT_BOX, 5, w)
@@ -303,7 +328,7 @@ class TestBooleanSumBounds:
                 apply_gbs(f, m3_tensor, grid)
                 - np.array([x * y for x, y in grid.points])
             ).max()
-            bound = gbs_differential_bound(m3_tensor, w, 1.0 / w, 1.0 / w, 1.0, 0.0)
+            bound = gbs_differential_bound(m3_moments, w, 1.0 / w, 1.0 / w, 1.0, 0.0)
             assert err <= bound
 
 
@@ -373,6 +398,19 @@ class TestPolynomialReproduction:
             polynomial_reproduction_check(m3_tensor, 2, 8.0, UNIT_BOX, operator="gbs")
 
 
+def spy_on_tables(monkeypatch):
+    """Record every table that ``MomentTable.compute`` returns from now on."""
+    tables = []
+    compute = MomentTable.compute
+
+    def spy(cls, *args, **kwargs):
+        tables.append(compute(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(MomentTable, "compute", classmethod(spy))
+    return tables
+
+
 class TestBoundReport:
     EXPECTED_KEYS = [
         "rate_deriv_factor",
@@ -418,7 +456,9 @@ class TestBoundReport:
 
     @pytest.mark.parametrize("kernel_name", ["chibar3", "m3_tensor", "m2", "m4"])
     @pytest.mark.parametrize("fn_name", ["gaussian", "sin_x_cos_y", "xy", "x2y2"])
-    def test_constants_equal_the_standalone_bounds(self, kernel_name, fn_name, request):
+    def test_constants_equal_the_standalone_bounds(
+        self, kernel_name, fn_name, request, monkeypatch
+    ):
         if kernel_name in ("m2", "m4"):
             axis = CentralBSpline(int(kernel_name[1]))
             kernel = TensorKernel2D(axis, axis)
@@ -426,21 +466,32 @@ class TestBoundReport:
             kernel = request.getfixturevalue(kernel_name)
         profile = FunctionProfile.from_function(fn_lookup(fn_name))
         r = kernel.moment_order
-        c = MomentTable.compute(kernel, eta_max=max(r, 4)).rth_moment_constant(r)
         d1, d2, omega, db = 0.3, 0.7, 1.3, 2.1
+        tables = spy_on_tables(monkeypatch)
         for w in (3.0, 10.0, 37.5):
             k = build_bound_report(kernel, w, profile).constants
-            assert k["rate_bound"] == gw_error_bound(profile, kernel, r, c, w)
-            assert k["remainder"] == sw_remainder_bound(profile, kernel, w)
-            assert gbs_modulus_bound(kernel, w, d1, d2, omega) == (
+            # the report's own table
+            table = tables[-1]
+            assert k["rate_bound"] == gw_error_bound(profile, table, r, w)
+            assert k["remainder"] == sw_remainder_bound(profile, table, w)
+            assert gbs_modulus_bound(table, w, d1, d2, omega) == (
                 1.0 + k["mod_lin_x"] / d1 + k["mod_lin_y"] / d2
                 + k["mod_bilin"] / (d1 * d2)
             ) * omega
-            assert gbs_differential_bound(kernel, w, d1, d2, db, omega) == (
+            assert gbs_differential_bound(table, w, d1, d2, db, omega) == (
                 k["diff_bilin"] * (3.0 * db + omega)
                 + (k["diff_x"] / d1 + k["diff_y"] / d2 + k["diff_bilin2"] / (d1 * d2))
                 * omega
             )
+
+    def test_builds_one_moment_table(self, chibar3, monkeypatch):
+        # was four: its own, then one each in the rate, remainder and
+        # K-functional bounds
+        profile = FunctionProfile.from_function(fn_lookup("gaussian"))
+        tables = spy_on_tables(monkeypatch)
+        build_bound_report(chibar3, 10.0, profile)
+        assert len(tables) == 1
+        assert tables[0].eta_max == 4
 
     def test_plain_spline_uses_its_own_order(self, m3_tensor):
         profile = FunctionProfile.from_function(fn_lookup("sin_x_cos_y"))

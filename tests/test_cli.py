@@ -310,6 +310,49 @@ class TestErrorPaths:
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert "lattice rate 1e-300" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # was exit 0 with rate_bound nan, after 34 lines of RuntimeWarnings
+            (
+                ("bounds", "--fn", "gaussian", "--box=0,0,1e200,1e200"),
+                "error: sup norm of the order (2, 0) partial of gaussian is not "
+                "finite on box (0.0, 0.0, 1e+200, 1e+200)",
+            ),
+            # was exit 0 with remainder inf
+            (
+                ("bounds", "--fn", "x2y2", "--box=0,0,1e200,1e200"),
+                "error: sup norm of the order (1, 0) partial of x2y2 is not "
+                "finite on box (0.0, 0.0, 1e+200, 1e+200)",
+            ),
+            # was exit 0 with modulus_bound 3.69: the NaN mixed differences
+            # read as 0
+            (
+                ("gbs", "--fn", "x2y2", "--box=0,0,1e300,1", "--w=10", "--grid-n=1"),
+                "error: function is not finite at (3.125e+298, 0) in box "
+                "(0.0, 0.0, 1e+300, 1.0)",
+            ),
+            # was the operator's exit-2 message after four warning lines
+            (
+                ("gbs", "--fn", "x2y2", "--box=0,0,1e80,1e80", "--grid-n", "2",
+                 "--w", "1e-70"),
+                "error: function is not finite at (3.125e+78, 3.125e+78) in box "
+                "(0.0, 0.0, 1e+80, 1e+80)",
+            ),
+        ],
+    )
+    def test_function_not_finite_on_the_box(self, args, message):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == message + "\n"
+
+    def test_subnormal_box_spacing(self):
+        # delta / spacing overflows: was an OverflowError traceback, exit 1
+        proc = run_cli("gbs", "--fn", "xy", "--box=0,0,1e-310,1e-310", "--grid-n", "2")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_scaled_coordinates_overflow_without_warning(self):
         # w * x overflows to inf: was a numpy RuntimeWarning before the message
         proc = run_cli(

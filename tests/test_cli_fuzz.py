@@ -1,5 +1,8 @@
 """Every argv of every subcommand ends in exit 0, 2 or 3, never in a traceback.
 
+Exit 0 writes nothing to stderr, exit 2 or 3 writes exactly one line, and no
+argv raises a numpy RuntimeWarning.
+
 Sizes stay small (grid sizes up to 6, kernel orders up to 6, moment orders
 up to 4), and each lattice rate is drawn from values that have broken the
 CLI before: zero, negative, non-finite, under- and overflowing powers, and
@@ -9,6 +12,7 @@ rates whose scaled coordinates pass 2**53.
 import contextlib
 import io
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -102,16 +106,25 @@ def argvs(draw, inputs):
 
 
 def run(argv):
+    """Exit code, stderr text and the warnings raised by one CLI call."""
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main([*argv, "--out", os.devnull])
-    return code, err.getvalue()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", os.devnull])
+    return code, err.getvalue(), caught
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_every_argv_exits_0_2_or_3(inputs, data):
     argv = data.draw(argvs(inputs))
-    code, err = run(argv)
+    code, err, caught = run(argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, (argv, runtime)
+    if code == 0:
+        assert err == "", (argv, err)
+    else:
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), (argv, err)

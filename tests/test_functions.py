@@ -1,6 +1,7 @@
 """Catalog functions: closed-form partials against local finite differences."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,14 @@ class TestSupNormEstimate:
         bare = CatalogEntry(name="bare", fn=lambda x, y: x + y, partials={})
         with pytest.raises(UnsupportedOrder):
             sup_norm_estimate(bare, (2, 2))
+
+    @pytest.mark.parametrize("name, index", [("gaussian", (2, 0)), ("x2y2", (1, 0))])
+    def test_not_finite_on_the_box(self, name, index):
+        # was nan (gaussian) or inf (x2y2), after numpy RuntimeWarnings
+        box = (0.0, 0.0, 1e200, 1e200)
+        message = re.escape(f"order {index} partial of {name} is not finite")
+        with pytest.raises(ValueError, match=message):
+            sup_norm_estimate(fn_lookup(name), index, box)
 
     def test_default_box_from_function(self):
         f = fn_lookup("x")
