@@ -84,11 +84,23 @@ class FunctionProfile:
 
 
 def _derivative_factor(profile: FunctionProfile, r: int) -> float:
-    """A_r + B_r + sum_i C(r, i) A_(r-i) B_i over the pure-derivative sup norms."""
+    """A_r + B_r + sum_i C(r, i) A_(r-i) B_i over the pure-derivative sup norms.
+
+    Finite sup norms can still have a product that overflows; that is a
+    ValueError naming the order and the box.
+    """
     deriv = profile.entry((r, 0)) + profile.entry((0, r))
     for i in range(1, r):
         deriv += math.comb(r, i) * profile.entry((r - i, 0)) * profile.entry((0, i))
+    _require_finite(deriv, f"order {r} derivative factor", profile, "a smaller box")
     return deriv
+
+
+def _require_finite(value: float, name: str, profile: FunctionProfile, fix: str) -> None:
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{name} is not finite on box {profile.box}; choose {fix}"
+        )
 
 
 def gw_error_bound(
@@ -105,7 +117,10 @@ def gw_error_bound(
         raise ValueError("moment order r must be >= 1")
     deriv = _derivative_factor(profile, r)
     c = moments.rth_moment_constant(r)
-    return (c / math.factorial(r)) * (moments.max_by_order[r] / w**r) * deriv
+    bound = (c / math.factorial(r)) * (moments.max_by_order[r] / w**r) * deriv
+    name = f"order {r} rate bound at lattice rate {w!r}"
+    _require_finite(bound, name, profile, "a smaller box or a larger rate")
+    return bound
 
 
 def sw_remainder_bound(

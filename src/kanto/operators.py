@@ -14,8 +14,8 @@ on the cells some window touches) and then runs over the window offsets in
 ascending (k, j) order for all points at once, adding an exact zero for
 terms outside a point's window.  Each point so gets the same floating-point
 operations in the same order as a scalar loop over its own window, and
-results are reproducible bit for bit.  Analytic sources must accept numpy
-arrays and evaluate elementwise.
+results are reproducible bit for bit.  Analytic sources must accept 2-d
+numpy arrays and evaluate elementwise.
 """
 
 from __future__ import annotations
@@ -231,9 +231,11 @@ class _AxisWindows(NamedTuple):
     Point i's window runs from ``first[i]`` to ``last[i]``.  Column ``a``
     holds index ``first + a``: ``weights[a]`` is its kernel value and
     ``inside[a]`` says whether it lies in the point's window (windows differ
-    in width by at most one, so the last column can fall outside).
-    ``starts`` holds the window start of each distinct coordinate and
-    ``which[i]`` the distinct coordinate of point i.
+    in width by at most one, so the last column can fall outside).  One
+    kernel call gives the weights of all columns; each column is gathered
+    to the points as its own array, which keeps it contiguous.  ``starts``
+    holds the window start of each distinct coordinate and ``which[i]`` the
+    distinct coordinate of point i.
     """
 
     first: np.ndarray
@@ -269,12 +271,13 @@ def _axis_windows(kernel: Kernel1D, t: np.ndarray) -> _AxisWindows:
     first = np.ceil(ts - hi)
     last = np.floor(ts - lo)
     cols = int((last - first).max()) + 1 if ts.size else 0
+    cells = first + np.arange(cols)[:, None]
     starts = first.astype(np.int64)
     return _AxisWindows(
         starts[which],
         last.astype(np.int64)[which],
-        [kernel(ts - (first + a))[which] for a in range(cols)],
-        [(first + a <= last)[which] for a in range(cols)],
+        [col[which] for col in kernel(ts - cells)],
+        [col[which] for col in cells <= last],
         starts,
         which,
     )
@@ -434,17 +437,14 @@ def apply_sw(
     return _lattice_series(field, KIND_CELL_AVERAGES, kernel, grid, quad_order)
 
 
-def _axis_means(g: Callable, axis: _AxisWindows, w: float, quad_order: int) -> list:
-    """Per window column a: mean of g over [(first+a)/w, (first+a+1)/w]."""
+def _axis_means(g: Callable, axis: _AxisWindows, w: float, quad_order: int) -> np.ndarray:
+    """Row a: mean of g over [(first+a)/w, (first+a+1)/w], one g call per node."""
     nodes, weights = _gauss_rule(quad_order)
-    means = []
-    for a in range(len(axis.weights)):
-        k = axis.first + a
-        m = 0.0
-        for gi, wi in zip(nodes, weights):
-            m += 0.5 * wi * g((k + 0.5 * (gi + 1.0)) / w)
-        means.append(m)
-    return means
+    k = axis.first + np.arange(len(axis.weights))[:, None]
+    m = 0.0
+    for gi, wi in zip(nodes, weights):
+        m += 0.5 * wi * g((k + 0.5 * (gi + 1.0)) / w)
+    return m
 
 
 def apply_gbs(

@@ -235,6 +235,27 @@ class TestErrorPaths:
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith("error: lattice rate w=")
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # sup norms up to 2e300 are finite, their product is not
+            (("--box=0,0,1e100,1e100",), "error: order 3 derivative factor is not finite"),
+            # a finite factor over w**3 at a tiny rate
+            (("--box=0,0,1e50,1e50", "--w", "1e-60"),
+             "error: order 3 rate bound at lattice rate 1e-60 is not finite"),
+        ],
+    )
+    def test_bound_overflow_names_order_and_box(self, args, message):
+        # was exit 0 with rate_deriv_factor and rate_bound printed as inf
+        proc = run_cli("bounds", "--fn", "x2y2", *args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(message)
+        box = args[0].split("=")[1].split(",")
+        assert f"on box {tuple(float(v) for v in box)}" in proc.stderr
+
     def test_scaled_coordinates_past_2_53(self):
         # was exit 0 with approx 24.94 where the exact value is 1.5
         args = ("reconstruct", "--fn", "x_plus_y", "--box", "0.5,0.5,1,1", "--grid-n", "2")

@@ -6,8 +6,9 @@ The cases cover random points and points on a window edge (``w*x - hi`` an
 integer, where windows are one wider), both fixture kernels, all three
 operators, and lattice-field as well as analytic sources.  Missing data
 must be reported at the same (k, j) as the scalar implementation did.
-Kernel windows, computed once per distinct coordinate, must equal the
-windows evaluated at every point.
+Kernel windows, computed in one kernel call per axis over all window
+columns and distinct coordinates, must equal the windows evaluated column
+by column at every point.
 """
 
 import math
@@ -22,6 +23,7 @@ from kanto import (
     EvalGrid,
     LatticeField,
     MissingData,
+    ScaledKernel,
     TensorKernel2D,
     apply_gbs,
     apply_gw,
@@ -41,6 +43,17 @@ _chi3 = construct_combination_kernel(3, (2.0, 3.0, 4.0))
 KERNELS = {
     "chibar3": TensorKernel2D(_chi3, _chi3),
     "m3_tensor": TensorKernel2D(CentralBSpline(3), CentralBSpline(3)),
+}
+# every Kernel1D type, and both branches of bspline_eval (order 1 and the
+# truncated-power sum); integer and half-integer support ends
+AXIS_KERNELS = {
+    "chibar3": _chi3,
+    "chibar4": construct_combination_kernel(4, (-1.5, -0.5, 0.5, 1.5)),
+    "m1": CentralBSpline(1),
+    "m2": CentralBSpline(2),
+    "m3": CentralBSpline(3),
+    "m4": CentralBSpline(4),
+    "scaled_m3": ScaledKernel(CentralBSpline(3), 0.7),
 }
 FUNCTIONS = ("sin_x_cos_y", "gaussian", "x2y2")
 QUAD_ORDER = 5
@@ -116,6 +129,11 @@ rates = st.one_of(
 @st.composite
 def grids(draw):
     w = draw(rates)
+    if draw(st.booleans()):  # a tensor grid: points share coordinates
+        x0, y0 = draw(st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)))
+        dx, dy = draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+        n = draw(st.integers(min_value=1, max_value=4))
+        return EvalGrid.regular((x0, y0, x0 + dx, y0 + dy), n, w)
     # both fixture kernels have half-integer support ends, so w*x - hi is
     # an integer exactly when w*x is a half-integer
     edge = st.integers(min_value=-40, max_value=110).map(lambda n: (n + 0.5) / w)
@@ -251,15 +269,16 @@ def axis_coordinates(draw):
         box = draw(st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)))
         grid = EvalGrid.regular((min(box), 0.0, max(box) + 0.1, 1.0), n, w)
         return w * grid.points[:, draw(st.sampled_from([0, 1]))]
-    edge = st.integers(min_value=-40, max_value=110).map(lambda m: (m + 0.5) / w)
+    # integer and half-integer w*x: window edges of every kernel above
+    edge = st.integers(min_value=-80, max_value=220).map(lambda m: m / 2 / w)
     coord = st.one_of(st.floats(-1.0, 2.0), edge, st.sampled_from([0.0, -0.0]))
     return w * np.array(draw(st.lists(coord, min_size=1, max_size=30)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(t=axis_coordinates(), kernel_name=st.sampled_from(sorted(KERNELS)))
+@settings(max_examples=300, deadline=None)
+@given(t=axis_coordinates(), kernel_name=st.sampled_from(sorted(AXIS_KERNELS)))
 def test_axis_windows_per_distinct_coordinate_match_per_point(t, kernel_name):
-    axis = KERNELS[kernel_name].kx
+    axis = AXIS_KERNELS[kernel_name]
     got = _axis_windows(axis, t)
     first, last, weights, inside = per_point_windows(axis, t)
     assert got.first.tolist() == first.tolist()
@@ -271,3 +290,43 @@ def test_axis_windows_per_distinct_coordinate_match_per_point(t, kernel_name):
     span = (first[:, None] + np.arange(len(weights))).T
     assert idx.tolist() == sorted(set(span.ravel().tolist()))
     assert [idx[p].tolist() for p in pos] == span.tolist()
+
+
+class Counting:
+    """A kernel or function that counts its calls; other attributes pass through."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.inner(*args)
+
+
+# call counts, not speed: each axis takes one kernel call over all window
+# columns, and the boolean sum one f call per quadrature node and axis on
+# top of the q*q of the cell averages
+@pytest.mark.parametrize("w", [5.0, 40.0])
+@pytest.mark.parametrize("grid_n", [3, 20])
+@pytest.mark.parametrize("kernel_name", ["m2", "chibar3", "chibar4"])
+def test_one_kernel_call_per_axis(w, grid_n, kernel_name):
+    kernel = Counting(AXIS_KERNELS[kernel_name])
+    grid = EvalGrid.regular((-0.3, 0.1, 1.2, 0.9), grid_n, w)
+    _axis_windows(kernel, w * grid.points[:, 0])
+    assert kernel.calls == 1
+
+
+@pytest.mark.parametrize("w", [5.0, 40.0])
+@pytest.mark.parametrize("grid_n", [3, 20])
+@pytest.mark.parametrize("quad_order", [3, 5])
+def test_gbs_calls_f_once_per_node(w, grid_n, quad_order):
+    f = Counting(fn_lookup("sin_x_cos_y"))
+    kx, ky = Counting(_chi3), Counting(_chi3)
+    grid = EvalGrid.regular((-0.3, 0.1, 1.2, 0.9), grid_n, w)
+    apply_gbs(f, TensorKernel2D(kx, ky), grid, quad_order)
+    assert f.calls == quad_order**2 + 2 * quad_order
+    assert (kx.calls, ky.calls) == (1, 1)
