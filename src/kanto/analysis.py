@@ -19,6 +19,7 @@ from .functions import (
     CATALOG_ORDERS,
     TestFunction,
     UnsupportedOrder,
+    _evaluate,
     sup_norm_estimate,
 )
 from .kernel2d import MomentTable, TensorKernel2D
@@ -298,9 +299,7 @@ def _f_table(f: Callable, u: np.ndarray, v: np.ndarray, box: tuple) -> np.ndarra
     A value that is not finite, or above ``VALUE_LIMIT`` in magnitude, is a
     ValueError naming the point and the box.
     """
-    vals = np.broadcast_to(
-        np.asarray(f(u[:, None], v[None, :]), dtype=float), (u.size, v.size)
-    )
+    vals = _evaluate(f, u[:, None], v[None, :])
     bad = np.argwhere(~(np.abs(vals) <= VALUE_LIMIT))
     if bad.size:
         i, l = bad[0]
@@ -524,13 +523,10 @@ def polynomial_reproduction_check(
         raise ValueError(f"unknown operator {operator!r}; use gw or sw")
     margin = interior_margin(kernel, w)
     grid = EvalGrid.regular(box, grid_n, w, margin)
-    monos = _monomials_upto(r - 1)
-    design = np.column_stack(
-        [grid.points[:, 0] ** i * grid.points[:, 1] ** j for i, j in monos]
-    )
+    monos = [lambda x, y, i=i, j=j: x**i * y**j for i, j in _monomials_upto(r - 1)]
+    design = np.column_stack([grid.sample(p) for p in monos])
     worst = 0.0
-    for i, j in monos:
-        p = lambda x, y, i=i, j=j: x**i * y**j
+    for p in monos:
         approx = OPERATORS[operator](p, kernel, grid, quad_order)
         if operator == "gw":
             residual = approx - grid.sample(p)

@@ -6,6 +6,10 @@ and (2,2).  Boxes are (x0, y0, x1, y1) tuples; the shared default box keeps
 a usable interior once the lattice admissibility margin is removed at
 moderate sampling rates.
 
+An entry may return any result that broadcasts against its inputs;
+``_evaluate`` makes it a float array.  ``_const`` keeps its own broadcast:
+its NaN where ``x + y`` overflows makes the bounds reject such a box.
+
 The target functions write squares as products: ``x**2`` on a scalar goes
 through libm pow, which is not always correctly rounded, so a scalar call
 could differ in the last bit from the same point inside an array call.
@@ -38,6 +42,13 @@ CATALOG_ORDERS = [
     (3, 0), (2, 1), (1, 2), (0, 3),
     (2, 2),
 ]
+
+
+def _evaluate(f: Callable, x, y) -> np.ndarray:
+    """f(x, y) as a new float array of the broadcast shape of x and y."""
+    out = np.empty(np.broadcast(x, y).shape)
+    out[...] = f(x, y)
+    return out
 
 
 class UnknownFunction(Exception):
@@ -89,8 +100,8 @@ CATALOG: dict[str, TestFunction] = {
     f.name: f
     for f in [
         _entry("const1", _const(1.0), {}),
-        _entry("x", lambda x, y: x + 0.0 * np.asarray(y, float), {(1, 0): _const(1.0)}),
-        _entry("y", lambda x, y: y + 0.0 * np.asarray(x, float), {(0, 1): _const(1.0)}),
+        _entry("x", lambda x, y: x, {(1, 0): _const(1.0)}),
+        _entry("y", lambda x, y: y, {(0, 1): _const(1.0)}),
         _entry(
             "x_plus_y",
             lambda x, y: x + y,
@@ -103,21 +114,21 @@ CATALOG: dict[str, TestFunction] = {
         ),
         _entry(
             "x2",
-            lambda x, y: x * x + 0.0 * np.asarray(y, float),
-            {(1, 0): lambda x, y: 2.0 * x + 0.0 * np.asarray(y, float),
+            lambda x, y: x * x,
+            {(1, 0): lambda x, y: 2.0 * x,
              (2, 0): _const(2.0)},
         ),
         _entry(
             "xy",
             lambda x, y: x * y,
-            {(1, 0): lambda x, y: y + 0.0 * np.asarray(x, float),
-             (0, 1): lambda x, y: x + 0.0 * np.asarray(y, float),
+            {(1, 0): lambda x, y: y,
+             (0, 1): lambda x, y: x,
              (1, 1): _const(1.0)},
         ),
         _entry(
             "y2",
-            lambda x, y: y * y + 0.0 * np.asarray(x, float),
-            {(0, 1): lambda x, y: 2.0 * y + 0.0 * np.asarray(x, float),
+            lambda x, y: y * y,
+            {(0, 1): lambda x, y: 2.0 * y,
              (0, 2): _const(2.0)},
         ),
         _entry(
@@ -125,11 +136,11 @@ CATALOG: dict[str, TestFunction] = {
             lambda x, y: (x * x) * (y * y),
             {(1, 0): lambda x, y: 2.0 * x * y**2,
              (0, 1): lambda x, y: 2.0 * x**2 * y,
-             (2, 0): lambda x, y: 2.0 * y**2 + 0.0 * np.asarray(x, float),
+             (2, 0): lambda x, y: 2.0 * y**2,
              (1, 1): lambda x, y: 4.0 * x * y,
-             (0, 2): lambda x, y: 2.0 * x**2 + 0.0 * np.asarray(y, float),
-             (2, 1): lambda x, y: 4.0 * y + 0.0 * np.asarray(x, float),
-             (1, 2): lambda x, y: 4.0 * x + 0.0 * np.asarray(y, float),
+             (0, 2): lambda x, y: 2.0 * x**2,
+             (2, 1): lambda x, y: 4.0 * y,
+             (1, 2): lambda x, y: 4.0 * x,
              (2, 2): _const(4.0)},
         ),
         _entry(
@@ -177,12 +188,12 @@ CATALOG: dict[str, TestFunction] = {
         _entry(
             "sin_x_plus_cos_y",
             lambda x, y: np.sin(x) + np.cos(y),
-            {(1, 0): lambda x, y: np.cos(x) + 0.0 * np.asarray(y, float),
-             (0, 1): lambda x, y: -np.sin(y) + 0.0 * np.asarray(x, float),
-             (2, 0): lambda x, y: -np.sin(x) + 0.0 * np.asarray(y, float),
-             (0, 2): lambda x, y: -np.cos(y) + 0.0 * np.asarray(x, float),
-             (3, 0): lambda x, y: -np.cos(x) + 0.0 * np.asarray(y, float),
-             (0, 3): lambda x, y: np.sin(y) + 0.0 * np.asarray(x, float)},
+            {(1, 0): lambda x, y: np.cos(x),
+             (0, 1): lambda x, y: -np.sin(y),
+             (2, 0): lambda x, y: -np.sin(x),
+             (0, 2): lambda x, y: -np.cos(y),
+             (3, 0): lambda x, y: -np.cos(x),
+             (0, 3): lambda x, y: np.sin(y)},
         ),
     ]
 }
@@ -262,7 +273,7 @@ def sup_norm_estimate(
     with np.errstate(all="ignore"):
         xs = np.linspace(x0, x1, grid_n)
         ys = np.linspace(y0, y1, grid_n)
-        vals = np.abs(part(xs[:, None], ys[None, :]))
+        vals = np.abs(_evaluate(part, xs[:, None], ys[None, :]))
         i, l = np.unravel_index(int(np.argmax(vals)), vals.shape)
         best = float(vals[i, l])
         hx = (x1 - x0) / (grid_n - 1)

@@ -15,7 +15,8 @@ ascending (k, j) order for all points at once, adding an exact zero for
 terms outside a point's window.  Each point so gets the same floating-point
 operations in the same order as a scalar loop over its own window, and
 results are reproducible bit for bit.  Analytic sources must accept 2-d
-numpy arrays and evaluate elementwise.
+numpy arrays and evaluate elementwise; they may return any result that
+broadcasts against their inputs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .csvio import write_csv
-from .functions import TestFunction
+from .functions import TestFunction, _evaluate
 from .kernel1d import Kernel1D
 from .kernel2d import TensorKernel2D, _require_compact, max_support_radius
 
@@ -177,9 +178,7 @@ class EvalGrid:
 
     def sample(self, f: Callable) -> np.ndarray:
         """f at every evaluation point, from one array call."""
-        out = np.empty(len(self.points))
-        out[...] = f(self.points[:, 0], self.points[:, 1])
-        return out
+        return _evaluate(f, self.points[:, 0], self.points[:, 1])
 
 
 @lru_cache(maxsize=16)
@@ -189,26 +188,27 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
+def _gauss_mean(g: Callable, k, w: float, quad_order: int):
+    """Gauss-Legendre mean of g over [k/w, (k+1)/w], one g call per node on all k."""
+    nodes, weights = _gauss_rule(quad_order)
+    m = 0.0
+    for gi, wi in zip(nodes, weights):
+        # the weights sum to 2
+        m += 0.5 * wi * g((k + 0.5 * (gi + 1.0)) / w)
+    return m
+
+
 def cell_average(f: Callable, k, j, w: float, quad_order: int = 5):
     """Mean of f over the lattice cell [k/w,(k+1)/w] x [j/w,(j+1)/w].
 
-    Tensor Gauss-Legendre rule, exact for polynomial degree up to
-    2*quad_order - 1 per axis.  With integer arrays ``k`` and ``j`` it
-    returns the array of cell means and calls f once per node on whole
-    arrays; each cell gets the same operations in the same order as a
-    scalar call.
+    The Gauss-Legendre mean over u of the mean over v, exact for polynomial
+    degree up to 2*quad_order - 1 per axis, with one f call per node pair.
+    With integer arrays ``k`` and ``j`` it returns the cell means, and each
+    cell gets the same operations in the same order as a scalar call.
     """
-    nodes, weights = _gauss_rule(quad_order)
-    acc = 0.0
-    for gi, wi in zip(nodes, weights):
-        u = (k + 0.5 * (gi + 1.0)) / w
-        row = 0.0
-        for gl, wl in zip(nodes, weights):
-            v = (j + 0.5 * (gl + 1.0)) / w
-            row += wl * f(u, v)
-        acc += wi * row
-    # per-axis weights sum to 2; 1/4 turns the integral rule into a mean
-    mean = 0.25 * acc
+    mean = _gauss_mean(
+        lambda u: _gauss_mean(lambda v: f(u, v), j, w, quad_order), k, w, quad_order
+    )
     return float(mean) if np.ndim(mean) == 0 else mean
 
 
@@ -217,12 +217,8 @@ def _tabulate(
 ) -> np.ndarray:
     """Point samples f(k/w, j/w) or cell averages of f at lattice indices k, j."""
     if kind == KIND_SAMPLES:
-        vals = f(k / w, j / w)
-    else:
-        vals = cell_average(f, k, j, w, quad_order)
-    out = np.empty(np.broadcast(k, j).shape)
-    out[...] = vals
-    return out
+        return _evaluate(f, k / w, j / w)
+    return _evaluate(lambda k, j: cell_average(f, k, j, w, quad_order), k, j)
 
 
 class _AxisWindows(NamedTuple):
@@ -341,20 +337,25 @@ def _distinct_columns(axis: _AxisWindows) -> tuple[np.ndarray, list]:
 
 
 def _index_table(
-    kx: _AxisWindows, ky: _AxisWindows, w: float, cell_values: Callable
+    f: Callable,
+    kx: _AxisWindows,
+    ky: _AxisWindows,
+    w: float,
+    kind: str,
+    quad_order: int | None,
 ) -> Callable:
-    """Table of ``cell_values(k, j)`` over the distinct window indices of each axis.
+    """The ``kind`` values of f over the distinct window indices of each axis.
 
-    ``cell_values`` is called once, on the whole rectangle of those indices
-    (not on their whole range, which a coarse grid at a high rate would
-    make large).  A value that is not finite is an error naming the lattice
+    They are tabulated once, on the whole rectangle of those indices (not
+    on their whole range, which a coarse grid at a high rate would make
+    large).  A value that is not finite is an error naming the lattice
     rate w: at a rate far from 1 the cells k/w can leave the range where
     the source is finite.
     """
     ks, rows = _distinct_columns(kx)
     js, cols = _distinct_columns(ky)
     with np.errstate(all="ignore"):
-        table = cell_values(ks[:, None], js[None, :])
+        table = _tabulate(f, ks[:, None], js[None, :], w, kind, quad_order)
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         k, j = int(ks[bad[0, 0]]), int(js[bad[0, 1]])
@@ -397,10 +398,7 @@ def _lattice_series(
     kx, ky = _grid_windows(kernel, grid)
     w = grid.w
     if not isinstance(field, LatticeField):
-        table = _index_table(
-            kx, ky, w, lambda k, j: _tabulate(field, k, j, w, kind, quad_order)
-        )
-        return _windowed_sum(kx, ky, table)
+        return _windowed_sum(kx, ky, _index_table(field, kx, ky, w, kind, quad_order))
     _check_coverage(field, kx, ky)
     if field.kind != kind:
         based = "sample" if kind == KIND_SAMPLES else "average"
@@ -437,16 +435,6 @@ def apply_sw(
     return _lattice_series(field, KIND_CELL_AVERAGES, kernel, grid, quad_order)
 
 
-def _axis_means(g: Callable, axis: _AxisWindows, w: float, quad_order: int) -> np.ndarray:
-    """Row a: mean of g over [(first+a)/w, (first+a+1)/w], one g call per node."""
-    nodes, weights = _gauss_rule(quad_order)
-    k = axis.first + np.arange(len(axis.weights))[:, None]
-    m = 0.0
-    for gi, wi in zip(nodes, weights):
-        m += 0.5 * wi * g((k + 0.5 * (gi + 1.0)) / w)
-    return m
-
-
 def apply_gbs(
     field: Union[TestFunction, Callable],
     kernel: TensorKernel2D,
@@ -467,9 +455,13 @@ def apply_gbs(
     w = grid.w
     x, y = grid.points[:, 0], grid.points[:, 1]
     kx, ky = _grid_windows(kernel, grid)
-    cell = _index_table(kx, ky, w, lambda k, j: cell_average(f, k, j, w, quad_order))
-    mean_u = _axis_means(lambda u: f(u, y), kx, w, quad_order)
-    mean_v = _axis_means(lambda v: f(x, v), ky, w, quad_order)
+    cell = _index_table(f, kx, ky, w, KIND_CELL_AVERAGES, quad_order)
+    # row a: mean over window column a of the point's axis, through the point
+    ks = kx.first + np.arange(len(kx.weights))[:, None]
+    js = ky.first + np.arange(len(ky.weights))[:, None]
+    q = quad_order
+    mean_u = _evaluate(lambda k, y: _gauss_mean(lambda u: f(u, y), k, w, q), ks, y)
+    mean_v = _evaluate(lambda j, x: _gauss_mean(lambda v: f(x, v), j, w, q), js, x)
     return _windowed_sum(kx, ky, lambda a, b: mean_v[b] + mean_u[a] - cell(a, b))
 
 

@@ -176,6 +176,19 @@ class TestReconstruct:
         proc = run_cli("reconstruct", "--input", str(path), "--op", "gbs")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "fn, box, column", [("x", "-1,-1,-0,1", 0), ("y", "-1,-1,1,-0", 1)]
+    )
+    def test_exact_column_keeps_negative_zero(self, fn, box, column):
+        # x and y return their argument itself, so a -0 box edge prints as
+        # -0 in both columns (exact read 0 while the catalog added 0.0 * y)
+        proc = run_cli("reconstruct", "--fn", fn, f"--box={box}", "--grid-n", "3")
+        assert proc.returncode == 0, proc.stderr
+        header, rows = parse_csv(proc.stdout)
+        assert header[column] == fn and header[3] == "exact"
+        assert [row[3] for row in rows] == [row[column] for row in rows]
+        assert sum(row[3] == "-0" for row in rows) == 3
+
 
 class TestErrorPaths:
     def test_unknown_function(self):

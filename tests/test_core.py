@@ -4,7 +4,8 @@ Every operator must reproduce, bit for bit, the scalar loop that walks one
 point's window in ascending (k, j) order: ``acc += (a * b) * value(k, j)``.
 The cases cover random points and points on a window edge (``w*x - hi`` an
 integer, where windows are one wider), both fixture kernels, all three
-operators, and lattice-field as well as analytic sources.  Missing data
+operators, and lattice-field as well as analytic sources, including sources
+that return a scalar or ignore one argument.  Missing data
 must be reported at the same (k, j) as the scalar implementation did.
 Kernel windows, computed in one kernel call per axis over all window
 columns and distinct coordinates, must equal the windows evaluated column
@@ -169,6 +170,33 @@ def test_core_matches_scalar_oracle_bitwise(grid, kernel_name, op, fn_name, via_
         source = LatticeField.from_function(f, w, lo, hi, lo, hi, kind, QUAD_ORDER)
     got = apply(op, source, kernel, grid)
     want = [oracle(op, source, kernel, w, x, y) for x, y in grid.points]
+    assert got.tolist() == want
+
+
+# sources whose result only broadcasts against their inputs: a scalar, or
+# an array that ignores one argument (the catalog entries return x and y
+# themselves)
+BROADCAST_SOURCES = {
+    "lambda_x": lambda x, y: x,
+    "lambda_y": lambda x, y: y,
+    "lambda_one": lambda x, y: 1.0,
+    "x": fn_lookup("x"),
+    "y": fn_lookup("y"),
+    "const1": fn_lookup("const1"),
+}
+
+
+@pytest.mark.parametrize("op", ["gw", "sw", "gbs"])
+@pytest.mark.parametrize("source_name", sorted(BROADCAST_SOURCES))
+@settings(max_examples=15, deadline=None)
+@given(grid=grids(), kernel_name=st.sampled_from(sorted(KERNELS)))
+def test_broadcasting_sources_match_scalar_oracle_bitwise(
+    source_name, op, grid, kernel_name
+):
+    kernel = KERNELS[kernel_name]
+    source = BROADCAST_SOURCES[source_name]
+    got = apply(op, source, kernel, grid)
+    want = [oracle(op, source, kernel, grid.w, x, y) for x, y in grid.points]
     assert got.tolist() == want
 
 

@@ -14,6 +14,7 @@ from kanto import (
     fn_lookup,
     sup_norm_estimate,
 )
+from kanto.functions import _evaluate
 
 POINTS = [(0.3, 0.7), (-0.5, 1.2), (1.1, -0.2), (0.0, 0.0)]
 
@@ -111,6 +112,40 @@ class TestClosedFormPartials:
         out = zero(np.zeros((3, 4)), np.zeros((3, 4)))
         assert out.shape == (3, 4)
         assert np.all(out == 0.0)
+
+
+class TestEvaluate:
+    """``_evaluate``: any result that broadcasts becomes a fresh float table."""
+
+    XS = np.linspace(-1.0, 1.0, 3)[:, None]
+    YS = np.linspace(0.0, 2.0, 4)[None, :]
+
+    @staticmethod
+    def check_fresh(out, *inputs):
+        assert out.dtype == np.float64
+        assert out.flags.writeable and out.flags.owndata
+        assert not any(np.shares_memory(out, a) for a in inputs)
+
+    def test_scalar_result(self):
+        # an int, too, becomes float64
+        out = _evaluate(lambda x, y: 1, self.XS, self.YS)
+        assert out.shape == (3, 4)
+        assert np.all(out == 1.0)
+        self.check_fresh(out, self.XS, self.YS)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_result_ignoring_one_argument(self, axis):
+        out = _evaluate(lambda x, y: (x, y)[axis], self.XS, self.YS)
+        assert out.shape == (3, 4)
+        want = np.broadcast_arrays(self.XS, self.YS)[axis]
+        assert np.array_equal(out, want)
+        self.check_fresh(out, self.XS, self.YS)
+
+    def test_full_shape_result(self):
+        full = self.XS * self.YS
+        out = _evaluate(lambda x, y: full, self.XS, self.YS)
+        assert np.array_equal(out, full)
+        self.check_fresh(out, self.XS, self.YS, full)
 
 
 class TestSupNormEstimate:

@@ -1,5 +1,6 @@
 """The scripts and the benchmark harness, run the way their docs say."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -30,6 +31,29 @@ def test_bounds_audit_finds_no_violation(w):
     proc = run("scripts/bounds_audit.py", "--w", w)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "VIOLATION" not in proc.stdout
+
+
+# sha256 of each table of scripts/convergence_experiment.py with its
+# defaults; the ridge probe passes the bare np.sin, and xy runs under gbs
+CONVERGENCE_TABLES = {
+    "gaussian_gw.csv": "e3dae55cf8afe7d055ecd9175874223e30217115f89c6283dd58c73b87b026a7",
+    "ridge_sin_sw.csv": "6520ba851cf3d148825011fc6b24f911d081b7c9c380aff50c47817b83ca234e",
+    "sin_x_cos_y_gw.csv": "06a6b8a1a3db39cc2f3f6b737f9a90ea0df0a53d12dc3385db889211cd37c593",
+    "sin_x_cos_y_sw.csv": "1e9f7d6a9cf76b1381dc6fe9722d1093b51301b983b67e1c42b02a9de0763938",
+    "x2_sw.csv": "48a678867bf6dfc6391ec6c8e1dd646ccf0162dae425596ed4fd8a386149ce26",
+    "x_plus_y_sw.csv": "4cbb259e16975f0c5d7d84b3b6ad72ca53c979298be593104b96efa679dc9959",
+    "xy_gbs.csv": "98132100adbe5bc9f409463b036bce5cd7deb3b74b5da7a1c0a2c44e16e11030",
+}
+
+
+def test_convergence_experiment_tables(tmp_path):
+    proc = run("scripts/convergence_experiment.py", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert digests == CONVERGENCE_TABLES
 
 
 def test_benchmark_smoke_run():
