@@ -234,6 +234,16 @@ def _cmd_gbs(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one ``error: ...`` line and exits 2.
+
+    Subcommand parsers are made of the same class.
+    """
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"error: {self.prog}: {' '.join(message.split())}\n")
+
+
 def _add_kernel_options(sub) -> None:
     sub.add_argument(
         "--kernel",
@@ -250,7 +260,7 @@ def _add_kernel_options(sub) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kanto",
         description="Lattice sampling series: reconstruction, moments, error bounds.",
     )

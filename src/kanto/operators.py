@@ -11,18 +11,19 @@ They differ in what is summed per lattice cell:
 
 One core serves all three.  It tabulates the source once per call (only
 on the cells some window touches) and then runs over the window offsets in
-ascending (k, j) order for all points at once, adding an exact zero for
-terms outside a point's window.  Each point so gets the same floating-point
-operations in the same order as a scalar loop over its own window, and
-results are reproducible bit for bit.  Analytic sources must accept 2-d
-numpy arrays and evaluate elementwise; they may return any result that
-broadcasts against their inputs.
+ascending (k, j) order for all points at once; past a point's window a
+column reads the window's last cell with weight exactly 0 and adds a zero.
+Each point so gets the same floating-point operations in the same order as
+a scalar loop over its own window, and results are reproducible bit for
+bit.  Analytic sources must accept 2-d numpy arrays and evaluate
+elementwise; they may return any result that broadcasts against their inputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -86,7 +87,8 @@ class LatticeField:
     """Dense rectangle of lattice data: values[k - kmin, j - jmin].
 
     ``kind`` says whether entries are point samples or cell averages.
-    Absent interior entries are NaN and raise :class:`MissingData` on access.
+    Absent interior entries are NaN and raise :class:`MissingData` on access;
+    infinite entries are an error.
     """
 
     w: float
@@ -102,6 +104,13 @@ class LatticeField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-d array")
+        inf = np.isinf(self.values)
+        if inf.any():
+            k, j = np.argwhere(inf)[0]
+            raise ValueError(
+                f"lattice value at (k={self.kmin + k}, j={self.jmin + j}) is "
+                f"{self.values[k, j]}; values must be finite, or NaN where absent"
+            )
 
     @property
     def kmax(self) -> int:
@@ -224,21 +233,18 @@ def _tabulate(
 class _AxisWindows(NamedTuple):
     """Lattice windows of all evaluation points along one axis.
 
-    Point i's window runs from ``first[i]`` to ``last[i]``.  Column ``a``
-    holds index ``first + a``: ``weights[a]`` is its kernel value and
-    ``inside[a]`` says whether it lies in the point's window (windows differ
-    in width by at most one, so the last column can fall outside).  One
-    kernel call gives the weights of all columns; each column is gathered
-    to the points as its own array, which keeps it contiguous.  ``starts``
-    holds the window start of each distinct coordinate and ``which[i]`` the
-    distinct coordinate of point i.
+    ``which[i]`` is the distinct coordinate of point i.  Column ``a`` of
+    distinct coordinate d reads lattice index ``cells[a, d]``, so the window
+    of point i runs from ``cells[0, which[i]]`` to ``cells[-1, which[i]]``.
+    Windows differ in width by at most one, and a column past a window
+    reads its last cell with weight exactly 0.  ``weights[a]`` holds the
+    kernel weights of column a at every point: one kernel call gives them
+    all, and each column is gathered to the points as its own array, which
+    keeps it contiguous.
     """
 
-    first: np.ndarray
-    last: np.ndarray
     weights: list
-    inside: list
-    starts: np.ndarray
+    cells: np.ndarray
     which: np.ndarray
 
 
@@ -262,21 +268,15 @@ def _axis_windows(kernel: Kernel1D, t: np.ndarray) -> _AxisWindows:
             "the box toward 0"
         )
     lo, hi = kernel.support
-    # chi(t - k) can be nonzero only for t - hi < k < t - lo; endpoint hits
-    # evaluate to exactly zero and are harmless
+    # chi(t - k) can be nonzero only in the window t - hi <= k <= t - lo; a
+    # column past it gets weight exactly 0, which a kernel rounding at its
+    # support end can miss
     first = np.ceil(ts - hi)
     last = np.floor(ts - lo)
-    cols = int((last - first).max()) + 1 if ts.size else 0
-    cells = first + np.arange(cols)[:, None]
-    starts = first.astype(np.int64)
-    return _AxisWindows(
-        starts[which],
-        last.astype(np.int64)[which],
-        [col[which] for col in kernel(ts - cells)],
-        [col[which] for col in cells <= last],
-        starts,
-        which,
-    )
+    offsets = first + np.arange(int((last - first).max(initial=0)) + 1)[:, None]
+    weights = np.where(offsets > last, 0.0, kernel(ts - offsets))
+    cells = np.minimum(offsets, last).astype(np.int64)
+    return _AxisWindows([col[which] for col in weights], cells, which)
 
 
 def _grid_windows(
@@ -294,15 +294,20 @@ def _windowed_sum(
     """sum over each point's window of (cx * cy) * term, for all points at once.
 
     ``term(a, b)`` gives the summand of window column (a, b) at every point.
-    Offsets run in ascending order and a term outside a point's window adds
-    an exact zero, so each point gets the operations of the scalar loop
-    ``acc += (cx[k] * cy[j]) * value(k, j)`` in ascending (k, j) order, bit
-    for bit.
+    Offsets run in ascending order.  A column past a point's window has
+    weight 0 and reads a cell of the window, so it adds a zero (``acc``
+    starts at +0 and so is never -0), and each point gets the operations of
+    the scalar loop ``acc += (cx[k] * cy[j]) * value(k, j)`` in ascending
+    (k, j) order, bit for bit.
     """
-    acc = np.zeros(len(kx.first))
-    for a, (cx, in_k) in enumerate(zip(kx.weights, kx.inside)):
-        for b, (cy, in_j) in enumerate(zip(ky.weights, ky.inside)):
-            acc = acc + np.where(in_k & in_j, (cx * cy) * term(a, b), 0.0)
+    acc = np.zeros(len(kx.which))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for a, cx in enumerate(kx.weights):
+                for b, cy in enumerate(ky.weights):
+                    acc = acc + (cx * cy) * term(a, b)
+    except FloatingPointError:
+        raise ValueError("the series overflows; scale the source values down") from None
     return acc
 
 
@@ -317,23 +322,10 @@ def _gather(values: np.ndarray, rows: list, cols: list) -> Callable:
     return lambda a, b: flat.take(starts[a] + cols[b])
 
 
-def _field_table(field: LatticeField, kx: _AxisWindows, ky: _AxisWindows) -> Callable:
-    # clipping only moves columns outside a window, which add zero anyway
-    nk, nj = field.values.shape
-    return _gather(
-        field.values,
-        [np.clip(kx.first + a - field.kmin, 0, nk - 1) for a in range(len(kx.weights))],
-        [np.clip(ky.first + b - field.jmin, 0, nj - 1) for b in range(len(ky.weights))],
-    )
-
-
 def _distinct_columns(axis: _AxisWindows) -> tuple[np.ndarray, list]:
-    """Sorted distinct indices over all window columns, and each column's position."""
-    cols = len(axis.weights)
-    idx, pos = np.unique(
-        (axis.starts[:, None] + np.arange(cols)).ravel(), return_inverse=True
-    )
-    return idx, list(pos.reshape(len(axis.starts), cols)[axis.which].T.copy())
+    """Sorted distinct cells over all window columns, and each column's position."""
+    idx, pos = np.unique(axis.cells, return_inverse=True)
+    return idx, list(pos.reshape(axis.cells.shape)[:, axis.which])
 
 
 def _index_table(
@@ -369,22 +361,18 @@ def _index_table(
 
 def _check_coverage(field: LatticeField, kx: _AxisWindows, ky: _AxisWindows) -> None:
     """Raise MissingData at the first end of the first window that leaves the field."""
-    bad = np.flatnonzero(
-        (kx.first < field.kmin)
-        | (kx.last > field.kmax)
-        | (ky.first < field.jmin)
-        | (ky.last > field.jmax)
-    )
-    if not bad.size:
+    k0, k1 = kx.cells[[0, -1]][:, kx.which]
+    j0, j1 = ky.cells[[0, -1]][:, ky.which]
+    bad = (k0 < field.kmin) | (k1 > field.kmax) | (j0 < field.jmin) | (j1 > field.jmax)
+    if not bad.any():
         return
-    i = bad[0]
-    k0, k1, j0, j1 = (int(v[i]) for v in (kx.first, kx.last, ky.first, ky.last))
-    for k in (k0, k1):
+    i = bad.argmax()
+    for k in (k0[i], k1[i]):
         if not field.kmin <= k <= field.kmax:
-            raise MissingData(k, j0)
-    for j in (j0, j1):
+            raise MissingData(int(k), int(j0[i]))
+    for j in (j0[i], j1[i]):
         if not field.jmin <= j <= field.jmax:
-            raise MissingData(k0, j)
+            raise MissingData(int(k0[i]), int(j))
 
 
 def _lattice_series(
@@ -405,12 +393,16 @@ def _lattice_series(
         raise ValueError(f"{based}-based operator needs a field of kind {kind!r}")
     if field.w != w:
         raise ValueError("lattice rate of field and grid disagree")
-    acc = _windowed_sum(kx, ky, _field_table(field, kx, ky))
+    # _check_coverage has put every window within the field
+    rows = [(k - field.kmin)[kx.which] for k in kx.cells]
+    cols = [(j - field.jmin)[ky.which] for j in ky.cells]
+    acc = _windowed_sum(kx, ky, _gather(field.values, rows, cols))
     # a NaN result means a hole in some window: report the first one, in
     # point order and then ascending (k, j)
     for i in np.flatnonzero(np.isnan(acc)):
-        for k in range(kx.first[i], kx.last[i] + 1):
-            for j in range(ky.first[i], ky.last[i] + 1):
+        ks, js = kx.cells[:, kx.which[i]], ky.cells[:, ky.which[i]]
+        for k in range(ks[0], ks[-1] + 1):
+            for j in range(js[0], js[-1] + 1):
                 field.get(k, j)
     return acc
 
@@ -457,8 +449,8 @@ def apply_gbs(
     kx, ky = _grid_windows(kernel, grid)
     cell = _index_table(f, kx, ky, w, KIND_CELL_AVERAGES, quad_order)
     # row a: mean over window column a of the point's axis, through the point
-    ks = kx.first + np.arange(len(kx.weights))[:, None]
-    js = ky.first + np.arange(len(ky.weights))[:, None]
+    ks = kx.cells[:, kx.which]
+    js = ky.cells[:, ky.which]
     q = quad_order
     mean_u = _evaluate(lambda k, y: _gauss_mean(lambda u: f(u, y), k, w, q), ks, y)
     mean_v = _evaluate(lambda j, x: _gauss_mean(lambda v: f(x, v), j, w, q), js, x)
@@ -503,7 +495,7 @@ def representation_residual(
 def admissible_box(
     field: LatticeField, kernel: TensorKernel2D
 ) -> tuple[float, float, float, float]:
-    """Largest box whose every point has its full lattice window inside the field."""
+    """Largest box whose every point has its full lattice window within the field."""
     lox, hix = kernel.support_x
     loy, hiy = kernel.support_y
     w = field.w
@@ -513,6 +505,8 @@ def admissible_box(
         (field.kmax + lox) / w,
         (field.jmax + loy) / w,
     )
+    if not all(map(math.isfinite, box)):
+        raise ValueError(f"admissible box overflows at lattice rate w={w!r}")
     if box[0] > box[2] or box[1] > box[3]:
         raise ValueError("field too small for the kernel window")
     return box
@@ -612,27 +606,24 @@ def read_lattice_csv(path) -> LatticeField:
     )
 
 
+# whitespace and comments (from a '#' that starts a token to the line end),
+# then one header token
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def read_pgm(path) -> LatticeField:
     """Read a binary (P5) PGM with maxval 255 as unit-rate point samples in [0,1].
 
     Pixel (row r, column c) becomes the sample at lattice index (k=c, j=r).
     """
     data = Path(path).read_bytes()
-    tokens = []
-    pos = 0
+    tokens, pos = [], 0
     while len(tokens) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        if pos == len(data):
+        match = _PGM_TOKEN.match(data, pos)
+        if not match[1]:
             break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
+        tokens.append(match[1])
+        pos = match.end()
     pos += 1  # single whitespace byte after maxval
     if tokens and tokens[0] != b"P5":
         raise ValueError(f"{path}: only binary (P5) PGM is supported")

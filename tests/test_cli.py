@@ -165,6 +165,33 @@ class TestReconstruct:
         assert proc.returncode == 2
         assert "dup.csv" in proc.stderr and "(3,4)" in proc.stderr
 
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_value_is_a_config_error(self, tmp_path, value):
+        # was exit 0, with inf or nan in the approx column
+        field = LatticeField.from_function(fn_lookup("x"), 10.0, -8, 18, -8, 18)
+        path = tmp_path / "inf.csv"
+        write_lattice_csv(field, path)
+        lines = path.read_text().splitlines()
+        lines = [f"5,5,{value}" if line.startswith("5,5,") else line for line in lines]
+        path.write_text("\n".join(lines) + "\n")
+        proc = run_cli("reconstruct", "--input", str(path), "--grid-n", "3")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: lattice value at (k=5, j=5) is {value}; values must be "
+            "finite, or NaN where absent\n"
+        )
+
+    def test_series_that_overflows_is_a_config_error(self, tmp_path):
+        # values near the float maximum: was exit 0 with nan rows, after
+        # numpy RuntimeWarnings (overflow in multiply, invalid value in add)
+        field = LatticeField.from_function(lambda x, y: 1.7e308, 10.0, -8, 18, -8, 18)
+        path = tmp_path / "big.csv"
+        write_lattice_csv(field, path)
+        proc = run_cli("reconstruct", "--input", str(path), "--grid-n", "2")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: the series overflows; scale the source values down\n"
+
     def test_fn_and_input_conflict(self, tmp_path):
         proc = run_cli("reconstruct", "--fn", "x", "--input", "whatever.csv")
         assert proc.returncode == 2
@@ -300,6 +327,18 @@ class TestErrorPaths:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("rate", [5e-324, 1e-310])
+    def test_meta_rate_that_overflows_the_admissible_box(self, tmp_path, rate):
+        # was a numpy RuntimeWarning from linspace on the inf box, then a
+        # second error line about the scaled coordinates
+        path = tmp_path / "tiny.csv"
+        path.write_text("k,j,value\n0,0,1\n")
+        meta = {"w": rate, "kind": "samples", "kmin": 0, "kmax": 5, "jmin": 0, "jmax": 5}
+        (tmp_path / "tiny.meta.json").write_text(json.dumps(meta))
+        proc = run_cli("reconstruct", "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: admissible box overflows at lattice rate w={rate!r}\n"
 
     @pytest.mark.parametrize(
         "meta, message",

@@ -1,7 +1,8 @@
 """Every argv of every subcommand ends in exit 0, 2 or 3, never in a traceback.
 
 Exit 0 writes nothing to stderr, exit 2 or 3 writes exactly one line, and no
-argv raises a numpy RuntimeWarning.
+argv raises a numpy RuntimeWarning.  The same holds for every input file:
+lattice CSV rows, ``.meta.json`` values, and PGM headers and rasters.
 
 Sizes stay small (grid sizes up to 6, kernel orders up to 6, moment orders
 up to 4), and each lattice rate is drawn from values that have broken the
@@ -11,6 +12,7 @@ rates whose scaled coordinates pass 2**53.
 
 import contextlib
 import io
+import json
 import os
 import warnings
 
@@ -111,16 +113,14 @@ def run(argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stderr(err):
-            code = main([*argv, "--out", os.devnull])
+            code = main(argv)
     return code, err.getvalue(), caught
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_every_argv_exits_0_2_or_3(inputs, data):
-    argv = data.draw(argvs(inputs))
+def check_exit(argv, allowed=(0, 2, 3)):
+    """Run argv; assert an allowed exit, one stderr line on error, no warning."""
     code, err, caught = run(argv)
-    assert code in (0, 2, 3), (argv, code, err)
+    assert code in allowed, (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not runtime, (argv, runtime)
@@ -128,3 +128,210 @@ def test_every_argv_exits_0_2_or_3(inputs, data):
         assert err == "", (argv, err)
     else:
         assert len(err.splitlines()) == 1 and err.endswith("\n"), (argv, err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_argv_exits_0_2_or_3(inputs, data):
+    check_exit([*data.draw(argvs(inputs)), "--out", os.devnull])
+
+
+# flag errors that argparse reports itself: each printed a usage block of
+# several lines before its error line
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "--grid-n=abc"],
+        ["reconstruct", "--fn", "x", "--r=1.5"],
+        ["converge", "--fn", "x", "--w-list", "5,10", "--quad-order=2.5"],
+        ["kernel-info", "--kernel=foo"],
+        ["reconstruct", "--op=foo"],
+        ["moments", "--bogus"],
+        ["kernel-info", "--grid-n=8", "stray"],
+        ["bounds"],
+        ["gbs", "--w=10"],
+        ["moments", "--eta-max"],
+        [],
+        ["nope"],
+    ],
+)
+def test_flag_errors_exit_2_in_one_line(argv):
+    check_exit(argv, allowed=(2,))
+
+
+# a valid command, then one token that no parser accepts (a flag that needs
+# a value comes last, so it lacks one)
+JUNK = st.one_of(
+    st.text(max_size=6).filter(lambda s: not s.startswith("-")),
+    st.sampled_from(
+        ["--bogus", "-x", "-", "--", "--fn", "--w=", "--w=abc", "--grid-n=1e3",
+         "--r=", "--kernel=", "--op=none", "--box", "--shifts", "--input"]
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    base=st.sampled_from(
+        [["kernel-info"], ["moments"], ["reconstruct", "--fn", "x"],
+         ["bounds", "--fn", "x"], ["converge", "--fn", "x"], ["gbs", "--fn", "x"]]
+    ),
+    junk=JUNK,
+)
+def test_junk_flags_exit_2_in_one_line(base, junk):
+    check_exit([*base, junk], allowed=(2,))
+
+
+
+# -- file contents ------------------------------------------------------------
+
+# texts a lattice CSV value field may hold: every float (nan, inf and the
+# extremes included) and things float() reads or refuses
+VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(
+        ["inf", "-inf", "nan", "-nan", "Infinity", "1e400", "-0", "", " 1", "abc",
+         "1,2", "0x10", "1_0"]
+    ),
+)
+LINE_EDITS = st.lists(
+    st.tuples(
+        st.integers(min_value=0),
+        st.one_of(
+            VALUES.map(lambda v: ("value", v)),
+            st.just(("drop", None)),
+            st.text(max_size=12).map(lambda t: ("line", t)),
+            st.tuples(st.integers(-12, 22), st.integers(-12, 22)).map(
+                lambda kj: ("index", kj)
+            ),
+            st.text(max_size=12).map(lambda t: ("header", t)),
+        ),
+    ),
+    max_size=4,
+)
+def mostly(good, bad):
+    """A value of ``good`` four times in five, else one of ``bad``."""
+    return st.integers(0, 4).flatmap(lambda n: good if n else bad)
+
+
+# values of the wrong type for any key; "DROP" deletes the key
+OTHER_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(alphabet="abc -_.", max_size=5),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.just("DROP"),
+)
+# index bounds stay small or fail at once (10**15 rows are refused before
+# any memory is touched); no float or digit text could ask for gigabytes
+INDEX_VALUES = mostly(
+    st.integers(-30, 30),
+    st.one_of(
+        st.sampled_from([10**15, -(10**15), 10**30, 1.5, -0.5, 1e300]),
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        OTHER_VALUES,
+    ),
+)
+META_CHANGES = st.fixed_dictionaries(
+    {},
+    optional={
+        "w": mostly(st.floats(), OTHER_VALUES),
+        "kind": mostly(st.sampled_from(["samples", "cell_averages"]), OTHER_VALUES),
+        **{key: INDEX_VALUES for key in ("kmin", "kmax", "jmin", "jmax")},
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
+
+
+def input_argv(path, data):
+    """reconstruct on the input file with valid flags, so the file decides."""
+    kernel = data.draw(st.sampled_from([(), ("--kernel=bspline", "--r=2")]))
+    argv = ["reconstruct", *kernel, "--input", str(path)]
+    argv += [data.draw(st.sampled_from(("--op=gw", "--op=sw")))]
+    argv += [f"--grid-n={data.draw(st.integers(1, 4))}"]
+    argv += data.draw(flag("--input-w", st.sampled_from(POSITIVE_RATES)))
+    return [*argv, "--out", os.devnull]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["avg.csv", "pts.csv"]), edits=LINE_EDITS)
+def test_every_lattice_csv_exits_0_2_or_3(inputs, workdir, data, name, edits):
+    lines = open(inputs[name]).read().splitlines()
+    for n, (edit, arg) in edits:
+        i = 1 + n % (len(lines) - 1)
+        if edit == "value":
+            lines[i] = lines[i].rsplit(",", 1)[0] + "," + arg
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "line":
+            lines.insert(i, arg)
+        elif edit == "index":
+            lines.insert(i, "%d,%d,0.5" % arg)
+        else:
+            lines[0] = arg
+    path = workdir / "rows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    meta = open(inputs[name].replace(".csv", ".meta.json")).read()
+    (workdir / "rows.meta.json").write_text(meta)
+    check_exit(input_argv(path, data))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(["avg.csv", "pts.csv"]),
+    changes=META_CHANGES,
+    # one sidecar in five is replaced whole by junk or a JSON list
+    whole=mostly(st.none(), st.one_of(st.text(max_size=10), st.just("[1, 2]"))),
+)
+def test_every_meta_json_exits_0_2_or_3(inputs, workdir, data, name, changes, whole):
+    meta = json.loads(open(inputs[name].replace(".csv", ".meta.json")).read())
+    for key, value in changes.items():
+        if value == "DROP":
+            del meta[key]
+        else:
+            meta[key] = value
+    (workdir / "meta.meta.json").write_text(json.dumps(meta) if whole is None else whole)
+    path = workdir / "meta.csv"
+    path.write_text(open(inputs[name]).read())
+    check_exit(input_argv(path, data))
+
+
+def header_field(good, bad):
+    """Mostly a good header token, else a bad one or random bytes."""
+    return mostly(good, st.one_of(st.sampled_from(bad), st.binary(max_size=3)))
+
+
+SEPARATOR = header_field(st.just(b" "), [b"\n", b"\t", b"\r\n", b"  ", b"\n# note\n", b"#x"])
+MAGIC = header_field(st.just(b"P5"), [b"P2", b"P6", b"p5", b""])
+SIZE = header_field(
+    st.integers(1, 9).map(lambda n: str(n).encode()),
+    [b"0", b"-1", b"99999999999", b"1e2", b"0x8", b"+8", b"1_0"],
+)
+MAXVAL = header_field(st.just(b"255"), [b"0", b"65535", b"256", b"0255"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    tokens=st.tuples(MAGIC, SIZE, SIZE, MAXVAL),
+    separators=st.lists(SEPARATOR, min_size=4, max_size=4),
+    extra=st.integers(-2, 2),
+)
+def test_every_pgm_exits_0_2_or_3(workdir, data, tokens, separators, extra):
+    header = b"".join(token + sep for token, sep in zip(tokens, separators))
+    try:
+        pixels = min(int(tokens[1]) * int(tokens[2]), 200)
+    except ValueError:
+        pixels = 8
+    # a raster of the declared size, give or take a few bytes
+    length = max(pixels + extra, 0)
+    raster = data.draw(st.binary(min_size=length, max_size=length))
+    path = workdir / "img.pgm"
+    path.write_bytes(header + raster)
+    check_exit(input_argv(path, data))

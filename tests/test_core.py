@@ -9,7 +9,9 @@ that return a scalar or ignore one argument.  Missing data
 must be reported at the same (k, j) as the scalar implementation did.
 Kernel windows, computed in one kernel call per axis over all window
 columns and distinct coordinates, must equal the windows evaluated column
-by column at every point.
+by column at every point; a column past a point's shorter window reads
+the window's last cell with weight exactly 0, also where the kernel itself
+rounds to a tiny nonzero value there.
 """
 
 import math
@@ -41,6 +43,7 @@ from kanto.operators import (
 )
 
 _chi3 = construct_combination_kernel(3, (2.0, 3.0, 4.0))
+_chi4_rounded = construct_combination_kernel(4, (-2.94, -0.7, 0.16, 0.29))
 KERNELS = {
     "chibar3": TensorKernel2D(_chi3, _chi3),
     "m3_tensor": TensorKernel2D(CentralBSpline(3), CentralBSpline(3)),
@@ -55,6 +58,8 @@ AXIS_KERNELS = {
     "m3": CentralBSpline(3),
     "m4": CentralBSpline(4),
     "scaled_m3": ScaledKernel(CentralBSpline(3), 0.7),
+    # -6.7e-19, not 0, at its lower support end
+    "chibar4_rounded": _chi4_rounded,
 }
 FUNCTIONS = ("sin_x_cos_y", "gaussian", "x2y2")
 QUAD_ORDER = 5
@@ -200,6 +205,19 @@ def test_broadcasting_sources_match_scalar_oracle_bitwise(
     assert got.tolist() == want
 
 
+def test_kernel_rounding_past_a_window_adds_nothing():
+    # the first point's window is one column narrower in x, and that column
+    # lands on the support end of _chi4_rounded, where it is -6.7e-19
+    lo = _chi4_rounded.support[0]
+    assert -3.94 - 1.0 == lo and _chi4_rounded(lo) != 0.0
+    kernel = TensorKernel2D(_chi4_rounded, _chi4_rounded)
+    grid = EvalGrid(points=[(-3.94, 2.1), (2.1, 2.1)], w=1.0)
+    f = fn_lookup("gaussian")
+    for op in ("gw", "sw", "gbs"):
+        got = apply(op, f, kernel, grid)
+        assert got.tolist() == [oracle(op, f, kernel, 1.0, x, y) for x, y in grid.points]
+
+
 def test_edge_points_have_wider_windows():
     # the edge example above really exercises a window one column wider
     kernel = KERNELS["m3_tensor"]
@@ -253,6 +271,17 @@ def first_missing(field, kernel, grid):
     w=10.0, kernel_name="m3_tensor", op="sw", pad=(8, 0, 8, 8),
     points=[(0.2, 0.2), (1.0, 0.5)], holes=[],
 )
+# holes one cell past the k and the j window of the second point, whose
+# windows are one column narrower than the first point's: no window reads
+# them (k runs -1..2 and 2..4, j -1..2 and 5..7)
+@example(
+    w=8.0, kernel_name="m3_tensor", op="gw", pad=(8, 8, 8, 8),
+    points=[(0.0625, 0.0625), (0.33, 0.7)], holes=[(13 / 24, 14 / 24)],
+)
+@example(
+    w=8.0, kernel_name="m3_tensor", op="sw", pad=(8, 8, 8, 8),
+    points=[(0.0625, 0.0625), (0.33, 0.7)], holes=[(11 / 24, 16 / 24)],
+)
 def test_missing_data_reports_the_scalar_index(w, kernel_name, op, pad, points, holes):
     kernel = KERNELS[kernel_name]
     kind = KIND_SAMPLES if op == "gw" else KIND_CELL_AVERAGES
@@ -281,8 +310,7 @@ def per_point_windows(kernel, t):
     last = np.floor(t - lo)
     cols = int((last - first).max()) + 1
     weights = [kernel(t - (first + a)) for a in range(cols)]
-    inside = [first + a <= last for a in range(cols)]
-    return first.astype(np.int64), last.astype(np.int64), weights, inside
+    return first.astype(np.int64), last.astype(np.int64), weights
 
 
 def bits(a):
@@ -305,17 +333,28 @@ def axis_coordinates(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(t=axis_coordinates(), kernel_name=st.sampled_from(sorted(AXIS_KERNELS)))
+# the column past the first window (-6..0, where the second is 0..7) lands
+# on the kernel's lower support end, where it rounds to a nonzero value
+@example(t=np.array([-3.94, 2.1]), kernel_name="chibar4_rounded")
 def test_axis_windows_per_distinct_coordinate_match_per_point(t, kernel_name):
     axis = AXIS_KERNELS[kernel_name]
     got = _axis_windows(axis, t)
-    first, last, weights, inside = per_point_windows(axis, t)
-    assert got.first.tolist() == first.tolist()
-    assert got.last.tolist() == last.tolist()
-    assert [bits(c) for c in got.weights] == [bits(c) for c in weights]
-    assert [c.tolist() for c in got.inside] == [c.tolist() for c in inside]
-    # distinct window indices and each column's position among them
+    first, last, weights = per_point_windows(axis, t)
+    cells = got.cells[:, got.which]
+    assert len(cells) == len(got.weights) == len(weights)
+    # the window ends, and past its last cell a column reads that cell again
+    assert cells[0].tolist() == first.tolist()
+    assert cells[-1].tolist() == last.tolist()
+    span = np.minimum(first + np.arange(len(weights))[:, None], last)
+    assert cells.tolist() == span.tolist()
+    # the kernel's own weights within each window, and +0 or -0 past it, so
+    # that a column past a point's window adds nothing
+    past = first + np.arange(len(weights))[:, None] > last
+    for got_w, want_w, p in zip(got.weights, weights, past):
+        assert bits(got_w[~p]) == bits(want_w[~p])
+        assert got_w[p].tolist() == [0.0] * p.sum()
+    # distinct window cells and each column's position among them
     idx, pos = _distinct_columns(got)
-    span = (first[:, None] + np.arange(len(weights))).T
     assert idx.tolist() == sorted(set(span.ravel().tolist()))
     assert [idx[p].tolist() for p in pos] == span.tolist()
 

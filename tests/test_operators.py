@@ -285,6 +285,33 @@ class TestMissingData:
             apply_gw(field, m3_tensor, grid)
         assert (err.value.k, err.value.j) == (7, 3)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_value_rejected_by_index(self, value):
+        # NaN is a hole; an infinite value is an error naming its (k, j)
+        values = np.zeros((4, 5))
+        values[2, 1] = np.nan
+        values[3, 2] = value
+        with pytest.raises(ValueError, match=r"\(k=1, j=-3\) is -?inf"):
+            LatticeField(w=10.0, kind="samples", values=values, kmin=-2, jmin=-5)
+
+
+@pytest.mark.parametrize("op", [apply_gw, apply_sw, apply_gbs])
+def test_source_not_finite_only_past_every_window_runs(m3_tensor, op):
+    # x windows k = -1..2 and 2..4 at w = 8: no window reads k = 5, which the
+    # tabulation of the source once covered (and refused as not finite)
+    grid = EvalGrid(points=[(0.0625, 0.0625), (0.33, 0.7)], w=8.0)
+    f = lambda x, y: np.where((5 / 8 <= x) & (x <= 6 / 8), np.inf, 1.0)
+    assert op(f, m3_tensor, grid).tolist() == op(lambda x, y: 1.0, m3_tensor, grid).tolist()
+
+
+@pytest.mark.parametrize("op", [apply_gw, apply_sw, apply_gbs])
+def test_series_that_overflows_is_an_error(chibar3, op):
+    # every cell value is finite, but kernel weights above 1 carry the sum
+    # past the float maximum
+    grid = EvalGrid(points=[(0.5, 0.5), (0.25, 0.75)], w=10.0)
+    with pytest.raises(ValueError, match="the series overflows; scale the source"):
+        op(lambda x, y: 1.7e308, chibar3, grid)
+
 
 class TestBooleanSum:
     def test_exact_on_additive(self, chibar3):
