@@ -14,7 +14,6 @@ from .analysis import (
     FunctionProfile,
     KFunctionalConstants,
     MissingProfileEntry,
-    b_differential_estimate,
     build_bound_report,
     convergence_study,
     gbs_differential_bound,
@@ -37,7 +36,6 @@ from .functions import (
 from .kernel1d import (
     CentralBSpline,
     CombinationKernel,
-    ScaledKernel,
     SingularSystem,
     bspline_eval,
     construct_combination_kernel,

@@ -31,7 +31,6 @@ __all__ = [
     "FunctionProfile",
     "KFunctionalConstants",
     "MissingProfileEntry",
-    "b_differential_estimate",
     "build_bound_report",
     "convergence_study",
     "gbs_differential_bound",
@@ -394,14 +393,6 @@ def mixed_modulus_estimate(
             _grid_pairs_estimate(f, delta1, delta2, box, MODULUS_GRID),
             _offset_pairs_estimate(f, delta1, delta2, box, MODULUS_GRID),
         )
-
-
-def b_differential_estimate(f: Callable, x0: float, y0: float, h: float) -> float:
-    """Mixed second difference quotient at (x0, y0) with step h on both axes."""
-    if h == 0:
-        raise ValueError("step h must be nonzero")
-    num = f(x0 + h, y0 + h) - f(x0 + h, y0) - f(x0, y0 + h) + f(x0, y0)
-    return float(num) / (h * h)
 
 
 @dataclass(frozen=True)

@@ -109,19 +109,13 @@ def _build_kernel(args) -> TensorKernel2D:
     if args.kernel == "bspline":
         axis = CentralBSpline(args.r)
     else:
-        shifts = _parse_floats(args.shifts)
-        if len(shifts) != args.r:
-            raise ValueError(
-                f"combination kernel of order {args.r} needs {args.r} shifts, "
-                f"got {len(shifts)}"
-            )
-        axis = construct_combination_kernel(args.r, shifts)
+        axis = construct_combination_kernel(args.r, _parse_floats(args.shifts))
     kernel = TensorKernel2D(axis, axis)
     validate_kernel(kernel, grid_n=VALIDATION_GRID, tol=VALIDATION_TOL)
     return kernel
 
 
-def _load_field(args, kernel: TensorKernel2D) -> LatticeField:
+def _load_field(args) -> LatticeField:
     path = Path(args.input)
     if path.suffix.lower() == ".pgm":
         field = read_pgm(path)
@@ -153,7 +147,7 @@ def _cmd_reconstruct(args) -> int:
     if args.fn is not None:
         write_csv(FN_HEADER, _fn_columns(args, kernel, *_fn_and_box(args)), args.out)
         return EXIT_OK
-    field = _load_field(args, kernel)
+    field = _load_field(args)
     box = _parse_box(args.box) if args.box else admissible_box(field, kernel)
     grid = EvalGrid.regular(box, args.grid_n, field.w)
     if args.op == "gbs":

@@ -19,7 +19,6 @@ __all__ = [
     "CentralBSpline",
     "CombinationKernel",
     "Kernel1D",
-    "ScaledKernel",
     "SingularSystem",
     "bspline_eval",
     "construct_combination_kernel",
@@ -28,10 +27,37 @@ __all__ = [
 
 # condition number above which the coefficient solve is rejected
 SINGULARITY_THRESHOLD = 1e12
+# the truncated-power sum divides by (n-1)!, a float up to n = 171
+MAX_BSPLINE_ORDER = 171
 
 
 class SingularSystem(Exception):
     """The moment system defining the combination coefficients is numerically singular."""
+
+
+def _check_bspline_order(n: int) -> None:
+    if not 1 <= n <= MAX_BSPLINE_ORDER:
+        raise ValueError(
+            f"B-spline order must be between 1 and {MAX_BSPLINE_ORDER}, got {n}"
+        )
+
+
+def _check_shifts(order: int, shifts) -> tuple[float, ...]:
+    """Check the shifts of a combination kernel of ``order``; return them as floats."""
+    shifts = tuple(float(s) for s in shifts)
+    if len(shifts) != order:
+        raise ValueError(
+            f"combination kernel of order {order} needs {order} shifts, "
+            f"got {len(shifts)}"
+        )
+    if order < 2:
+        raise ValueError("combination order must be >= 2")
+    _check_bspline_order(order)
+    if not all(map(math.isfinite, shifts)):
+        raise ValueError(f"shifts must be finite, got {shifts}")
+    if any(b <= a for a, b in zip(shifts, shifts[1:])):
+        raise ValueError("shifts must be strictly increasing")
+    return shifts
 
 
 def bspline_eval(n: int, t):
@@ -44,10 +70,10 @@ def bspline_eval(n: int, t):
     folded onto ``|t|`` so evaluation is exactly even, and returns exactly
     0.0 for ``|t| >= n/2`` (n >= 2).  The order-1 kernel is the unit box on
     ``(-1/2, 1/2)`` with midpoint value 1/2 at the jump, which keeps the
-    lattice sum equal to 1 on dyadic grids.
+    lattice sum equal to 1 on dyadic grids.  From order 138 on the sum
+    overflows to inf or NaN, which the partition-of-unity check rejects.
     """
-    if n < 1:
-        raise ValueError("B-spline order must be >= 1")
+    _check_bspline_order(n)
     # a scalar runs through the array code as well: numpy's scalar power
     # rounds through libm pow, its array loops do not
     tt = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
@@ -55,10 +81,11 @@ def bspline_eval(n: int, t):
         out = np.where(tt < 0.5, 1.0, np.where(tt == 0.5, 0.5, 0.0))
     else:
         acc = np.zeros_like(tt)
-        for j in range(n):
-            base = 0.5 * n + tt - j
-            acc += ((-1) ** j * math.comb(n, j)) * np.maximum(base, 0.0) ** (n - 1)
-        acc /= math.factorial(n - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(n):
+                base = 0.5 * n + tt - j
+                acc += ((-1) ** j * math.comb(n, j)) * np.maximum(base, 0.0) ** (n - 1)
+            acc /= math.factorial(n - 1)
         out = np.where(tt < 0.5 * n, acc, 0.0)
     if np.ndim(t) == 0:
         return float(out[0])
@@ -72,8 +99,7 @@ class CentralBSpline:
     order: int
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("B-spline order must be >= 1")
+        _check_bspline_order(self.order)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -104,18 +130,12 @@ class CombinationKernel:
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "shifts", tuple(float(s) for s in self.shifts))
+        object.__setattr__(self, "shifts", _check_shifts(self.base_order, self.shifts))
         object.__setattr__(
             self, "coefficients", tuple(float(a) for a in self.coefficients)
         )
-        if self.base_order < 2:
-            raise ValueError("base order must be >= 2")
         if len(self.shifts) != len(self.coefficients):
             raise ValueError("shifts and coefficients must have equal length")
-        if len(self.shifts) != self.base_order:
-            raise ValueError("need exactly base_order shifts")
-        if any(b <= a for a, b in zip(self.shifts, self.shifts[1:])):
-            raise ValueError("shifts must be strictly increasing")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -136,26 +156,7 @@ class CombinationKernel:
         return acc
 
 
-@dataclass(frozen=True)
-class ScaledKernel:
-    """A kernel multiplied by a constant factor (deliberately breaks unit mass)."""
-
-    inner: "Kernel1D"
-    factor: float
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return self.inner.support
-
-    @property
-    def moment_order(self) -> int:
-        return self.inner.moment_order
-
-    def __call__(self, t):
-        return self.factor * self.inner(t)
-
-
-Kernel1D = Union[CentralBSpline, CombinationKernel, ScaledKernel]
+Kernel1D = Union[CentralBSpline, CombinationKernel]
 
 
 def discrete_moment(kernel: Kernel1D, eta: int, u, absolute: bool = False):
@@ -204,19 +205,15 @@ def construct_combination_kernel(r: int, shifts) -> CombinationKernel:
     Raises :class:`SingularSystem` when the condition estimate of the
     moment matrix exceeds ``SINGULARITY_THRESHOLD``.
     """
-    shifts = tuple(float(s) for s in shifts)
-    if r < 2:
-        raise ValueError("combination order must be >= 2")
-    if len(shifts) != r:
-        raise ValueError(f"need exactly {r} shifts, got {len(shifts)}")
-    if any(b <= a for a, b in zip(shifts, shifts[1:])):
-        raise ValueError("shifts must be strictly increasing")
+    shifts = _check_shifts(r, shifts)
     base = CentralBSpline(r)
     matrix = np.empty((r, r))
-    for mu, eps in enumerate(shifts):
-        for eta in range(r):
-            matrix[eta, mu] = _shifted_integer_moment(base, eps, eta)
-    cond = np.linalg.cond(matrix)
+    # huge shifts overflow their powers: the condition is then inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mu, eps in enumerate(shifts):
+            for eta in range(r):
+                matrix[eta, mu] = _shifted_integer_moment(base, eps, eta)
+        cond = np.linalg.cond(matrix)
     if not np.isfinite(cond) or cond > SINGULARITY_THRESHOLD:
         raise SingularSystem(
             f"moment matrix condition {cond:.3e} exceeds {SINGULARITY_THRESHOLD:.0e}"

@@ -5,6 +5,8 @@ the kernel support window.  Algebraic moments keep signs; absolute moments
 take absolute values of both kernel and offsets and are reported as a sup
 over a grid on the periodicity cell [0,1)^2.  :class:`MomentTable` is the
 one place that turns axis moments into these 2-D quantities.
+:class:`TensorKernel2D` refuses a factor without compact support, so every
+function here can rely on finite windows.
 """
 
 from __future__ import annotations
@@ -31,10 +33,18 @@ class UnsupportedKernel(Exception):
 
 @dataclass(frozen=True)
 class TensorKernel2D:
-    """Product kernel chi(x, y) = kx(x) * ky(y) of two univariate factors."""
+    """Product kernel chi(x, y) = kx(x) * ky(y) of two univariate factors.
+
+    Raises :class:`UnsupportedKernel` when a factor's support is not finite.
+    """
 
     kx: Kernel1D
     ky: Kernel1D
+
+    def __post_init__(self):
+        for lo, hi in (self.support_x, self.support_y):
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise UnsupportedKernel("kernel factor lacks compact support")
 
     @property
     def support_x(self) -> tuple[float, float]:
@@ -52,15 +62,8 @@ class TensorKernel2D:
         return self.kx(a) * self.ky(b)
 
 
-def _require_compact(kernel: TensorKernel2D) -> None:
-    for lo, hi in (kernel.support_x, kernel.support_y):
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise UnsupportedKernel("kernel factor lacks compact support")
-
-
 def max_support_radius(kernel: TensorKernel2D) -> float:
     """Largest |support endpoint| over both axes; sets the lattice window size."""
-    _require_compact(kernel)
     return max(
         abs(v) for pair in (kernel.support_x, kernel.support_y) for v in pair
     )
@@ -74,7 +77,6 @@ def _unit_grid(grid_n: int) -> np.ndarray:
 
 def partition_of_unity_check(kernel: TensorKernel2D, grid_n: int = 64) -> float:
     """Max deviation of sum_{k,j} chi(u-k, v-j) from 1 over the unit cell grid."""
-    _require_compact(kernel)
     us = _unit_grid(grid_n)
     ax = discrete_moment(kernel.kx, 0, us)
     ay = discrete_moment(kernel.ky, 0, us)
@@ -86,11 +88,11 @@ def validate_kernel(
 ) -> None:
     """Check the admission conditions: compact support, boundedness, unit mass.
 
-    Compact support makes integrability and finite absolute moments
-    automatic, so the one quantitative check is the partition of unity.
-    Raises :class:`UnsupportedKernel` on failure.
+    :class:`TensorKernel2D` has checked compact support on construction,
+    which makes integrability and finite absolute moments automatic, so the
+    one quantitative check here is the partition of unity.  Raises
+    :class:`UnsupportedKernel` on failure.
     """
-    _require_compact(kernel)
     deviation = partition_of_unity_check(kernel, grid_n)
     if not np.isfinite(deviation) or deviation > tol:
         raise UnsupportedKernel(
@@ -126,7 +128,6 @@ class MomentTable:
         axis moments, so every axis moment is computed once per call (and
         once for both axes when they share one kernel).
         """
-        _require_compact(kernel)
         if eta_max < 0:
             raise ValueError(f"eta_max must be >= 0, got {eta_max}")
         us = _unit_grid(grid_n)

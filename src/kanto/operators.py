@@ -34,7 +34,7 @@ import numpy as np
 from .csvio import write_csv
 from .functions import TestFunction, _evaluate
 from .kernel1d import Kernel1D
-from .kernel2d import TensorKernel2D, _require_compact, max_support_radius
+from .kernel2d import TensorKernel2D, max_support_radius
 
 __all__ = [
     "CatalogMissingDerivative",
@@ -382,7 +382,6 @@ def _lattice_series(
     grid: EvalGrid,
     quad_order: int | None,
 ) -> np.ndarray:
-    _require_compact(kernel)
     kx, ky = _grid_windows(kernel, grid)
     w = grid.w
     if not isinstance(field, LatticeField):
@@ -440,7 +439,6 @@ def apply_gbs(
     the three terms cancel exactly (to rounding) on additively separable
     functions.  Needs an analytic field.
     """
-    _require_compact(kernel)
     if isinstance(field, LatticeField):
         raise ValueError("boolean-sum operator needs an analytic field")
     f = field
@@ -556,15 +554,20 @@ def read_lattice_csv(path) -> LatticeField:
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: expected a JSON object")
 
-    def meta_value(key: str, convert: Callable):
+    def meta_value(key: str, convert: type):
+        """meta[key] as ``convert``: from a text, a number or an integral number."""
         if key not in meta:
             raise ValueError(f"{meta_path}: missing key {key!r}")
+        value = meta[key]
+        # bool is an int subclass; 18.0 is an index, 18.7 is not
+        typed = isinstance(value, str if convert is str else (int, float))
         try:
-            return convert(meta[key])
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(
-                f"{meta_path}: key {key!r} has invalid value {meta[key]!r}"
-            ) from None
+            if typed and not isinstance(value, bool):
+                if convert is not int or int(value) == value:
+                    return convert(value)
+        except (ValueError, OverflowError):
+            pass
+        raise ValueError(f"{meta_path}: key {key!r} has invalid value {value!r}")
 
     w, kind = meta_value("w", float), meta_value("kind", str)
     kmin, kmax, jmin, jmax = (

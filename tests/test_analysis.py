@@ -16,7 +16,6 @@ from kanto import (
     apply_gbs,
     apply_gw,
     apply_sw,
-    b_differential_estimate,
     build_bound_report,
     convergence_study,
     fn_lookup,
@@ -250,21 +249,6 @@ class TestModulusMachinery:
         got = mixed_modulus_estimate(fn_lookup(name), 0.05, 0.05, DEFAULT_BOX)
         assert got == 0.0
 
-    def test_differential_estimate_product(self):
-        assert b_differential_estimate(
-            fn_lookup("xy"), 0.3, 0.7, 0.1
-        ) == pytest.approx(1.0, abs=1e-9)
-
-    def test_differential_estimate_matches_closed_form(self):
-        # forward mixed difference, so the truncation error is O(h)
-        f = fn_lookup("gaussian")
-        closed = float(f.partial(1, 1)(0.2, 0.4))
-        coarse = abs(b_differential_estimate(f, 0.2, 0.4, 1e-3) - closed)
-        fine = abs(b_differential_estimate(f, 0.2, 0.4, 1e-4) - closed)
-        assert coarse <= 2e-3
-        assert fine <= 2e-4
-        assert fine < coarse / 5.0
-
     def test_non_finite_values_are_an_error(self):
         # was an estimate that read every NaN mixed difference as 0
         box = (0.0, 0.0, 1e300, 1.0)
@@ -284,8 +268,6 @@ class TestModulusMachinery:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             mixed_modulus_estimate(fn_lookup("xy"), -0.1, 0.1, UNIT_BOX)
-        with pytest.raises(ValueError):
-            b_differential_estimate(fn_lookup("xy"), 0.0, 0.0, 0.0)
 
 
 class TestBooleanSumBounds:

@@ -230,6 +230,28 @@ class TestErrorPaths:
     def test_wrong_shift_count(self):
         proc = run_cli("moments", "--shifts", "1,2")
         assert proc.returncode == 2
+        assert proc.stderr == "error: combination kernel of order 3 needs 3 shifts, got 2\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # was an OverflowError traceback, exit 1
+            (("--shifts", "2,3,inf"), "shifts must be finite, got (2.0, 3.0, inf)"),
+            # was "cannot convert float NaN to integer"
+            (("--shifts", "2,3,nan"), "shifts must be finite, got (2.0, 3.0, nan)"),
+            # each was a RuntimeWarning before its error line
+            (("--shifts", "2,3,1e300"), "moment matrix condition inf exceeds 1e+12"),
+            (("--kernel", "bspline", "--r", "170"),
+             "partition of unity deviates by nan (tolerance 1e-08)"),
+            # was an OverflowError traceback, exit 1: 171! does not fit a float
+            (("--kernel", "bspline", "--r", "172"),
+             "B-spline order must be between 1 and 171, got 172"),
+        ],
+    )
+    def test_inadmissible_kernel_in_one_line(self, args, message):
+        proc = run_cli("kernel-info", *args)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
 
     def test_bad_box(self):
         proc = run_cli("reconstruct", "--fn", "x", "--box", "1,2,3")
@@ -348,10 +370,17 @@ class TestErrorPaths:
             ([1.0, "samples", 0, 3, 0, 3], "bad.meta.json: expected a JSON object"),
             ({"w": 1.0, "kind": "samples", "kmin": None, "kmax": 3, "jmin": 0,
               "jmax": 3}, "bad.meta.json: key 'kmin' has invalid value None"),
+            # the next three were read as w = 1.0, jmax = 3 and kmin = -7
+            ({"w": True, "kind": "samples", "kmin": 0, "kmax": 3, "jmin": 0,
+              "jmax": 3}, "bad.meta.json: key 'w' has invalid value True"),
+            ({"w": 1.0, "kind": "samples", "kmin": 0, "kmax": 3, "jmin": 0,
+              "jmax": 3.7}, "bad.meta.json: key 'jmax' has invalid value 3.7"),
+            ({"w": 1.0, "kind": "samples", "kmin": -7.9, "kmax": 3, "jmin": 0,
+              "jmax": 3}, "bad.meta.json: key 'kmin' has invalid value -7.9"),
         ],
     )
     def test_malformed_meta_names_file_and_key(self, tmp_path, meta, message):
-        # were KeyError and TypeError tracebacks with exit 1
+        # the first three were KeyError and TypeError tracebacks with exit 1
         path = tmp_path / "bad.csv"
         path.write_text("k,j,value\n0,0,1\n")
         (tmp_path / "bad.meta.json").write_text(json.dumps(meta))

@@ -7,7 +7,8 @@ lattice CSV rows, ``.meta.json`` values, and PGM headers and rasters.
 Sizes stay small (grid sizes up to 6, kernel orders up to 6, moment orders
 up to 4), and each lattice rate is drawn from values that have broken the
 CLI before: zero, negative, non-finite, under- and overflowing powers, and
-rates whose scaled coordinates pass 2**53.
+rates whose scaled coordinates pass 2**53.  So are the few larger B-spline
+orders and the shifts: ones whose sums overflow, and non-finite ones.
 """
 
 import contextlib
@@ -28,7 +29,10 @@ from kanto.operators import KIND_CELL_AVERAGES
 # 20 joins 10 as a rate at which converge can run on the default boxes
 RATES = ("0", "-1", "nan", "inf", "1e-300", "1e-3", "10", "20", "2e16", "1e300")
 POSITIVE_RATES = RATES[4:]
-SHIFTS = ("2,3,4", "1,2", "1,1,1", "0.5,1.5,2.5,3.5", "1,2,3,4,5,6")
+SHIFTS = (
+    "2,3,4", "1,2", "1,1,1", "0.5,1.5,2.5,3.5", "1,2,3,4,5,6", "2,3,inf", "2,3,nan",
+    "2,3,1e300",
+)
 BOXES = ("0,0,1,1", "-1,-1,2,2", "1,1,0,0", "0,0,1", "0,0,1e300,1", "0,0,1,nan")
 COMMANDS = ("reconstruct", "moments", "bounds", "converge", "kernel-info", "gbs")
 
@@ -66,7 +70,10 @@ KERNEL_OPTIONS = st.one_of(
         flag("--r", st.integers(-1, 6)),
         flag("--shifts", st.sampled_from(SHIFTS)),
     ).map(lambda groups: tuple(a for group in groups for a in group)),
-    st.integers(1, 6).map(lambda r: ("--kernel=bspline", f"--r={r}")),
+    # from order 138 the B-spline sum overflows; 172 is refused
+    st.one_of(st.integers(1, 6), st.sampled_from((138, 171, 172))).map(
+        lambda r: ("--kernel=bspline", f"--r={r}")
+    ),
     st.sampled_from([(), ("--r=2", "--shifts=1,2"), ("--r=6", "--shifts=1,2,3,4,5,6")]),
 )
 FN = st.sampled_from([*sorted(CATALOG), "nope"])
@@ -228,7 +235,7 @@ OTHER_VALUES = st.one_of(
 INDEX_VALUES = mostly(
     st.integers(-30, 30),
     st.one_of(
-        st.sampled_from([10**15, -(10**15), 10**30, 1.5, -0.5, 1e300]),
+        st.sampled_from([10**15, -(10**15), 10**30, 1.5, -0.5, 18.7, -7.9, 1e300]),
         st.sampled_from([float("nan"), float("inf"), float("-inf")]),
         OTHER_VALUES,
     ),

@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 
 from kanto import (
     CentralBSpline,
+    CombinationKernel,
     EvalGrid,
     LatticeField,
     MissingData,
-    ScaledKernel,
     TensorKernel2D,
     apply_gbs,
     apply_gw,
@@ -48,8 +48,9 @@ KERNELS = {
     "chibar3": TensorKernel2D(_chi3, _chi3),
     "m3_tensor": TensorKernel2D(CentralBSpline(3), CentralBSpline(3)),
 }
-# every Kernel1D type, and both branches of bspline_eval (order 1 and the
-# truncated-power sum); integer and half-integer support ends
+# both Kernel1D types, one without unit mass, and both branches of
+# bspline_eval (order 1 and the truncated-power sum); integer and
+# half-integer support ends
 AXIS_KERNELS = {
     "chibar3": _chi3,
     "chibar4": construct_combination_kernel(4, (-1.5, -0.5, 0.5, 1.5)),
@@ -57,7 +58,7 @@ AXIS_KERNELS = {
     "m2": CentralBSpline(2),
     "m3": CentralBSpline(3),
     "m4": CentralBSpline(4),
-    "scaled_m3": ScaledKernel(CentralBSpline(3), 0.7),
+    "scaled_chibar3": CombinationKernel(3, _chi3.shifts, [0.7 * a for a in _chi3.coefficients]),
     # -6.7e-19, not 0, at its lower support end
     "chibar4_rounded": _chi4_rounded,
 }

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from kanto import (
     CentralBSpline,
-    ScaledKernel,
+    CombinationKernel,
     SingularSystem,
     bspline_eval,
     construct_combination_kernel,
@@ -119,8 +119,18 @@ class TestBsplineValues:
                 )
 
     def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            bspline_eval(0, 0.0)
+        # 172 was an OverflowError: 171! does not fit a float
+        for n in (0, 172):
+            with pytest.raises(ValueError, match="between 1 and 171, got"):
+                bspline_eval(n, 0.0)
+            with pytest.raises(ValueError, match="between 1 and 171, got"):
+                CentralBSpline(n)
+
+    @pytest.mark.parametrize("n", [138, 171])
+    def test_overflowing_orders_warn_nothing(self, n):
+        # the truncated-power sum overflows near the support ends; it
+        # printed RuntimeWarnings
+        assert np.isnan(bspline_eval(n, np.array([0.0, 0.5, 0.5 * n - 1.0]))).any()
 
 
 class TestCentralBSpline:
@@ -186,16 +196,26 @@ class TestCombinationKernel:
         assert third.mean() == pytest.approx(21.75, abs=0.05)
 
     def test_singular_shift_system(self):
-        with pytest.raises(SingularSystem):
-            construct_combination_kernel(3, (0.0, 1e-13, 1.0))
+        # 1e300 overflows its moments: was a RuntimeWarning before the error
+        for shifts in ((0.0, 1e-13, 1.0), (2.0, 3.0, 1e300)):
+            with pytest.raises(SingularSystem):
+                construct_combination_kernel(3, shifts)
 
     def test_bad_shift_arguments(self):
-        with pytest.raises(ValueError):
-            construct_combination_kernel(3, (2.0, 3.0))
-        with pytest.raises(ValueError):
-            construct_combination_kernel(3, (4.0, 3.0, 2.0))
-        with pytest.raises(ValueError):
-            construct_combination_kernel(1, (0.0,))
+        # both constructors share one check; inf and NaN were an
+        # OverflowError and "cannot convert float NaN to integer"
+        for r, shifts, message in [
+            (3, (2.0, 3.0), "combination kernel of order 3 needs 3 shifts, got 2"),
+            (3, (4.0, 3.0, 2.0), "shifts must be strictly increasing"),
+            (1, (0.0,), "combination order must be >= 2"),
+            (172, range(172), "between 1 and 171, got 172"),
+            (3, (2.0, 3.0, math.inf), "shifts must be finite"),
+            (3, (2.0, 3.0, math.nan), "shifts must be finite"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                construct_combination_kernel(r, shifts)
+            with pytest.raises(ValueError, match=message):
+                CombinationKernel(r, shifts, [1.0] + [0.0] * (len(shifts) - 1))
 
 
 class TestDiscreteMoment:
@@ -245,11 +265,3 @@ class TestDiscreteMoment:
 
         with pytest.raises(ValueError):
             discrete_moment(Everywhere(), 0, 0.0)
-
-
-class TestScaledKernel:
-    def test_scaling(self, m3):
-        doubled = ScaledKernel(m3, 2.0)
-        assert doubled(0.0) == 1.5
-        assert doubled.support == m3.support
-        assert discrete_moment(doubled, 0, 0.3) == pytest.approx(2.0, abs=1e-12)
