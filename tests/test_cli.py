@@ -1,5 +1,6 @@
 """End-to-end CLI checks through subprocess: formats, exit codes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from kanto import LatticeField, fn_lookup, write_lattice_csv
+from kanto import LatticeField, cli, fn_lookup, write_lattice_csv
 from kanto.operators import KIND_CELL_AVERAGES
 
 
@@ -32,6 +33,57 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+# option string -> (default, choices, required, type) of every subcommand flag
+COMMON_FLAGS = {
+    "-h": (argparse.SUPPRESS, None, False, None),
+    "--help": (argparse.SUPPRESS, None, False, None),
+    "--kernel": ("combo", ["bspline", "combo"], False, None),
+    "--r": (3, None, False, int),
+    "--shifts": ("2,3,4", None, False, None),
+    "--out": (None, None, False, None),
+}
+FN = {"--fn": (None, None, True, None)}
+OP = {"--op": ("gw", ["gw", "sw", "gbs"], False, None)}
+RATE = {"--w": (10.0, None, False, float)}
+BOX = {"--box": (None, None, False, None)}
+QUAD = {"--quad-order": (5, None, False, int)}
+GRID_20 = {"--grid-n": (20, None, False, int)}
+GRID_64 = {"--grid-n": (64, None, False, int)}
+FLAG_TABLE = {
+    "reconstruct": {
+        "--fn": (None, None, False, None),
+        "--input": (None, None, False, None),
+        "--input-w": (None, None, False, float),
+        **OP, **RATE, **BOX, **GRID_20, **QUAD,
+    },
+    "moments": {"--eta-max": (3, None, False, int), **GRID_64},
+    "bounds": {**FN, **RATE, **BOX, **GRID_64},
+    "converge": {
+        **FN, **OP, "--w-list": ("5,10,20,40", None, False, None),
+        **BOX, **GRID_20, **QUAD,
+    },
+    "kernel-info": GRID_64,
+    "gbs": {**FN, **RATE, **BOX, **GRID_20, **QUAD},
+}
+
+
+@pytest.mark.parametrize("command", FLAG_TABLE)
+def test_flag_table(command):
+    """Every subcommand keeps its option strings, defaults, choices and types."""
+    parser = cli._build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(FLAG_TABLE)
+    sub = subs.choices[command]
+    table = {
+        option: (a.default, a.choices and list(a.choices), a.required, a.type)
+        for a in sub._actions
+        for option in a.option_strings
+    }
+    assert table == {**COMMON_FLAGS, **FLAG_TABLE[command]}
+    op_default = {"reconstruct": "gw", "converge": "gw", "gbs": "gbs"}
+    assert sub.get_default("op") == op_default.get(command)
 
 
 class TestKernelInfo:
