@@ -1,6 +1,8 @@
 """Command line front end.
 
-Every subcommand builds a kernel, validates it, runs one computation, and
+Every subcommand takes the kernel flags --kernel, --r and --shifts and the
+output flag --out.  ``main`` builds and validates that kernel once, before
+dispatch, and hands it to the subcommand, which runs one computation and
 writes a CSV (to --out, or stdout).  Floats are printed with 17 significant
 digits so runs can be compared byte for byte.
 
@@ -140,13 +142,12 @@ def _fn_columns(args, kernel: TensorKernel2D, f: TestFunction, box) -> tuple:
     return (*grid.points.T, approx, exact, np.abs(approx - exact))
 
 
-def _cmd_reconstruct(args) -> int:
-    kernel = _build_kernel(args)
+def _cmd_reconstruct(args, kernel: TensorKernel2D) -> None:
     if (args.fn is None) == (args.input is None):
         raise ValueError("give exactly one of --fn or --input")
     if args.fn is not None:
         write_csv(FN_HEADER, _fn_columns(args, kernel, *_fn_and_box(args)), args.out)
-        return EXIT_OK
+        return
     field = _load_field(args)
     box = _parse_box(args.box) if args.box else admissible_box(field, kernel)
     grid = EvalGrid.regular(box, args.grid_n, field.w)
@@ -157,11 +158,9 @@ def _cmd_reconstruct(args) -> int:
     except MissingData as exc:
         raise MissingData(exc.k, exc.j, _admissible_hint(field, kernel)) from None
     write_csv(("x", "y", "approx"), (*grid.points.T, approx), args.out)
-    return EXIT_OK
 
 
-def _cmd_moments(args) -> int:
-    kernel = _build_kernel(args)
+def _cmd_moments(args, kernel: TensorKernel2D) -> None:
     table = MomentTable.compute(kernel, eta_max=args.eta_max, grid_n=args.grid_n)
     pairs = table.index_pairs()
     columns = [[p1 for p1, _ in pairs], [p2 for _, p2 in pairs]]
@@ -170,30 +169,24 @@ def _cmd_moments(args) -> int:
     write_csv(
         ("p1", "p2", "algebraic_mean", "spread", "absolute_sup"), columns, args.out
     )
-    return EXIT_OK
 
 
-def _cmd_bounds(args) -> int:
-    kernel = _build_kernel(args)
+def _cmd_bounds(args, kernel: TensorKernel2D) -> None:
     f, box = _fn_and_box(args)
     profile = FunctionProfile.from_function(f, box)
     report = build_bound_report(kernel, args.w, profile, grid_n=args.grid_n)
     report.to_csv(args.out)
-    return EXIT_OK
 
 
-def _cmd_converge(args) -> int:
-    kernel = _build_kernel(args)
+def _cmd_converge(args, kernel: TensorKernel2D) -> None:
     f, box = _fn_and_box(args)
     table = convergence_study(
         f, kernel, args.op, args.w_list, box, args.grid_n, args.quad_order
     )
     table.to_csv(args.out)
-    return EXIT_OK
 
 
-def _cmd_kernel_info(args) -> int:
-    kernel = _build_kernel(args)
+def _cmd_kernel_info(args, kernel: TensorKernel2D) -> None:
     table = MomentTable.compute(kernel, eta_max=kernel.moment_order, grid_n=args.grid_n)
     rows = [
         ("r", args.r),
@@ -212,11 +205,9 @@ def _cmd_kernel_info(args) -> int:
             rows.append((f"coeff_{i}", c))
     names, values = zip(*rows)
     write_csv(("name", "value"), (names, np.array(values, dtype=float)), args.out)
-    return EXIT_OK
 
 
-def _cmd_gbs(args) -> int:
-    kernel = _build_kernel(args)
+def _cmd_gbs(args, kernel: TensorKernel2D) -> None:
     f, box = _fn_and_box(args)
     delta = 1.0 / args.w
     omega = mixed_modulus_estimate(f, delta, delta, box)
@@ -225,7 +216,6 @@ def _cmd_gbs(args) -> int:
     columns = _fn_columns(args, kernel, f, box)
     bounds = np.full(len(columns[0]), bound)
     write_csv((*FN_HEADER, "modulus_bound"), (*columns, bounds), args.out)
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,19 +228,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"error: {self.prog}: {' '.join(message.split())}\n")
 
 
-def _add_kernel_options(sub) -> None:
-    sub.add_argument(
-        "--kernel",
-        choices=["bspline", "combo"],
-        default="combo",
-        help="axis kernel: plain central B-spline or moment-cancelling combination",
-    )
-    sub.add_argument("--r", type=int, default=3, help="kernel order")
-    sub.add_argument(
-        "--shifts",
-        default="2,3,4",
-        help="comma-separated shifts for the combination kernel",
-    )
+def _flag(*names, **options) -> argparse.ArgumentParser:
+    """A parent parser holding one flag that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **options)
+    return parent
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -260,66 +242,58 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("reconstruct", help="evaluate an operator on a grid")
-    _add_kernel_options(sub)
-    sub.add_argument("--fn", help="catalog function name")
-    sub.add_argument("--input", help="lattice CSV or PGM image file")
-    sub.add_argument(
-        "--input-w", type=float, default=None, help="override the input lattice rate"
+    kernel = argparse.ArgumentParser(add_help=False)
+    kernel.add_argument(
+        "--kernel",
+        choices=["bspline", "combo"],
+        default="combo",
+        help="axis kernel: plain central B-spline or moment-cancelling combination",
     )
-    sub.add_argument("--op", choices=list(OPERATORS), default="gw")
-    sub.add_argument("--w", type=float, default=10.0, help="lattice rate")
-    sub.add_argument("--box", help="evaluation box x0,y0,x1,y1")
-    sub.add_argument("--grid-n", type=int, default=20)
-    sub.add_argument("--quad-order", type=int, default=5)
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.set_defaults(handler=_cmd_reconstruct)
-
-    sub = subs.add_parser("moments", help="tabulate kernel lattice moments")
-    _add_kernel_options(sub)
-    sub.add_argument("--eta-max", type=int, default=3)
-    sub.add_argument("--grid-n", type=int, default=64)
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.set_defaults(handler=_cmd_moments)
-
-    sub = subs.add_parser("bounds", help="evaluate every error-bound constant")
-    _add_kernel_options(sub)
-    sub.add_argument("--fn", required=True, help="catalog function name")
-    sub.add_argument("--w", type=float, default=10.0, help="lattice rate")
-    sub.add_argument("--box", help="profile box x0,y0,x1,y1")
-    sub.add_argument("--grid-n", type=int, default=64)
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.set_defaults(handler=_cmd_bounds)
-
-    sub = subs.add_parser("converge", help="sup-error table over increasing rates")
-    _add_kernel_options(sub)
-    sub.add_argument("--fn", required=True, help="catalog function name")
-    sub.add_argument("--op", choices=list(OPERATORS), default="gw")
-    sub.add_argument("--w-list", default="5,10,20,40", help="comma-separated rates")
-    sub.add_argument("--box", help="evaluation box x0,y0,x1,y1")
-    sub.add_argument("--grid-n", type=int, default=20)
-    sub.add_argument("--quad-order", type=int, default=5)
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.set_defaults(handler=_cmd_converge)
-
-    sub = subs.add_parser("kernel-info", help="kernel summary constants")
-    _add_kernel_options(sub)
-    sub.add_argument("--grid-n", type=int, default=64)
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.set_defaults(handler=_cmd_kernel_info)
-
-    sub = subs.add_parser(
-        "gbs", help="boolean-sum reconstruction with its modulus bound"
+    kernel.add_argument("--r", type=int, default=3, help="kernel order")
+    kernel.add_argument(
+        "--shifts",
+        default="2,3,4",
+        help="comma-separated shifts for the combination kernel",
     )
-    _add_kernel_options(sub)
-    sub.add_argument("--fn", required=True, help="catalog function name")
-    sub.add_argument("--w", type=float, default=10.0, help="lattice rate")
-    sub.add_argument("--box", help="evaluation box x0,y0,x1,y1")
-    sub.add_argument("--grid-n", type=int, default=20)
-    sub.add_argument("--quad-order", type=int, default=5)
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.set_defaults(handler=_cmd_gbs, op="gbs")
+    out = _flag("--out", help="output CSV path (default: stdout)")
+    fn = _flag("--fn", required=True, help="catalog function name")
+    op = _flag("--op", choices=list(OPERATORS), default="gw")
+    rate = _flag("--w", type=float, default=10.0, help="lattice rate")
+    box = _flag("--box", help="evaluation box x0,y0,x1,y1")
+    grid = {n: _flag("--grid-n", type=int, default=n) for n in (20, 64)}
+    quad = _flag("--quad-order", type=int, default=5)
 
+    def command(name, handler, help, *flags) -> argparse.ArgumentParser:
+        """Subcommand ``name``: the kernel flags, then ``flags``, then --out."""
+        sub = subs.add_parser(name, help=help, parents=[kernel, *flags, out])
+        sub.set_defaults(handler=handler)
+        return sub
+
+    command(
+        "reconstruct", _cmd_reconstruct, "evaluate an operator on a grid",
+        _flag("--fn", help="catalog function name"),
+        _flag("--input", help="lattice CSV or PGM image file"),
+        _flag("--input-w", type=float, help="override the input lattice rate"),
+        op, rate, box, grid[20], quad,
+    )
+    command(
+        "moments", _cmd_moments, "tabulate kernel lattice moments",
+        _flag("--eta-max", type=int, default=3), grid[64],
+    )
+    command(
+        "bounds", _cmd_bounds, "evaluate every error-bound constant",
+        fn, rate, box, grid[64],
+    )
+    command(
+        "converge", _cmd_converge, "sup-error table over increasing rates",
+        fn, op, _flag("--w-list", default="5,10,20,40", help="comma-separated rates"),
+        box, grid[20], quad,
+    )
+    command("kernel-info", _cmd_kernel_info, "kernel summary constants", grid[64])
+    command(
+        "gbs", _cmd_gbs, "boolean-sum reconstruction with its modulus bound",
+        fn, rate, box, grid[20], quad,
+    ).set_defaults(op="gbs")
     return parser
 
 
@@ -331,7 +305,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         _check_rates(args)
-        return args.handler(args)
+        kernel = _build_kernel(args)
+        args.handler(args, kernel)
     except MissingData as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -349,6 +324,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 def run() -> int:

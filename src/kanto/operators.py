@@ -88,7 +88,8 @@ class LatticeField:
 
     ``kind`` says whether entries are point samples or cell averages.
     Absent interior entries are NaN and raise :class:`MissingData` on access;
-    infinite entries are an error.
+    infinite entries are an error.  ``values`` is a read-only view of the
+    array given, so the entries stay as they were checked.
     """
 
     w: float
@@ -111,6 +112,8 @@ class LatticeField:
                 f"lattice value at (k={self.kmin + k}, j={self.jmin + j}) is "
                 f"{self.values[k, j]}; values must be finite, or NaN where absent"
             )
+        self.values = self.values.view()
+        self.values.flags.writeable = False
 
     @property
     def kmax(self) -> int:
@@ -493,19 +496,36 @@ def representation_residual(
 def admissible_box(
     field: LatticeField, kernel: TensorKernel2D
 ) -> tuple[float, float, float, float]:
-    """Largest box whose every point has its full lattice window within the field."""
+    """Largest box whose every point has its full lattice window within the field.
+
+    Rows and columns at the edges of the field that hold no value are left
+    out.  The box has x0 < x1 and y0 < y1, as ``--box`` requires, and its
+    scaled corners (lattice rate times a corner) stay below 2**53 in
+    magnitude, as the windows require.
+    """
+    absent = np.isnan(field.values)
+    ks = np.flatnonzero(~absent.all(axis=1))
+    js = np.flatnonzero(~absent.all(axis=0))
+    if not ks.size:
+        raise ValueError("the field holds no values")
+    kmin, kmax = field.kmin + int(ks[0]), field.kmin + int(ks[-1])
+    jmin, jmax = field.jmin + int(js[0]), field.jmin + int(js[-1])
     lox, hix = kernel.support_x
     loy, hiy = kernel.support_y
     w = field.w
-    box = (
-        (field.kmin + hix) / w,
-        (field.jmin + hiy) / w,
-        (field.kmax + lox) / w,
-        (field.jmax + loy) / w,
-    )
+    # a scaled corner is an index plus a support end; int-float comparison
+    # is exact, and an index past the float range never becomes a float
+    big = max(map(abs, (kmin, kmax, jmin, jmax)))
+    if not big < 2.0**53 - max_support_radius(kernel):
+        raise ValueError(
+            "lattice indices too large: the scaled box corners (rate times a "
+            "corner) would pass 2**53 in magnitude, where lattice indices stop "
+            "being exact"
+        )
+    box = ((kmin + hix) / w, (jmin + hiy) / w, (kmax + lox) / w, (jmax + loy) / w)
     if not all(map(math.isfinite, box)):
         raise ValueError(f"admissible box overflows at lattice rate w={w!r}")
-    if box[0] > box[2] or box[1] > box[3]:
+    if not (box[0] < box[2] and box[1] < box[3]):
         raise ValueError("field too small for the kernel window")
     return box
 

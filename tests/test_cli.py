@@ -402,6 +402,31 @@ class TestErrorPaths:
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert message in proc.stderr
 
+    @pytest.mark.parametrize(
+        "low, n, message",
+        [
+            # corners near 1e30 rounded together and past 2**53; the hint
+            # was --box=1e+30,1e+30,1e+30,1e+30
+            (10**30, 13, "lattice indices too large: "),
+            # one window wide; the hint was --box=5.5,5.5,5.5,5.5
+            (0, 6, "field too small for the kernel window"),
+        ],
+    )
+    def test_no_box_offered_that_cannot_run(self, tmp_path, low, n, message):
+        path = tmp_path / "edge.csv"
+        ks = range(low, low + n)
+        rows = "".join(f"{k},{j},0.5\n" for k in ks for j in ks)
+        path.write_text("k,j,value\n" + rows)
+        meta = {"w": 1.0, "kind": "samples", "kmin": low, "kmax": low + n - 1,
+                "jmin": low, "jmax": low + n - 1}
+        (tmp_path / "edge.meta.json").write_text(json.dumps(meta))
+        proc = run_cli("reconstruct", "--input", str(path), "--box=0,0,1,1")
+        assert proc.returncode == 3
+        assert f"; no box is admissible: {message}" in proc.stderr
+        proc = run_cli("reconstruct", "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("rate", [5e-324, 1e-310])
     def test_meta_rate_that_overflows_the_admissible_box(self, tmp_path, rate):
         # was a numpy RuntimeWarning from linspace on the inf box, then a

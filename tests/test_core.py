@@ -288,11 +288,12 @@ def test_missing_data_reports_the_scalar_index(w, kernel_name, op, pad, points, 
     kind = KIND_SAMPLES if op == "gw" else KIND_CELL_AVERAGES
     kmin, kmax = -pad[0], math.ceil(w) + pad[1]
     jmin, jmax = -pad[2], math.ceil(w) + pad[3]
-    field = LatticeField.from_function(
+    values = LatticeField.from_function(
         fn_lookup("gaussian"), w, kmin, kmax, jmin, jmax, kind, QUAD_ORDER
-    )
+    ).values.copy()
     for hx, hy in holes:
-        field.values[round(hx * (kmax - kmin)), round(hy * (jmax - jmin))] = np.nan
+        values[round(hx * (kmax - kmin)), round(hy * (jmax - jmin))] = np.nan
+    field = LatticeField(w=w, kind=kind, values=values, kmin=kmin, jmin=jmin)
     grid = EvalGrid(points=points, w=w)
     want = first_missing(field, kernel, grid)
     if want is None:

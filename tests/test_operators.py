@@ -5,6 +5,7 @@ arithmetic in the same (k ascending, j ascending) order, so analytic cases
 must match bit for bit, not just approximately.
 """
 
+import dataclasses
 import json
 import math
 
@@ -278,12 +279,21 @@ class TestMissingData:
 
     def test_nan_cell_reports_index(self, m3_tensor):
         f = fn_lookup("x")
-        field = LatticeField.from_function(f, 10.0, -5, 15, -5, 15)
-        field.values[7 - field.kmin, 3 - field.jmin] = np.nan
+        values = LatticeField.from_function(f, 10.0, -5, 15, -5, 15).values.copy()
+        values[7 + 5, 3 + 5] = np.nan
+        field = LatticeField(w=10.0, kind=KIND_SAMPLES, values=values, kmin=-5, jmin=-5)
         grid = EvalGrid(points=[(0.7, 0.3)], w=10.0)
         with pytest.raises(MissingData) as err:
             apply_gw(field, m3_tensor, grid)
         assert (err.value.k, err.value.j) == (7, 3)
+
+    def test_values_are_read_only(self):
+        # an inf stored after the finiteness check would be summed silently
+        field = LatticeField.from_function(fn_lookup("x"), 8.0, -20, 30, -20, 30)
+        with pytest.raises(ValueError, match="read-only"):
+            field.values[22, 22] = np.inf
+        # a new rate keeps the same values without copying them
+        assert np.shares_memory(dataclasses.replace(field, w=4.0).values, field.values)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_value_rejected_by_index(self, value):
@@ -392,6 +402,17 @@ class TestAdmissibleBox:
         with pytest.raises(ValueError):
             admissible_box(field, chibar3)
 
+    def test_edges_without_values_left_out(self, m3_tensor):
+        inner = LatticeField.from_function(fn_lookup("x"), 10.0, -5, 25, -5, 25)
+        values = np.pad(inner.values, ((5, 2), (3, 0)), constant_values=np.nan)
+        field = LatticeField(w=10.0, kind=KIND_SAMPLES, values=values, kmin=-10, jmin=-8)
+        assert admissible_box(field, m3_tensor) == (-0.35, -0.35, 2.35, 2.35)
+        empty = LatticeField(
+            w=10.0, kind=KIND_SAMPLES, values=np.full((9, 9), np.nan), kmin=0, jmin=0
+        )
+        with pytest.raises(ValueError, match="holds no values"):
+            admissible_box(empty, m3_tensor)
+
 
 class TestLatticeIO:
     def test_csv_round_trip(self, tmp_path):
@@ -408,8 +429,9 @@ class TestLatticeIO:
 
     def test_round_trip_preserves_holes(self, tmp_path):
         f = fn_lookup("x")
-        field = LatticeField.from_function(f, 4.0, 0, 3, 0, 3)
-        field.values[1, 2] = np.nan
+        values = LatticeField.from_function(f, 4.0, 0, 3, 0, 3).values.copy()
+        values[1, 2] = np.nan
+        field = LatticeField(w=4.0, kind=KIND_SAMPLES, values=values, kmin=0, jmin=0)
         path = tmp_path / "holey.csv"
         write_lattice_csv(field, path)
         back = read_lattice_csv(path)
