@@ -229,7 +229,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _flag(*names, **options) -> argparse.ArgumentParser:
-    """A parent parser holding one flag that several subcommands share."""
+    """A parent parser holding one flag; subcommands list their flags as parents."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(*names, **options)
     return parent
@@ -242,15 +242,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    kernel = argparse.ArgumentParser(add_help=False)
-    kernel.add_argument(
+    kernel_flags = argparse.ArgumentParser(add_help=False)
+    kernel_flags.add_argument(
         "--kernel",
         choices=["bspline", "combo"],
         default="combo",
         help="axis kernel: plain central B-spline or moment-cancelling combination",
     )
-    kernel.add_argument("--r", type=int, default=3, help="kernel order")
-    kernel.add_argument(
+    kernel_flags.add_argument("--r", type=int, default=3, help="kernel order")
+    kernel_flags.add_argument(
         "--shifts",
         default="2,3,4",
         help="comma-separated shifts for the combination kernel",
@@ -265,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, help, *flags) -> argparse.ArgumentParser:
         """Subcommand ``name``: the kernel flags, then ``flags``, then --out."""
-        sub = subs.add_parser(name, help=help, parents=[kernel, *flags, out])
+        sub = subs.add_parser(name, help=help, parents=[kernel_flags, *flags, out])
         sub.set_defaults(handler=handler)
         return sub
 
