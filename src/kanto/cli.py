@@ -52,6 +52,7 @@ from .operators import (
     MissingData,
     _check_rate,
     admissible_box,
+    interior_holes,
     read_lattice_csv,
     read_pgm,
 )
@@ -87,11 +88,27 @@ def _check_rates(args) -> None:
         )
 
 
-def _admissible_hint(field: LatticeField, kernel: TensorKernel2D) -> str:
+def _admissible_hint(
+    field: LatticeField, kernel: TensorKernel2D, exc: MissingData
+) -> str:
+    """How to get past the missing cell of exc: a box that runs, or the hole to fill.
+
+    No box is offered while the field has a hole that the windows of the
+    admissible box may read.
+    """
     try:
         box = admissible_box(field, kernel)
-    except ValueError as exc:
-        return f"no box is admissible: {exc}"
+    except ValueError as err:
+        return f"no box is admissible: {err}"
+    holes = interior_holes(field)
+    if holes.size:
+        hole = "the hole"
+        if not (holes == (exc.k, exc.j)).all(axis=1).any():
+            hole += " at (k=%d, j=%d)" % tuple(holes[0])
+        return (
+            f"{hole} lies inside the lattice: fill it, or pass a --box whose "
+            "windows avoid it"
+        )
     return "admissible box: --box=%.17g,%.17g,%.17g,%.17g" % box
 
 
@@ -156,7 +173,7 @@ def _cmd_reconstruct(args, kernel: TensorKernel2D) -> None:
     try:
         approx = OPERATORS[args.op](field, kernel, grid, args.quad_order)
     except MissingData as exc:
-        raise MissingData(exc.k, exc.j, _admissible_hint(field, kernel)) from None
+        raise MissingData(exc.k, exc.j, _admissible_hint(field, kernel, exc)) from None
     write_csv(("x", "y", "approx"), (*grid.points.T, approx), args.out)
 
 

@@ -16,13 +16,18 @@ infinities, NaNs and values beyond 1e-250..1e250 in magnitude, are formatted
 one by one with ``"%.17g"``.  Integer and label columns are formatted once
 per distinct value in Python.  Rows are then gathered, joined with ``,`` and
 ``\\n``, and their NUL padding dropped, a fixed block of rows at a time.
+
+Every file kanto writes, tables and ``.meta.json`` sidecars, is written by
+``_write_in_place``: an existing file is rewritten in place, so it keeps its
+inode, its mode and the links that lead to it.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import sys
 from functools import lru_cache
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -224,6 +229,33 @@ def _csv_bytes(header: Sequence[str], columns: Sequence) -> bytes:
     return b"".join(chunks)
 
 
+def _write_in_place(path, data: bytes) -> None:
+    """Write data to the file at path, created if absent, and cut it there.
+
+    The file is opened without ``O_TRUNC`` and cut to the new length after
+    the write.  On ext4 (``auto_da_alloc``, on by default), closing a file
+    that was truncated at open starts flushing it, and the next truncating
+    open waits for that flush: 70-100 ms per rewrite of a 400 kB file on a
+    2-core VM, against 0.01 ms in place.  Only regular files are cut, so
+    ``/dev/null`` and FIFOs work.  A write that fails leaves a regular file
+    empty rather than holding the tail of its previous contents.  The
+    rewrite is not atomic.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb", buffering=0) as fh:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            view = memoryview(data)
+            while view:  # a raw write may take only part of the bytes
+                view = view[fh.write(view) :]
+        except BaseException:
+            if regular:
+                fh.truncate(0)
+            raise
+        if regular:
+            fh.truncate(len(data))
+
+
 def format_csv(header: Sequence[str], columns: Sequence) -> str:
     """CSV text of equal-length columns under a header of column names."""
     return _csv_bytes(header, columns).decode()
@@ -235,4 +267,4 @@ def write_csv(header: Sequence[str], columns: Sequence, out=None) -> None:
     if not out:
         sys.stdout.write(data.decode())
     else:
-        Path(out).write_bytes(data)
+        _write_in_place(out, data)

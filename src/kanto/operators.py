@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import _write_in_place, write_csv
 from .functions import TestFunction, _evaluate
 from .kernel1d import Kernel1D
 from .kernel2d import TensorKernel2D, max_support_radius
@@ -48,6 +48,7 @@ __all__ = [
     "apply_gw",
     "apply_sw",
     "cell_average",
+    "interior_holes",
     "interior_margin",
     "read_lattice_csv",
     "read_pgm",
@@ -493,23 +494,41 @@ def representation_residual(
     return sw - gw - (gwx + gwy) / (2.0 * grid.w)
 
 
+def _held_range(field: LatticeField) -> tuple[int, int, int, int]:
+    """Array rows k0..k1 and columns j0..j1, the first to the last holding a value."""
+    absent = np.isnan(field.values)
+    ks = np.flatnonzero(~absent.all(axis=1))
+    js = np.flatnonzero(~absent.all(axis=0))
+    if not ks.size:
+        raise ValueError("the field holds no values")
+    return int(ks[0]), int(ks[-1]), int(js[0]), int(js[-1])
+
+
+def interior_holes(field: LatticeField) -> np.ndarray:
+    """(k, j) rows of the absent cells that the admissible box's windows may read.
+
+    These are the NaN cells from the first to the last row and column that
+    hold a value, in ascending (k, j).
+    """
+    k0, k1, j0, j1 = _held_range(field)
+    holes = np.argwhere(np.isnan(field.values[k0 : k1 + 1, j0 : j1 + 1]))
+    return holes + (field.kmin + k0, field.jmin + j0)
+
+
 def admissible_box(
     field: LatticeField, kernel: TensorKernel2D
 ) -> tuple[float, float, float, float]:
     """Largest box whose every point has its full lattice window within the field.
 
     Rows and columns at the edges of the field that hold no value are left
-    out.  The box has x0 < x1 and y0 < y1, as ``--box`` requires, and its
+    out; an absent cell between them is not (see :func:`interior_holes`).
+    The box has x0 < x1 and y0 < y1, as ``--box`` requires, and its
     scaled corners (lattice rate times a corner) stay below 2**53 in
     magnitude, as the windows require.
     """
-    absent = np.isnan(field.values)
-    ks = np.flatnonzero(~absent.all(axis=1))
-    js = np.flatnonzero(~absent.all(axis=0))
-    if not ks.size:
-        raise ValueError("the field holds no values")
-    kmin, kmax = field.kmin + int(ks[0]), field.kmin + int(ks[-1])
-    jmin, jmax = field.jmin + int(js[0]), field.jmin + int(js[-1])
+    k0, k1, j0, j1 = _held_range(field)
+    kmin, kmax = field.kmin + k0, field.kmin + k1
+    jmin, jmax = field.jmin + j0, field.jmin + j1
     lox, hix = kernel.support_x
     loy, hiy = kernel.support_y
     w = field.w
@@ -557,7 +576,7 @@ def write_lattice_csv(field: LatticeField, path) -> None:
         "jmin": field.jmin,
         "jmax": field.jmax,
     }
-    _meta_path(path).write_text(json.dumps(meta, indent=2) + "\n", newline="\n")
+    _write_in_place(_meta_path(path), (json.dumps(meta, indent=2) + "\n").encode())
 
 
 def read_lattice_csv(path) -> LatticeField:

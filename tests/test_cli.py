@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -13,8 +14,6 @@ from kanto.operators import KIND_CELL_AVERAGES
 
 
 def run_cli(*args, env_extra=None):
-    import os
-
     env = os.environ.copy()
     env.pop("KANTO_THREADS", None)
     if env_extra:
@@ -206,6 +205,31 @@ class TestReconstruct:
         assert "(k=-51, j=-51); admissible box: --box=" in proc.stderr
         box_flag = proc.stderr.split()[-1]
         assert run_cli(*args, box_flag).returncode == 0
+
+    def test_hole_inside_the_lattice_offers_no_box(self, tmp_path):
+        # the hint was --box=-0.25,-0.25,1.85...,1.85..., whose windows read
+        # the hole again
+        field = LatticeField.from_function(fn_lookup("x"), 10.0, -8, 18, -8, 18)
+        path = tmp_path / "holey.csv"
+        write_lattice_csv(field, path)
+        rows = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(row for row in rows if not row.startswith("5,5,")))
+        args = ("reconstruct", "--input", str(path), "--grid-n=3")
+        avoid = "fill it, or pass a --box whose windows avoid it\n"
+        proc = run_cli(*args)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: missing lattice value at (k=5, j=5); the hole lies inside "
+            "the lattice: " + avoid
+        )
+        proc = run_cli(*args, "--box=-5,-5,5,5")
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: missing lattice value at (k=-55, j=-55); the hole at "
+            "(k=5, j=5) lies inside the lattice: " + avoid
+        )
+        # a box whose windows avoid the hole runs
+        assert run_cli(*args, "--box=0.1,0.1,0.3,0.3").returncode == 0
 
     def test_duplicate_row_is_a_config_error(self, tmp_path):
         field = LatticeField.from_function(fn_lookup("x"), 10.0, -8, 18, -8, 18)
@@ -578,6 +602,23 @@ class TestErrorPaths:
         proc = run_cli("reconstruct", "--input", str(path))
         assert proc.returncode == 2
         assert proc.stderr == f"error: {path}: {message}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_out_on_a_full_device(self):
+        proc = run_cli("kernel-info", "--out", "/dev/full")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+    def test_out_naming_a_directory(self, tmp_path):
+        proc = run_cli("kernel-info", "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+    def test_out_under_a_missing_parent(self, tmp_path):
+        out = str(tmp_path / "missing" / "t.csv")
+        proc = run_cli("kernel-info", "--out", out)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: [Errno 2] No such file or directory: {out!r}\n"
 
     def test_missing_subcommand(self):
         proc = run_cli()

@@ -3,7 +3,8 @@
 Exit 0 writes nothing to stderr, exit 2 or 3 writes exactly one line, and no
 argv raises a numpy RuntimeWarning.  The same holds for every input file:
 lattice CSV rows, ``.meta.json`` values, and PGM headers and rasters.  The
-box that a missing-data error (exit 3) offers for a ``.meta.json`` must run.
+box that a missing-data error (exit 3) offers for a ``.meta.json``, or for
+a lattice with a hole inside, must run.
 
 Sizes stay small (grid sizes up to 6, kernel orders up to 6, moment orders
 up to 4), and each lattice rate is drawn from values that have broken the
@@ -300,8 +301,12 @@ def test_every_lattice_csv_exits_0_2_or_3(inputs, workdir, data, name, edits):
     changes=META_CHANGES,
     # one sidecar in five is replaced whole by junk or a JSON list
     whole=mostly(st.none(), st.one_of(st.text(max_size=10), st.just("[1, 2]"))),
+    # and half the CSVs lack the row of an interior cell
+    hole=st.one_of(st.none(), st.tuples(st.integers(-7, 17), st.integers(-7, 17))),
 )
-def test_every_meta_json_exits_0_2_or_3(inputs, workdir, data, name, changes, whole):
+def test_every_meta_json_exits_0_2_or_3(
+    inputs, workdir, data, name, changes, whole, hole
+):
     meta = json.loads(open(inputs[name].replace(".csv", ".meta.json")).read())
     for key, value in changes.items():
         if value == "DROP":
@@ -310,7 +315,10 @@ def test_every_meta_json_exits_0_2_or_3(inputs, workdir, data, name, changes, wh
             meta[key] = value
     (workdir / "meta.meta.json").write_text(json.dumps(meta) if whole is None else whole)
     path = workdir / "meta.csv"
-    path.write_text(open(inputs[name]).read())
+    rows = open(inputs[name]).read().splitlines(keepends=True)
+    if hole is not None:
+        rows = [row for row in rows if not row.startswith("%d,%d," % hole)]
+    path.write_text("".join(rows))
     argv = input_argv(path, data)
     code, err = check_exit(argv)
     # missing data offers a box; passed back, that box must run

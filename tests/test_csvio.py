@@ -5,18 +5,27 @@ Every table used to be printed row by row as
 distinct float once, computes its digits in numpy, and must give the same
 bytes, whatever the columns hold: heavy repeats, both zeros, NaN payloads,
 infinities, subnormals, ties and values next to powers of ten.
+
+Files are rewritten in place, without a truncating open: the old bytes must
+not survive a shorter write or a failed one, and the inode, the mode,
+symlinks and devices must stay as they are.
 """
 
+import errno
 import io
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kanto import LatticeField, fn_lookup, write_lattice_csv
+from kanto import csvio
 from kanto.csvio import _BLOCK, format_csv, write_csv
 
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1e308, 0.1]
@@ -89,6 +98,125 @@ def test_write_csv_targets(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdout", io.StringIO())
     write_csv(["a"], [[1.0]])
     assert sys.stdout.getvalue() == "a\n1\n"
+
+
+# -- rewriting a file in place -----------------------------------------------
+#
+# Each writer writes one target file into a directory: a table through
+# write_csv, or the .meta.json sidecar of write_lattice_csv.
+
+def table_target(directory):
+    path = directory / "t.csv"
+    return path, lambda: write_csv(["a", "b"], [[1, 2], [0.5, 0.25]], path)
+
+
+def sidecar_target(directory):
+    field = LatticeField.from_function(fn_lookup("x"), 10.0, 0, 1, 0, 1)
+    path = directory / "t.meta.json"
+    return path, lambda: write_lattice_csv(field, directory / "t.csv")
+
+
+WRITERS = pytest.mark.parametrize(
+    "target", [table_target, sidecar_target], ids=["write_csv", "sidecar"]
+)
+OLD = b"old contents, longer than the new ones\n" * 2000
+
+
+def fresh_bytes(target, directory):
+    """The bytes the writer puts into a new file."""
+    directory.mkdir()
+    path, write = target(directory)
+    write()
+    return path.read_bytes()
+
+
+@WRITERS
+def test_short_write_leaves_no_old_tail(tmp_path, target):
+    want = fresh_bytes(target, tmp_path / "fresh")
+    path, write = target(tmp_path)
+    path.write_bytes(OLD)
+    write()
+    assert path.read_bytes() == want
+
+
+@WRITERS
+def test_rewrite_keeps_inode_and_mode(tmp_path, target):
+    path, write = target(tmp_path)
+    path.write_bytes(OLD)
+    path.chmod(0o640)
+    before = path.stat()
+    write()
+    after = path.stat()
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o640
+
+
+@WRITERS
+def test_rewrite_through_symlink_keeps_the_link(tmp_path, target):
+    want = fresh_bytes(target, tmp_path / "fresh")
+    path, write = target(tmp_path)
+    real = tmp_path / "real.data"
+    real.write_bytes(OLD)
+    path.symlink_to(real)
+    write()
+    assert path.is_symlink()
+    assert real.read_bytes() == want
+
+
+@WRITERS
+def test_dev_null_is_accepted(tmp_path, target):
+    # a device cannot be cut to length; it is written and left as it is
+    path, write = target(tmp_path)
+    path.symlink_to(os.devnull)
+    write()
+    assert stat.S_ISCHR(os.stat(path).st_mode)
+
+
+@WRITERS
+def test_no_file_is_opened_with_o_trunc(tmp_path, target, monkeypatch):
+    # on ext4 a truncating open waits for the flush of the previous contents;
+    # a timing test would be flaky, and tmp_path may sit on a filesystem that
+    # never waits, so the flags are what is checked
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    path, write = target(tmp_path)
+    path.write_bytes(OLD)
+    write()
+    assert flags
+    assert all(flag & os.O_CREAT and not flag & os.O_TRUNC for flag in flags)
+
+
+@WRITERS
+def test_failed_write_leaves_no_old_bytes(tmp_path, target, monkeypatch):
+    path, write = target(tmp_path)
+    path.write_bytes(OLD)
+    inode = path.stat().st_ino
+    real_open = open
+
+    def full_disk_open(fd, *args, **kwargs):
+        """The target's file object writes a few bytes, then finds the disk full."""
+        fh = real_open(fd, *args, **kwargs)
+        if os.fstat(fd).st_ino == inode:
+            real_write = fh.write
+
+            def write_some(data):
+                real_write(data[:5])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            fh.write = write_some
+        return fh
+
+    monkeypatch.setattr(csvio, "open", full_disk_open, raising=False)
+    with pytest.raises(OSError) as caught:
+        write()
+    assert caught.value.errno == errno.ENOSPC
+    assert path.read_bytes() == b""
 
 
 def from_bits(bits):
