@@ -51,8 +51,8 @@ from .operators import (
     LatticeField,
     MissingData,
     _check_rate,
+    _interior_hole,
     admissible_box,
-    interior_holes,
     read_lattice_csv,
     read_pgm,
 )
@@ -100,14 +100,12 @@ def _admissible_hint(
         box = admissible_box(field, kernel)
     except ValueError as err:
         return f"no box is admissible: {err}"
-    holes = interior_holes(field)
-    if holes.size:
-        hole = "the hole"
-        if not (holes == (exc.k, exc.j)).all(axis=1).any():
-            hole += " at (k=%d, j=%d)" % tuple(holes[0])
+    hole = _interior_hole(field, exc.k, exc.j)
+    if hole is not None:
+        where = "" if hole == (exc.k, exc.j) else " at (k=%d, j=%d)" % hole
         return (
-            f"{hole} lies inside the lattice: fill it, or pass a --box whose "
-            "windows avoid it"
+            f"the hole{where} lies inside the lattice: fill it, or pass a --box "
+            "whose windows avoid it"
         )
     return "admissible box: --box=%.17g,%.17g,%.17g,%.17g" % box
 

@@ -18,7 +18,7 @@ per distinct value in Python.  Rows are then gathered, joined with ``,`` and
 ``\\n``, and their NUL padding dropped, a fixed block of rows at a time.
 
 Every file kanto writes, tables and ``.meta.json`` sidecars, is written by
-``_write_in_place``: an existing file is rewritten in place, so it keeps its
+``write_file``: an existing file is rewritten in place, so it keeps its
 inode, its mode and the links that lead to it.
 """
 
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["format_csv", "write_csv"]
+__all__ = ["format_csv", "write_csv", "write_file"]
 
 # Rows, and distinct floats, handled at once; keeps temporaries to a few MB.
 _BLOCK = 4096
@@ -229,19 +229,26 @@ def _csv_bytes(header: Sequence[str], columns: Sequence) -> bytes:
     return b"".join(chunks)
 
 
-def _write_in_place(path, data: bytes) -> None:
+def write_file(path, data: bytes) -> None:
     """Write data to the file at path, created if absent, and cut it there.
 
     The file is opened without ``O_TRUNC`` and cut to the new length after
-    the write.  On ext4 (``auto_da_alloc``, on by default), closing a file
-    that was truncated at open starts flushing it, and the next truncating
-    open waits for that flush: 70-100 ms per rewrite of a 400 kB file on a
-    2-core VM, against 0.01 ms in place.  Only regular files are cut, so
-    ``/dev/null`` and FIFOs work.  A write that fails leaves a regular file
-    empty rather than holding the tail of its previous contents.  The
-    rewrite is not atomic.
+    the write.  On ext4, a truncating open of a file whose blocks are
+    allocated on disk, as an earlier run's output is once written back,
+    took 50-140 ms on a 2-core VM, whether that run had ended 0 or 35 s
+    before; rewriting in place took 0.01 ms.  Only regular files are cut,
+    so ``/dev/null`` and FIFOs work.  A write that fails leaves a regular file empty rather than
+    holding the tail of its previous contents.
+
+    The rewrite is not atomic, and it gives up the ordering that the same
+    ext4 heuristic gives a truncating open: after a system crash the file
+    may hold the old bytes, the new ones or a mix of both, and a table cut
+    at a row boundary still parses.  A run whose output must survive a
+    crash should write to a new path.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    # O_BINARY (Windows only) keeps "\n" from becoming "\r\n"
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    fd = os.open(path, flags, 0o666)
     with open(fd, "wb", buffering=0) as fh:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
         try:
@@ -267,4 +274,4 @@ def write_csv(header: Sequence[str], columns: Sequence, out=None) -> None:
     if not out:
         sys.stdout.write(data.decode())
     else:
-        _write_in_place(out, data)
+        write_file(out, data)

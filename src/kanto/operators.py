@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .csvio import _write_in_place, write_csv
+from .csvio import write_csv, write_file
 from .functions import TestFunction, _evaluate
 from .kernel1d import Kernel1D
 from .kernel2d import TensorKernel2D, max_support_radius
@@ -48,7 +48,6 @@ __all__ = [
     "apply_gw",
     "apply_sw",
     "cell_average",
-    "interior_holes",
     "interior_margin",
     "read_lattice_csv",
     "read_pgm",
@@ -504,15 +503,18 @@ def _held_range(field: LatticeField) -> tuple[int, int, int, int]:
     return int(ks[0]), int(ks[-1]), int(js[0]), int(js[-1])
 
 
-def interior_holes(field: LatticeField) -> np.ndarray:
-    """(k, j) rows of the absent cells that the admissible box's windows may read.
+def _interior_hole(field: LatticeField, k: int, j: int) -> tuple[int, int] | None:
+    """An absent cell that the admissible box's windows may read, or None.
 
-    These are the NaN cells from the first to the last row and column that
-    hold a value, in ascending (k, j).
+    Such cells lie from the first to the last row and column that hold a
+    value.  (k, j) is returned when it is one, else the first in (k, j) order.
     """
     k0, k1, j0, j1 = _held_range(field)
     holes = np.argwhere(np.isnan(field.values[k0 : k1 + 1, j0 : j1 + 1]))
-    return holes + (field.kmin + k0, field.jmin + j0)
+    holes += (field.kmin + k0, field.jmin + j0)
+    if (holes == (k, j)).all(axis=1).any():
+        return k, j
+    return (int(holes[0, 0]), int(holes[0, 1])) if len(holes) else None
 
 
 def admissible_box(
@@ -521,7 +523,7 @@ def admissible_box(
     """Largest box whose every point has its full lattice window within the field.
 
     Rows and columns at the edges of the field that hold no value are left
-    out; an absent cell between them is not (see :func:`interior_holes`).
+    out; an absent cell between them is not (see :func:`_interior_hole`).
     The box has x0 < x1 and y0 < y1, as ``--box`` requires, and its
     scaled corners (lattice rate times a corner) stay below 2**53 in
     magnitude, as the windows require.
@@ -576,7 +578,7 @@ def write_lattice_csv(field: LatticeField, path) -> None:
         "jmin": field.jmin,
         "jmax": field.jmax,
     }
-    _write_in_place(_meta_path(path), (json.dumps(meta, indent=2) + "\n").encode())
+    write_file(_meta_path(path), (json.dumps(meta, indent=2) + "\n").encode())
 
 
 def read_lattice_csv(path) -> LatticeField:

@@ -174,7 +174,7 @@ def test_dev_null_is_accepted(tmp_path, target):
 
 @WRITERS
 def test_no_file_is_opened_with_o_trunc(tmp_path, target, monkeypatch):
-    # on ext4 a truncating open waits for the flush of the previous contents;
+    # on ext4 a truncating open of a file whose blocks are on disk waits;
     # a timing test would be flaky, and tmp_path may sit on a filesystem that
     # never waits, so the flags are what is checked
     flags = []
