@@ -15,7 +15,6 @@ from kanto import (
     CATALOG,
     EvalGrid,
     FunctionProfile,
-    MissingProfileEntry,
     MomentTable,
     TensorKernel2D,
     UnsupportedOrder,
@@ -62,7 +61,7 @@ def main() -> int:
         try:
             profile = FunctionProfile.from_function(f, box=BOX)
             report = build_bound_report(kernel, w, profile)
-        except (MissingProfileEntry, UnsupportedOrder):
+        except UnsupportedOrder:
             continue
 
         err, grid = observed_error(apply_gw, f, kernel, w, args.grid_n)

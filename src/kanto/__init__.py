@@ -13,7 +13,6 @@ from .analysis import (
     ConvergenceTable,
     FunctionProfile,
     KFunctionalConstants,
-    MissingProfileEntry,
     build_bound_report,
     convergence_study,
     gbs_differential_bound,
@@ -49,7 +48,6 @@ from .kernel2d import (
     validate_kernel,
 )
 from .operators import (
-    CatalogMissingDerivative,
     EvalGrid,
     LatticeField,
     MissingData,

@@ -30,7 +30,6 @@ __all__ = [
     "ConvergenceTable",
     "FunctionProfile",
     "KFunctionalConstants",
-    "MissingProfileEntry",
     "build_bound_report",
     "convergence_study",
     "gbs_differential_bound",
@@ -42,9 +41,6 @@ __all__ = [
     "polynomial_reproduction_check",
     "sw_remainder_bound",
 ]
-
-class MissingProfileEntry(Exception):
-    """The function profile lacks a sup norm required by a bound."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,7 @@ class FunctionProfile:
         try:
             return self.sup_norms[index]
         except KeyError:
-            raise MissingProfileEntry(f"profile lacks sup norm for order {index}") from None
+            raise UnsupportedOrder(f"profile lacks sup norm for order {index}") from None
 
     @property
     def second_order_max(self) -> float:

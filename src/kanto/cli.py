@@ -6,9 +6,8 @@ dispatch, and hands it to the subcommand, which runs one computation and
 writes a CSV (to --out, or stdout).  Floats are printed with 17 significant
 digits so runs can be compared byte for byte.
 
-Exit codes: 0 success, 2 configuration error (unknown function, singular
-kernel system, failed kernel validation, bad flags, an array too large to
-allocate), 3 missing lattice data.
+Exit codes: 0 success, 2 configuration error (bad flags, any ValueError or
+OSError, an array too large to allocate), 3 missing lattice data (MissingData).
 """
 
 from __future__ import annotations
@@ -23,30 +22,22 @@ import numpy as np
 
 from .analysis import (
     FunctionProfile,
-    MissingProfileEntry,
     build_bound_report,
     convergence_study,
     gbs_modulus_bound,
     mixed_modulus_estimate,
 )
 from .csvio import write_csv
-from .functions import TestFunction, UnknownFunction, fn_lookup
-from .kernel1d import (
-    CentralBSpline,
-    CombinationKernel,
-    SingularSystem,
-    construct_combination_kernel,
-)
+from .functions import TestFunction, fn_lookup
+from .kernel1d import CentralBSpline, CombinationKernel, construct_combination_kernel
 from .kernel2d import (
     MomentTable,
     TensorKernel2D,
-    UnsupportedKernel,
     partition_of_unity_check,
     validate_kernel,
 )
 from .operators import (
     OPERATORS,
-    CatalogMissingDerivative,
     EvalGrid,
     LatticeField,
     MissingData,
@@ -325,15 +316,7 @@ def main(argv=None) -> int:
     except MissingData as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (
-        UnknownFunction,
-        SingularSystem,
-        UnsupportedKernel,
-        MissingProfileEntry,
-        CatalogMissingDerivative,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

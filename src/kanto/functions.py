@@ -35,7 +35,7 @@ __all__ = [
 
 DEFAULT_BOX = (-1.0, -1.0, 2.0, 2.0)
 
-# all catalog indices; anything else needs the finite-difference fallback
+# every partial a catalog entry has in closed form
 CATALOG_ORDERS = [
     (1, 0), (0, 1),
     (2, 0), (1, 1), (0, 2),
@@ -51,12 +51,12 @@ def _evaluate(f: Callable, x, y) -> np.ndarray:
     return out
 
 
-class UnknownFunction(Exception):
+class UnknownFunction(ValueError):
     """Requested name is not in the catalog; the message lists valid names."""
 
 
-class UnsupportedOrder(Exception):
-    """Requested derivative order is beyond closed forms and the FD fallback."""
+class UnsupportedOrder(ValueError):
+    """A partial derivative has no closed form (or a profile no sup norm for it)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +71,15 @@ class TestFunction:
     def __call__(self, x, y):
         return self.fn(x, y)
 
-    def partial(self, p1: int, p2: int):
-        """Closed-form partial d^(p1+p2) f / dx^p1 dy^p2, or None if absent."""
-        return self.partials.get((p1, p2))
+    def partial(self, p1: int, p2: int) -> Callable:
+        """Closed-form partial d^(p1+p2) f / dx^p1 dy^p2; UnsupportedOrder if absent."""
+        try:
+            return self.partials[(p1, p2)]
+        except KeyError:
+            raise UnsupportedOrder(
+                f"function {self.name!r} has no closed-form partial of order "
+                f"({p1}, {p2})"
+            ) from None
 
 
 def _const(c: float) -> Callable:
@@ -208,48 +214,6 @@ def fn_lookup(name: str) -> TestFunction:
         raise UnknownFunction(f"unknown function {name!r}; valid names: {valid}") from None
 
 
-# central-difference steps: first order, then second/mixed order
-FD_STEP_FIRST = 1e-4
-FD_STEP_SECOND = 1e-3
-
-_AXIS_STENCILS = {
-    0: ((0.0, 1.0),),
-    1: ((1.0, 0.5), (-1.0, -0.5)),
-    2: ((1.0, 1.0), (0.0, -2.0), (-1.0, 1.0)),
-}
-
-
-def _fd_partial_fn(fn: Callable, p1: int, p2: int) -> Callable:
-    """Central finite-difference approximation of a partial, total order <= 2."""
-    if p1 + p2 > 2 or p1 > 2 or p2 > 2:
-        raise UnsupportedOrder(
-            f"no closed form for order ({p1},{p2}) and the finite-difference "
-            "fallback covers total order <= 2 only"
-        )
-    h = FD_STEP_FIRST if p1 + p2 == 1 else FD_STEP_SECOND
-    sx = _AXIS_STENCILS[p1]
-    sy = _AXIS_STENCILS[p2]
-    scale = h ** (p1 + p2)
-
-    def g(x, y):
-        acc = 0.0
-        for ox, wx in sx:
-            for oy, wy in sy:
-                acc = acc + (wx * wy) * fn(x + ox * h, y + oy * h)
-        return acc / scale
-
-    return g
-
-
-def _partial_callable(f: TestFunction, p1: int, p2: int) -> Callable:
-    if (p1, p2) == (0, 0):
-        return f.fn
-    closed = f.partial(p1, p2)
-    if closed is not None:
-        return closed
-    return _fd_partial_fn(f.fn, p1, p2)
-
-
 def sup_norm_estimate(
     f: TestFunction,
     multi_index: tuple[int, int],
@@ -261,15 +225,17 @@ def sup_norm_estimate(
     Grid maximum over ``grid_n x grid_n`` points, refined once by a finer
     scan of the cell around the argmax.  This is a lower estimate of the
     true sup; on the catalog functions the refinement leaves it within
-    grid-resolution accuracy.  A partial that is not finite on the scanned
-    points (a box where it overflows, say) is a ValueError.
+    grid-resolution accuracy.  Order (0, 0) is f itself; any other order
+    without a closed form in ``f.partials`` is :class:`UnsupportedOrder`.
+    A partial that is not finite on the scanned points (a box where it
+    overflows, say) is a ValueError.
     """
     if box is None:
         box = f.default_box
     x0, y0, x1, y1 = box
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    part = _partial_callable(f, *multi_index)
+    part = f.fn if tuple(multi_index) == (0, 0) else f.partial(*multi_index)
     with np.errstate(all="ignore"):
         xs = np.linspace(x0, x1, grid_n)
         ys = np.linspace(y0, y1, grid_n)

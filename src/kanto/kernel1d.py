@@ -31,7 +31,7 @@ SINGULARITY_THRESHOLD = 1e12
 MAX_BSPLINE_ORDER = 171
 
 
-class SingularSystem(Exception):
+class SingularSystem(ValueError):
     """The moment system defining the combination coefficients is numerically singular."""
 
 
@@ -176,11 +176,13 @@ def discrete_moment(kernel: Kernel1D, eta: int, u, absolute: bool = False):
     ks = np.arange(kmin, kmax + 1, dtype=float)
     offs = uu[..., None] - ks
     vals = kernel(offs)
-    if absolute:
-        contrib = np.abs(vals) * np.abs(offs) ** eta
-    else:
-        contrib = vals * offs**eta
-    total = contrib.sum(axis=-1)
+    # from some eta on the powers overflow (NaN where the weight is 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if absolute:
+            contrib = np.abs(vals) * np.abs(offs) ** eta
+        else:
+            contrib = vals * offs**eta
+        total = contrib.sum(axis=-1)
     if np.ndim(u) == 0:
         return float(total)
     return total

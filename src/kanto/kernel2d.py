@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-class UnsupportedKernel(Exception):
+class UnsupportedKernel(ValueError):
     """The kernel is outside the supported class (e.g. lacks compact support)."""
 
 
@@ -126,7 +126,9 @@ class MomentTable:
 
         For a tensor kernel each 2-D moment grid is the outer product of two
         axis moments, so every axis moment is computed once per call (and
-        once for both axes when they share one kernel).
+        once for both axes when they share one kernel).  A moment that is not
+        finite (the offset powers overflow from some eta on) is a ValueError
+        naming its pair.
         """
         if eta_max < 0:
             raise ValueError(f"eta_max must be >= 0, got {eta_max}")
@@ -143,16 +145,22 @@ class MomentTable:
         spread: dict = {}
         sup: dict = {}
         max_by_order: dict = {}
-        for eta in range(eta_max + 1):
-            pairs = [(p1, eta - p1) for p1 in range(eta + 1)]
-            for p1, p2 in pairs:
-                grid = np.outer(axis(kernel.kx, p1, False), axis(kernel.ky, p2, False))
-                mean[(p1, p2)] = float(grid.mean())
-                spread[(p1, p2)] = float(grid.max() - grid.min())
-                sup[(p1, p2)] = float(
-                    np.outer(axis(kernel.kx, p1, True), axis(kernel.ky, p2, True)).max()
-                )
-            max_by_order[eta] = max(sup[pair] for pair in pairs)
+        kx, ky = kernel.kx, kernel.ky
+        # overflow and inf - inf end in the finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for eta in range(eta_max + 1):
+                pairs = [(p1, eta - p1) for p1 in range(eta + 1)]
+                for p1, p2 in pairs:
+                    grid = np.outer(axis(kx, p1, False), axis(ky, p2, False))
+                    unsigned = np.outer(axis(kx, p1, True), axis(ky, p2, True))
+                    values = grid.mean(), grid.max() - grid.min(), unsigned.max()
+                    if not np.isfinite(values).all():
+                        raise ValueError(
+                            f"lattice moment ({p1}, {p2}) of the kernel is not finite; "
+                            "lower eta_max"
+                        )
+                    mean[(p1, p2)], spread[(p1, p2)], sup[(p1, p2)] = map(float, values)
+                max_by_order[eta] = max(sup[pair] for pair in pairs)
         return cls(
             eta_max=eta_max,
             grid_n=grid_n,

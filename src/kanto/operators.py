@@ -37,7 +37,6 @@ from .kernel1d import Kernel1D
 from .kernel2d import TensorKernel2D, max_support_radius
 
 __all__ = [
-    "CatalogMissingDerivative",
     "EvalGrid",
     "LatticeField",
     "MissingData",
@@ -70,10 +69,6 @@ class MissingData(Exception):
         super().__init__(f"{message}; {hint}" if hint else message)
         self.k = k
         self.j = j
-
-
-class CatalogMissingDerivative(Exception):
-    """The analytic field lacks a first partial needed by the computation."""
 
 
 def _check_rate(w: float, name: str = "lattice rate w") -> float:
@@ -389,12 +384,13 @@ def _lattice_series(
     w = grid.w
     if not isinstance(field, LatticeField):
         return _windowed_sum(kx, ky, _index_table(field, kx, ky, w, kind, quad_order))
-    _check_coverage(field, kx, ky)
+    # before coverage, so that a box the MissingData hint offers can run
     if field.kind != kind:
         based = "sample" if kind == KIND_SAMPLES else "average"
         raise ValueError(f"{based}-based operator needs a field of kind {kind!r}")
     if field.w != w:
         raise ValueError("lattice rate of field and grid disagree")
+    _check_coverage(field, kx, ky)
     # _check_coverage has put every window within the field
     rows = [(k - field.kmin)[kx.which] for k in kx.cells]
     cols = [(j - field.jmin)[ky.which] for j in ky.cells]
@@ -478,14 +474,11 @@ def representation_residual(
 
     Subtracts from the average-based operator its sample-based expansion:
     the sample series of f plus 1/(2w) times the sample series of each
-    first partial.  Needs both first partials in closed form.
+    first partial.  Needs both first partials in closed form
+    (:class:`~kanto.functions.UnsupportedOrder` otherwise).
     """
     fx = f.partial(1, 0)
     fy = f.partial(0, 1)
-    if fx is None or fy is None:
-        raise CatalogMissingDerivative(
-            f"function {f.name!r} lacks a closed-form first partial"
-        )
     sw = apply_sw(f, kernel, grid, quad_order)
     gw = apply_gw(f, kernel, grid)
     gwx = apply_gw(fx, kernel, grid)

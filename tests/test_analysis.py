@@ -1,6 +1,7 @@
 """Bound evaluators: exact identities, scaling laws, and dominance checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from kanto import (
     CentralBSpline,
     EvalGrid,
     FunctionProfile,
-    MissingProfileEntry,
     TensorKernel2D,
+    UnsupportedOrder,
     apply_gbs,
     apply_gw,
     apply_sw,
@@ -59,7 +60,7 @@ class TestFunctionProfile:
 
     def test_missing_entry(self):
         empty = FunctionProfile(sup_norms={}, box=UNIT_BOX)
-        with pytest.raises(MissingProfileEntry):
+        with pytest.raises(UnsupportedOrder, match=re.escape("order (2, 0)")):
             empty.entry((2, 0))
 
     def test_profile_covers_bound_orders(self):

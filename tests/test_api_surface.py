@@ -35,3 +35,19 @@ def test_package_imports_only_exported_names():
         exported = importlib.import_module(f"kanto.{node.module}").__all__
         for alias in node.names:
             assert alias.name in exported, f"kanto.{node.module}.{alias.name}"
+
+
+def test_every_error_is_missing_data_or_a_value_error():
+    # cli.main maps MissingData to exit 3 and every ValueError to exit 2; a
+    # class outside both would end in a traceback
+    errors = {
+        obj
+        for name in MODULES
+        for obj in vars(importlib.import_module(f"kanto.{name}")).values()
+        if isinstance(obj, type)
+        and issubclass(obj, Exception)
+        and obj.__module__.startswith("kanto.")
+    }
+    assert kanto.MissingData in errors
+    stray = [e for e in errors if not issubclass(e, (kanto.MissingData, ValueError))]
+    assert stray == []

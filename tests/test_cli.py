@@ -231,6 +231,20 @@ class TestReconstruct:
         # a box whose windows avoid the hole runs
         assert run_cli(*args, "--box=0.1,0.1,0.3,0.3").returncode == 0
 
+    def test_field_of_the_wrong_kind_offers_no_box(self, tmp_path):
+        # was exit 3 offering --box=5.5,5.5,31.5,31.5, which exits 2 with
+        # this message
+        path = tmp_path / "small.pgm"
+        path.write_bytes(b"P5\n32 32\n255\n" + bytes(range(256)) * 4)
+        proc = run_cli(
+            "reconstruct", "--input", str(path), "--op", "sw", "--grid-n", "2",
+            "--box=-5,-5,-4,-4",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: average-based operator needs a field of kind 'cell_averages'\n"
+        )
+
     def test_duplicate_row_is_a_config_error(self, tmp_path):
         field = LatticeField.from_function(fn_lookup("x"), 10.0, -8, 18, -8, 18)
         path = tmp_path / "dup.csv"
@@ -572,6 +586,17 @@ class TestErrorPaths:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: eta_max must be >= 0, got -1\n"
+
+    def test_moment_that_is_not_finite(self):
+        # was exit 0 with numpy RuntimeWarnings and nan in rows (397,0) and
+        # (0,397); --eta-max 396 is the highest order that runs
+        proc = run_cli("moments", "--eta-max", "397")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: lattice moment (0, 397) of the kernel is not finite; "
+            "lower eta_max\n"
+        )
 
     @pytest.mark.parametrize(
         "data, message",

@@ -2,9 +2,9 @@
 
 Exit 0 writes nothing to stderr, exit 2 or 3 writes exactly one line, and no
 argv raises a numpy RuntimeWarning.  The same holds for every input file:
-lattice CSV rows, ``.meta.json`` values, and PGM headers and rasters.  The
-box that a missing-data error (exit 3) offers for a ``.meta.json``, or for
-a lattice with a hole inside, must run.
+lattice CSV rows, ``.meta.json`` values, and PGM headers and rasters, run
+with or without a ``--box`` (some far outside the lattice).  The box that a
+missing-data error (exit 3) offers for any input file must run.
 
 Sizes stay small (grid sizes up to 6, kernel orders up to 6, moment orders
 up to 4), and each lattice rate is drawn from values that have broken the
@@ -236,29 +236,54 @@ OTHER_VALUES = st.one_of(
     st.lists(st.integers(-2, 2), max_size=2),
     st.just("DROP"),
 )
-# index bounds stay small or fail at once (10**15 rows are refused before
-# any memory is touched); no float or digit text could ask for gigabytes
-INDEX_VALUES = mostly(
-    st.integers(-30, 30),
-    st.one_of(
-        st.sampled_from([10**15, -(10**15), 10**30, 1.5, -0.5, 18.7, -7.9, 1e300]),
-        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
-        OTHER_VALUES,
+
+
+def index_values(low, high):
+    """Mostly a bound in low..high, which keeps every row of the CSV; else any.
+
+    Index bounds stay small or fail at once (10**15 rows are refused before
+    any memory is touched); no float or digit text could ask for gigabytes.
+    """
+    return mostly(
+        st.integers(low, high),
+        st.one_of(
+            st.integers(-30, 30),
+            st.sampled_from([10**15, -(10**15), 10**30, 1.5, -0.5, 18.7, -7.9, 1e300]),
+            st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+            OTHER_VALUES,
+        ),
+    )
+
+
+META_VALUES = {
+    "w": mostly(
+        st.sampled_from([float(w) for w in POSITIVE_RATES]),
+        st.one_of(st.floats(), OTHER_VALUES),
     ),
-)
-META_CHANGES = st.fixed_dictionaries(
-    {},
-    optional={
-        "w": mostly(st.floats(), OTHER_VALUES),
-        "kind": mostly(st.sampled_from(["samples", "cell_averages"]), OTHER_VALUES),
-        **{key: INDEX_VALUES for key in ("kmin", "kmax", "jmin", "jmax")},
-    },
+    "kind": mostly(st.sampled_from(["samples", "cell_averages"]), OTHER_VALUES),
+    # the CSVs hold indices -8..18
+    **{key: index_values(-30, -8) for key in ("kmin", "jmin")},
+    **{key: index_values(18, 30) for key in ("kmax", "jmax")},
+}
+# the sidecar as written, or with one key changed, so that most sidecars
+# are valid and the run reaches the operators
+META_CHANGES = st.one_of(
+    st.just({}),
+    st.sampled_from(sorted(META_VALUES)).flatmap(
+        lambda key: META_VALUES[key].map(lambda value: {key: value})
+    ),
 )
 
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("files")
+
+
+# no box, a box inside the default lattices, or one far outside any of them
+INPUT_BOXES = st.sampled_from(
+    [(), ("--box=0.2,0.3,0.4,0.5",), ("--box=-5,-5,-4,-4",), ("--box=100,100,101,101",)]
+)
 
 
 def input_argv(path, data):
@@ -268,7 +293,15 @@ def input_argv(path, data):
     argv += [data.draw(st.sampled_from(("--op=gw", "--op=sw")))]
     argv += [f"--grid-n={data.draw(st.integers(1, 4))}"]
     argv += data.draw(flag("--input-w", st.sampled_from(POSITIVE_RATES)))
+    argv += data.draw(INPUT_BOXES)
     return [*argv, "--out", os.devnull]
+
+
+def check_input(argv):
+    """check_exit, and a box that missing data offers (exit 3) must run."""
+    code, err = check_exit(argv)
+    if code == 3 and "admissible box: " in err:
+        check_exit([*argv, err.split("admissible box: ")[1].strip()], allowed=(0,))
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,7 +324,7 @@ def test_every_lattice_csv_exits_0_2_or_3(inputs, workdir, data, name, edits):
     path.write_text("\n".join(lines) + "\n")
     meta = open(inputs[name].replace(".csv", ".meta.json")).read()
     (workdir / "rows.meta.json").write_text(meta)
-    check_exit(input_argv(path, data))
+    check_input(input_argv(path, data))
 
 
 @settings(max_examples=150, deadline=None)
@@ -301,8 +334,15 @@ def test_every_lattice_csv_exits_0_2_or_3(inputs, workdir, data, name, edits):
     changes=META_CHANGES,
     # one sidecar in five is replaced whole by junk or a JSON list
     whole=mostly(st.none(), st.one_of(st.text(max_size=10), st.just("[1, 2]"))),
-    # and half the CSVs lack the row of an interior cell
-    hole=st.one_of(st.none(), st.tuples(st.integers(-7, 17), st.integers(-7, 17))),
+    # and half the CSVs lack the row of one cell, mostly one that the windows
+    # of the corner of the admissible box read
+    hole=st.one_of(
+        st.none(),
+        mostly(
+            st.tuples(st.integers(-8, -6), st.integers(-8, -6)),
+            st.tuples(st.integers(-8, 18), st.integers(-8, 18)),
+        ),
+    ),
 )
 def test_every_meta_json_exits_0_2_or_3(
     inputs, workdir, data, name, changes, whole, hole
@@ -319,11 +359,7 @@ def test_every_meta_json_exits_0_2_or_3(
     if hole is not None:
         rows = [row for row in rows if not row.startswith("%d,%d," % hole)]
     path.write_text("".join(rows))
-    argv = input_argv(path, data)
-    code, err = check_exit(argv)
-    # missing data offers a box; passed back, that box must run
-    if code == 3 and "admissible box: " in err:
-        check_exit([*argv, err.split("admissible box: ")[1].strip()], allowed=(0,))
+    check_input(input_argv(path, data))
 
 
 def header_field(good, bad):
@@ -358,4 +394,4 @@ def test_every_pgm_exits_0_2_or_3(workdir, data, tokens, separators, extra):
     raster = data.draw(st.binary(min_size=length, max_size=length))
     path = workdir / "img.pgm"
     path.write_bytes(header + raster)
-    check_exit(input_argv(path, data))
+    check_input(input_argv(path, data))

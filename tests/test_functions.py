@@ -105,7 +105,9 @@ class TestClosedFormPartials:
                 assert got == pytest.approx(want, abs=1e-3)
 
     def test_partial_outside_catalog_orders(self):
-        assert fn_lookup("gaussian").partial(4, 0) is None
+        message = "function 'gaussian' has no closed-form partial of order (4, 0)"
+        with pytest.raises(UnsupportedOrder, match=re.escape(message)):
+            fn_lookup("gaussian").partial(4, 0)
 
     def test_zero_partials_broadcast(self):
         zero = fn_lookup("const1").partial(1, 0)
@@ -170,13 +172,6 @@ class TestSupNormEstimate:
         assert sup_norm_estimate(f, (0, 0), box=(0.0, 0.0, 2.0, 3.0)) == pytest.approx(
             6.0, abs=1e-12
         )
-
-    def test_fd_fallback_for_bare_function(self):
-        bare = CatalogEntry(
-            name="bare", fn=lambda x, y: np.asarray(x) * np.asarray(y), partials={}
-        )
-        est = sup_norm_estimate(bare, (1, 1), box=(0.0, 0.0, 1.0, 1.0))
-        assert est == pytest.approx(1.0, abs=1e-4)
 
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrder):

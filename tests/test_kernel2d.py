@@ -1,6 +1,7 @@
 """Tensor kernels and their lattice moments against dense double-sum oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,6 +230,15 @@ class TestMomentTable:
     def test_negative_eta_max_rejected(self, chibar3):
         with pytest.raises(ValueError, match="eta_max"):
             MomentTable.compute(chibar3, eta_max=-1)
+
+    # the offsets reach 102, so a moment overflows from eta 153 or 154 on;
+    # on one grid point the spread of an inf moment is inf - inf
+    @pytest.mark.parametrize("grid_n, pair", [(1, (0, 154)), (8, (0, 153))])
+    def test_moment_that_is_not_finite_names_its_pair(self, grid_n, pair):
+        axis = CombinationKernel(2, (100.5, 101.5), (0.5, 0.5))
+        message = f"lattice moment {pair} of the kernel is not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MomentTable.compute(TensorKernel2D(axis, axis), eta_max=200, grid_n=grid_n)
 
     @pytest.mark.parametrize("grid_n", [1, 7, 64])
     @pytest.mark.parametrize("eta_max", range(6))

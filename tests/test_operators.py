@@ -8,6 +8,7 @@ must match bit for bit, not just approximately.
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kanto import (
-    CatalogMissingDerivative,
     EvalGrid,
     LatticeField,
     MissingData,
     TensorKernel2D,
+    UnsupportedOrder,
     admissible_box,
     apply_gbs,
     apply_gw,
@@ -248,24 +249,33 @@ class TestAverageSeries:
         )
         assert got == want
 
+    # kind and rate are checked before coverage: a box whose windows leave
+    # the field gets the same error as one inside it, not MissingData
+    BOXES = [(0.0, 0.0, 1.0, 1.0), (-5.0, -5.0, -4.0, -4.0)]
+
     def test_kind_mismatch_rejected(self, chibar3):
         f = fn_lookup("x")
         samples = LatticeField.from_function(f, 10.0, -8, 18, -8, 18)
-        grid = EvalGrid.regular((0.0, 0.0, 1.0, 1.0), 3, 10.0)
-        with pytest.raises(ValueError):
-            apply_sw(samples, chibar3, grid)
         averages = LatticeField.from_function(
             f, 10.0, -8, 18, -8, 18, kind=KIND_CELL_AVERAGES
         )
-        with pytest.raises(ValueError):
-            apply_gw(averages, chibar3, grid)
+        for box in self.BOXES:
+            grid = EvalGrid.regular(box, 3, 10.0)
+            message = "average-based operator needs a field of kind 'cell_averages'"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                apply_sw(samples, chibar3, grid)
+            message = "sample-based operator needs a field of kind 'samples'"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                apply_gw(averages, chibar3, grid)
 
     def test_rate_mismatch_rejected(self, chibar3):
         f = fn_lookup("x")
         field = LatticeField.from_function(f, 10.0, -8, 18, -8, 18)
-        grid = EvalGrid.regular((0.0, 0.0, 1.0, 1.0), 3, 5.0)
-        with pytest.raises(ValueError):
-            apply_gw(field, chibar3, grid)
+        for box in self.BOXES:
+            grid = EvalGrid.regular(box, 3, 5.0)
+            message = "lattice rate of field and grid disagree"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                apply_gw(field, chibar3, grid)
 
 
 class TestMissingData:
@@ -386,7 +396,7 @@ class TestRepresentationResidual:
     def test_missing_derivative_rejected(self, chibar3):
         bare = CatalogEntry(name="bare", fn=lambda x, y: x + y, partials={})
         grid = EvalGrid(points=[(0.5, 0.5)], w=10.0)
-        with pytest.raises(CatalogMissingDerivative):
+        with pytest.raises(UnsupportedOrder, match=re.escape("order (1, 0)")):
             representation_residual(bare, chibar3, grid)
 
 
