@@ -14,19 +14,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    FunctionProfile,
-    build_bound_report,
-    convergence_study,
-    gbs_modulus_bound,
-    mixed_modulus_estimate,
-)
 from .csvio import write_csv
 from .functions import TestFunction, fn_lookup
 from .kernel1d import CentralBSpline, CombinationKernel, construct_combination_kernel
@@ -177,7 +171,12 @@ def _cmd_moments(args, kernel: TensorKernel2D) -> None:
     )
 
 
+# The bounds, converge and gbs handlers import kanto.analysis when they
+# run, so that the other subcommands neither load nor compile it.
+
 def _cmd_bounds(args, kernel: TensorKernel2D) -> None:
+    from .analysis import FunctionProfile, build_bound_report
+
     f, box = _fn_and_box(args)
     profile = FunctionProfile.from_function(f, box)
     report = build_bound_report(kernel, args.w, profile, grid_n=args.grid_n)
@@ -185,6 +184,8 @@ def _cmd_bounds(args, kernel: TensorKernel2D) -> None:
 
 
 def _cmd_converge(args, kernel: TensorKernel2D) -> None:
+    from .analysis import convergence_study
+
     f, box = _fn_and_box(args)
     table = convergence_study(
         f, kernel, args.op, args.w_list, box, args.grid_n, args.quad_order
@@ -214,6 +215,8 @@ def _cmd_kernel_info(args, kernel: TensorKernel2D) -> None:
 
 
 def _cmd_gbs(args, kernel: TensorKernel2D) -> None:
+    from .analysis import gbs_modulus_bound, mixed_modulus_estimate
+
     f, box = _fn_and_box(args)
     delta = 1.0 / args.w
     omega = mixed_modulus_estimate(f, delta, delta, box)
@@ -326,4 +329,12 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
+    """The console entry point: ``main()`` in a process that exits after it.
+
+    Everything loaded by now lives until exit, so the collector stops
+    tracking it (``gc.freeze``); otherwise the interpreter's last collection
+    walks all of numpy's objects on the way out.  In-process ``main(argv)``
+    callers never freeze.
+    """
+    gc.freeze()
     return main()

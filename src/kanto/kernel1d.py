@@ -176,7 +176,10 @@ def discrete_moment(kernel: Kernel1D, eta: int, u, absolute: bool = False):
     ks = np.arange(kmin, kmax + 1, dtype=float)
     offs = uu[..., None] - ks
     vals = kernel(offs)
-    # from some eta on the powers overflow (NaN where the weight is 0)
+    # An offset of weight 0 (outside the support) is raised as +-1: its term
+    # stays the signed zero it was, where its power would overflow to
+    # 0 * inf = NaN.  From some eta on the powers inside the support overflow.
+    offs = np.where(vals == 0, np.copysign(1.0, offs), offs)
     with np.errstate(over="ignore", invalid="ignore"):
         if absolute:
             contrib = np.abs(vals) * np.abs(offs) ** eta

@@ -21,7 +21,6 @@ elementwise; they may return any result that broadcasts against their inputs.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -557,6 +556,8 @@ def _meta_path(path) -> Path:
 
 def write_lattice_csv(field: LatticeField, path) -> None:
     """Write k,j,value rows plus a .meta.json sidecar with rate, kind, bounds."""
+    import json  # only lattice I/O uses it; most runs never load it
+
     rows, cols = np.nonzero(~np.isnan(field.values))  # ascending (k, j)
     write_csv(
         ("k", "j", "value"),
@@ -579,6 +580,8 @@ def read_lattice_csv(path) -> LatticeField:
 
     A repeated (k, j) row is an error, not an overwrite.
     """
+    import json
+
     path = Path(path)
     meta_path = _meta_path(path)
     try:

@@ -51,3 +51,16 @@ def test_every_error_is_missing_data_or_a_value_error():
     assert kanto.MissingData in errors
     stray = [e for e in errors if not issubclass(e, (kanto.MissingData, ValueError))]
     assert stray == []
+
+
+def test_package_exports_analysis_lazily():
+    # kanto.__getattr__ loads kanto.analysis on first use of one of its names
+    import kanto.analysis
+
+    assert kanto._ANALYSIS == set(kanto.analysis.__all__)
+    listed = dir(kanto)
+    for name in kanto._ANALYSIS:
+        assert getattr(kanto, name) is getattr(kanto.analysis, name)
+        assert name in listed
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        kanto.nope

@@ -1,6 +1,7 @@
 """End-to-end CLI checks through subprocess: formats, exit codes, determinism."""
 
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -589,12 +590,13 @@ class TestErrorPaths:
 
     def test_moment_that_is_not_finite(self):
         # was exit 0 with numpy RuntimeWarnings and nan in rows (397,0) and
-        # (0,397); --eta-max 396 is the highest order that runs
-        proc = run_cli("moments", "--eta-max", "397")
+        # (0,397), from offsets outside the support; --eta-max 417 is the
+        # highest order whose terms inside the support stay finite
+        proc = run_cli("moments", "--eta-max", "418")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == (
-            "error: lattice moment (0, 397) of the kernel is not finite; "
+            "error: lattice moment (0, 418) of the kernel is not finite; "
             "lower eta_max\n"
         )
 
@@ -718,3 +720,65 @@ class TestDeterminism:
         pooled = run_cli(*args, env_extra={"KANTO_THREADS": "8"})
         assert single.returncode == 0 and pooled.returncode == 0
         assert single.stdout == pooled.stdout
+
+
+class TestColdStart:
+    """What a ``python -m kanto`` process loads, and how it exits."""
+
+    @staticmethod
+    def imported(*args):
+        """The exit code and the names of every module a CLI process imports."""
+        proc = run_cli(*args, env_extra={"PYTHONPROFILEIMPORTTIME": "1"})
+        names = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        return proc.returncode, names
+
+    def test_reconstruct_loads_neither_analysis_nor_json(self, tmp_path):
+        pgm = tmp_path / "x.pgm"
+        pgm.write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
+        out = str(tmp_path / "out.csv")
+        for args in (
+            ("reconstruct", "--fn", "xy", "--grid-n", "2"),
+            ("reconstruct", "--input", str(pgm), "--grid-n", "2"),
+        ):
+            code, names = self.imported(*args, "--out", out)
+            assert code == 0
+            assert "kanto.operators" in names
+            assert {"kanto.analysis", "json"}.isdisjoint(names), args
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("gbs", "--fn", "xy", "--grid-n", "2"),
+            ("converge", "--fn", "xy", "--w-list", "5,10", "--grid-n", "2"),
+            ("bounds", "--fn", "xy", "--grid-n", "4"),
+        ],
+    )
+    def test_analysis_loads_where_a_subcommand_calls_it(self, args, tmp_path):
+        code, names = self.imported(*args, "--out", str(tmp_path / "out.csv"))
+        assert code == 0
+        assert "kanto.analysis" in names
+
+    def test_module_entry_point_freezes_the_collector(self, tmp_path):
+        # python -m kanto runs kanto/__main__.py, which goes through cli.run()
+        script = (
+            "import gc, runpy, sys\n"
+            "sys.argv = ['kanto', 'kernel-info', '--grid-n', '2', '--out', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('kanto', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out.csv")],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert (proc.stdout, proc.stderr) == ("0 True\n", "")
+
+    def test_main_in_process_leaves_the_collector_alone(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert cli.main(["kernel-info", "--grid-n", "2", "--out", str(tmp_path / "k")]) == 0
+        assert gc.get_freeze_count() == before

@@ -15,6 +15,7 @@ orders and the shifts: ones whose sums overflow, and non-finite ones.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import warnings
@@ -276,8 +277,21 @@ META_CHANGES = st.one_of(
 
 
 @pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    return tmp_path_factory.mktemp("files")
+def new_dir(tmp_path_factory):
+    """Makes a new directory per call, so that every example writes new files.
+
+    Rewriting a file truncates it at open, which waits for the filesystem
+    to flush its old blocks; creating one does not wait.
+    """
+    root = tmp_path_factory.mktemp("files")
+    serial = itertools.count()
+
+    def make():
+        path = root / str(next(serial))
+        path.mkdir()
+        return path
+
+    return make
 
 
 # no box, a box inside the default lattices, or one far outside any of them
@@ -306,7 +320,7 @@ def check_input(argv):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), name=st.sampled_from(["avg.csv", "pts.csv"]), edits=LINE_EDITS)
-def test_every_lattice_csv_exits_0_2_or_3(inputs, workdir, data, name, edits):
+def test_every_lattice_csv_exits_0_2_or_3(inputs, new_dir, data, name, edits):
     lines = open(inputs[name]).read().splitlines()
     for n, (edit, arg) in edits:
         i = 1 + n % (len(lines) - 1)
@@ -320,10 +334,10 @@ def test_every_lattice_csv_exits_0_2_or_3(inputs, workdir, data, name, edits):
             lines.insert(i, "%d,%d,0.5" % arg)
         else:
             lines[0] = arg
-    path = workdir / "rows.csv"
+    path = new_dir() / "rows.csv"
     path.write_text("\n".join(lines) + "\n")
     meta = open(inputs[name].replace(".csv", ".meta.json")).read()
-    (workdir / "rows.meta.json").write_text(meta)
+    path.with_suffix(".meta.json").write_text(meta)
     check_input(input_argv(path, data))
 
 
@@ -345,7 +359,7 @@ def test_every_lattice_csv_exits_0_2_or_3(inputs, workdir, data, name, edits):
     ),
 )
 def test_every_meta_json_exits_0_2_or_3(
-    inputs, workdir, data, name, changes, whole, hole
+    inputs, new_dir, data, name, changes, whole, hole
 ):
     meta = json.loads(open(inputs[name].replace(".csv", ".meta.json")).read())
     for key, value in changes.items():
@@ -353,8 +367,10 @@ def test_every_meta_json_exits_0_2_or_3(
             del meta[key]
         else:
             meta[key] = value
-    (workdir / "meta.meta.json").write_text(json.dumps(meta) if whole is None else whole)
-    path = workdir / "meta.csv"
+    path = new_dir() / "meta.csv"
+    path.with_suffix(".meta.json").write_text(
+        json.dumps(meta) if whole is None else whole
+    )
     rows = open(inputs[name]).read().splitlines(keepends=True)
     if hole is not None:
         rows = [row for row in rows if not row.startswith("%d,%d," % hole)]
@@ -383,7 +399,7 @@ MAXVAL = header_field(st.just(b"255"), [b"0", b"65535", b"256", b"0255"])
     separators=st.lists(SEPARATOR, min_size=4, max_size=4),
     extra=st.integers(-2, 2),
 )
-def test_every_pgm_exits_0_2_or_3(workdir, data, tokens, separators, extra):
+def test_every_pgm_exits_0_2_or_3(new_dir, data, tokens, separators, extra):
     header = b"".join(token + sep for token, sep in zip(tokens, separators))
     try:
         pixels = min(int(tokens[1]) * int(tokens[2]), 200)
@@ -392,6 +408,6 @@ def test_every_pgm_exits_0_2_or_3(workdir, data, tokens, separators, extra):
     # a raster of the declared size, give or take a few bytes
     length = max(pixels + extra, 0)
     raster = data.draw(st.binary(min_size=length, max_size=length))
-    path = workdir / "img.pgm"
+    path = new_dir() / "img.pgm"
     path.write_bytes(header + raster)
     check_input(input_argv(path, data))

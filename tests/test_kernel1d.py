@@ -249,6 +249,22 @@ class TestDiscreteMoment:
                 absm = discrete_moment(chi3, eta, float(u), absolute=True)
                 assert absm + 1e-12 >= abs(alg)
 
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_only_terms_inside_the_support_enter(self, chi3, absolute):
+        # over this grid the index range reaches the offset 5 + 63/64 outside
+        # the support (0.5, 5.5), whose power overflows (was 0 * inf = nan);
+        # every term inside stays below 5.5**397 = 1e294
+        eta = 397
+        us = np.arange(64) / 64.0
+        got = discrete_moment(chi3, eta, us, absolute=absolute)
+        lo, hi = chi3.support
+        for u, value in zip(us, got):
+            offsets = [u - k for k in range(math.ceil(u - hi), math.floor(u - lo) + 1)]
+            terms = [float(chi3(t)) * t**eta for t in offsets]
+            expected = math.fsum(map(abs, terms) if absolute else terms)
+            assert math.isfinite(value)
+            assert value == pytest.approx(expected, rel=1e-12)
+
     def test_vector_input(self, m3):
         us = np.array([0.0, 0.25, 0.5])
         vals = discrete_moment(m3, 0, us)
