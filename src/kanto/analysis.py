@@ -22,8 +22,8 @@ from .functions import (
     _evaluate,
     sup_norm_estimate,
 )
-from .kernel2d import MomentTable, TensorKernel2D
-from .operators import OPERATORS, EvalGrid, interior_margin
+from .kernel2d import MOMENT_GRID, MomentTable, TensorKernel2D
+from .operators import EVAL_GRID, OPERATORS, QUAD_ORDER, EvalGrid, interior_margin
 
 __all__ = [
     "BoundReport",
@@ -52,17 +52,14 @@ class FunctionProfile:
 
     @classmethod
     def from_function(
-        cls,
-        f: TestFunction,
-        box: tuple[float, float, float, float] | None = None,
-        grid_n: int = 101,
+        cls, f: TestFunction, box: tuple[float, float, float, float] | None = None
     ) -> "FunctionProfile":
         if box is None:
             box = f.default_box
         norms = {}
         for idx in CATALOG_ORDERS:
             try:
-                norms[idx] = sup_norm_estimate(f, idx, box, grid_n)
+                norms[idx] = sup_norm_estimate(f, idx, box)
             except UnsupportedOrder:
                 continue
         return cls(sup_norms=norms, box=box)
@@ -427,8 +424,8 @@ def convergence_study(
     operator: str,
     w_list: Sequence[float],
     box: tuple[float, float, float, float],
-    grid_n: int = 20,
-    quad_order: int = 5,
+    grid_n: int = EVAL_GRID,
+    quad_order: int = QUAD_ORDER,
 ) -> ConvergenceTable:
     """Sup error against the target on a fixed interior grid, per lattice rate.
 
@@ -465,8 +462,7 @@ def inverse_result_probe(
     kernel: TensorKernel2D,
     w_list: Sequence[float],
     box: tuple[float, float, float, float],
-    grid_n: int = 20,
-    quad_order: int = 5,
+    grid_n: int = EVAL_GRID,
 ) -> ConvergenceTable:
     """Average-based convergence table for the ridge function f(x,y) = g(y-x).
 
@@ -478,7 +474,7 @@ def inverse_result_probe(
     def f(x, y):
         return g(y - x)
 
-    return convergence_study(f, kernel, "sw", w_list, box, grid_n, quad_order)
+    return convergence_study(f, kernel, "sw", w_list, box, grid_n)
 
 
 def _monomials_upto(degree: int):
@@ -497,7 +493,6 @@ def polynomial_reproduction_check(
     box: tuple[float, float, float, float],
     grid_n: int = 5,
     operator: str = "gw",
-    quad_order: int = 5,
 ) -> float:
     """Degree-preservation check on all monomials of total degree < r.
 
@@ -514,7 +509,7 @@ def polynomial_reproduction_check(
     design = np.column_stack([grid.sample(p) for p in monos])
     worst = 0.0
     for p in monos:
-        approx = OPERATORS[operator](p, kernel, grid, quad_order)
+        approx = OPERATORS[operator](p, kernel, grid, QUAD_ORDER)
         if operator == "gw":
             residual = approx - grid.sample(p)
         else:
@@ -542,12 +537,10 @@ def build_bound_report(
     kernel: TensorKernel2D,
     w: float,
     profile: FunctionProfile,
-    r: int | None = None,
-    grid_n: int = 64,
+    grid_n: int = MOMENT_GRID,
 ) -> BoundReport:
     """Every bound constant at one rate for one profile, from one moment table."""
-    if r is None:
-        r = kernel.moment_order
+    r = kernel.moment_order
     table = MomentTable.compute(kernel, eta_max=max(r, 4), grid_n=grid_n)
     mom = table.absolute_sup
     lin_x, lin_y, bilin = _modulus_constants(mom, w)

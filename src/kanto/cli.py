@@ -25,13 +25,17 @@ from .csvio import write_csv
 from .functions import TestFunction, fn_lookup
 from .kernel1d import CentralBSpline, CombinationKernel, construct_combination_kernel
 from .kernel2d import (
+    MOMENT_GRID,
     MomentTable,
     TensorKernel2D,
     partition_of_unity_check,
     validate_kernel,
 )
 from .operators import (
+    EVAL_GRID,
     OPERATORS,
+    QUAD_ORDER,
+    QUAD_ORDER_MAX,
     EvalGrid,
     LatticeField,
     MissingData,
@@ -47,9 +51,6 @@ __all__ = ["main", "run"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-
-VALIDATION_GRID = 32
-VALIDATION_TOL = 1e-8
 
 FN_HEADER = ("x", "y", "approx", "exact", "abs_err")
 
@@ -113,7 +114,7 @@ def _build_kernel(args) -> TensorKernel2D:
     else:
         axis = construct_combination_kernel(args.r, _parse_floats(args.shifts))
     kernel = TensorKernel2D(axis, axis)
-    validate_kernel(kernel, grid_n=VALIDATION_GRID, tol=VALIDATION_TOL)
+    validate_kernel(kernel)
     return kernel
 
 
@@ -266,11 +267,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     out = _flag("--out", help="output CSV path (default: stdout)")
     fn = _flag("--fn", required=True, help="catalog function name")
-    op = _flag("--op", choices=list(OPERATORS), default="gw")
+    op = _flag(
+        "--op", choices=list(OPERATORS), default="gw",
+        help="operator: point samples (gw), cell averages (sw) or boolean sum (gbs)",
+    )
     rate = _flag("--w", type=float, default=10.0, help="lattice rate")
     box = _flag("--box", help="evaluation box x0,y0,x1,y1")
-    grid = {n: _flag("--grid-n", type=int, default=n) for n in (20, 64)}
-    quad = _flag("--quad-order", type=int, default=5)
+    eval_grid = _flag(
+        "--grid-n", type=int, default=EVAL_GRID,
+        help="evaluation grid points per axis of the box",
+    )
+    moment_grid = _flag(
+        "--grid-n", type=int, default=MOMENT_GRID,
+        help="unit-cell grid points per axis for the kernel moments",
+    )
+    quad = _flag(
+        "--quad-order", type=int, default=QUAD_ORDER,
+        help="Gauss-Legendre nodes per axis of a cell average (sw, gbs), "
+        f"1 to {QUAD_ORDER_MAX}",
+    )
 
     def command(name, handler, help, *flags) -> argparse.ArgumentParser:
         """Subcommand ``name``: the kernel flags, then ``flags``, then --out."""
@@ -283,25 +298,26 @@ def _build_parser() -> argparse.ArgumentParser:
         _flag("--fn", help="catalog function name"),
         _flag("--input", help="lattice CSV or PGM image file"),
         _flag("--input-w", type=float, help="override the input lattice rate"),
-        op, rate, box, grid[20], quad,
+        op, rate, box, eval_grid, quad,
     )
     command(
         "moments", _cmd_moments, "tabulate kernel lattice moments",
-        _flag("--eta-max", type=int, default=3), grid[64],
+        _flag("--eta-max", type=int, default=3, help="highest moment order p1 + p2"),
+        moment_grid,
     )
     command(
         "bounds", _cmd_bounds, "evaluate every error-bound constant",
-        fn, rate, box, grid[64],
+        fn, rate, box, moment_grid,
     )
     command(
         "converge", _cmd_converge, "sup-error table over increasing rates",
         fn, op, _flag("--w-list", default="5,10,20,40", help="comma-separated rates"),
-        box, grid[20], quad,
+        box, eval_grid, quad,
     )
-    command("kernel-info", _cmd_kernel_info, "kernel summary constants", grid[64])
+    command("kernel-info", _cmd_kernel_info, "kernel summary constants", moment_grid)
     command(
         "gbs", _cmd_gbs, "boolean-sum reconstruction with its modulus bound",
-        fn, rate, box, grid[20], quad,
+        fn, rate, box, eval_grid, quad,
     ).set_defaults(op="gbs")
     return parser
 

@@ -92,10 +92,10 @@ def _const(c: float) -> Callable:
 _ZERO = _const(0.0)
 
 
-def _entry(name, fn, nonzero_partials, box=DEFAULT_BOX):
+def _entry(name, fn, nonzero_partials):
     partials = {idx: _ZERO for idx in CATALOG_ORDERS}
     partials.update(nonzero_partials)
-    return TestFunction(name=name, fn=fn, partials=partials, default_box=box)
+    return TestFunction(name=name, fn=fn, partials=partials)
 
 
 def _gauss(x, y):
@@ -214,16 +214,18 @@ def fn_lookup(name: str) -> TestFunction:
         raise UnknownFunction(f"unknown function {name!r}; valid names: {valid}") from None
 
 
+SUP_NORM_GRID = 101  # points per axis of the sup-norm scan
+
+
 def sup_norm_estimate(
     f: TestFunction,
     multi_index: tuple[int, int],
     box: tuple[float, float, float, float] | None = None,
-    grid_n: int = 101,
 ) -> float:
     """Estimate sup |partial derivative of f| over a box.
 
-    Grid maximum over ``grid_n x grid_n`` points, refined once by a finer
-    scan of the cell around the argmax.  This is a lower estimate of the
+    Grid maximum over ``SUP_NORM_GRID`` points per axis, refined once by a
+    finer scan of the cell around the argmax.  This is a lower estimate of the
     true sup; on the catalog functions the refinement leaves it within
     grid-resolution accuracy.  Order (0, 0) is f itself; any other order
     without a closed form in ``f.partials`` is :class:`UnsupportedOrder`.
@@ -233,17 +235,15 @@ def sup_norm_estimate(
     if box is None:
         box = f.default_box
     x0, y0, x1, y1 = box
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
     part = f.fn if tuple(multi_index) == (0, 0) else f.partial(*multi_index)
     with np.errstate(all="ignore"):
-        xs = np.linspace(x0, x1, grid_n)
-        ys = np.linspace(y0, y1, grid_n)
+        xs = np.linspace(x0, x1, SUP_NORM_GRID)
+        ys = np.linspace(y0, y1, SUP_NORM_GRID)
         vals = np.abs(_evaluate(part, xs[:, None], ys[None, :]))
         i, l = np.unravel_index(int(np.argmax(vals)), vals.shape)
         best = float(vals[i, l])
-        hx = (x1 - x0) / (grid_n - 1)
-        hy = (y1 - y0) / (grid_n - 1)
+        hx = (x1 - x0) / (SUP_NORM_GRID - 1)
+        hy = (y1 - y0) / (SUP_NORM_GRID - 1)
         fx = np.linspace(max(x0, xs[i] - hx), min(x1, xs[i] + hx), 21)
         fy = np.linspace(max(y0, ys[l] - hy), min(y1, ys[l] + hy), 21)
         fine = float(np.abs(part(fx[:, None], fy[None, :])).max())

@@ -69,13 +69,16 @@ def max_support_radius(kernel: TensorKernel2D) -> float:
     )
 
 
+MOMENT_GRID = 64  # points per axis of the default unit-cell grid of the moments
+
+
 def _unit_grid(grid_n: int) -> np.ndarray:
     if grid_n < 1:
         raise ValueError("grid_n must be >= 1")
     return np.arange(grid_n, dtype=float) / grid_n
 
 
-def partition_of_unity_check(kernel: TensorKernel2D, grid_n: int = 64) -> float:
+def partition_of_unity_check(kernel: TensorKernel2D, grid_n: int) -> float:
     """Max deviation of sum_{k,j} chi(u-k, v-j) from 1 over the unit cell grid."""
     us = _unit_grid(grid_n)
     ax = discrete_moment(kernel.kx, 0, us)
@@ -84,7 +87,7 @@ def partition_of_unity_check(kernel: TensorKernel2D, grid_n: int = 64) -> float:
 
 
 def validate_kernel(
-    kernel: TensorKernel2D, grid_n: int = 16, tol: float = 1e-8
+    kernel: TensorKernel2D, grid_n: int = 32, tol: float = 1e-8
 ) -> None:
     """Check the admission conditions: compact support, boundedness, unit mass.
 
@@ -120,7 +123,7 @@ class MomentTable:
 
     @classmethod
     def compute(
-        cls, kernel: TensorKernel2D, eta_max: int = 3, grid_n: int = 64
+        cls, kernel: TensorKernel2D, eta_max: int, grid_n: int = MOMENT_GRID
     ) -> "MomentTable":
         """Tabulate every pair; each call builds a fresh table.
 

@@ -56,6 +56,12 @@ __all__ = [
 KIND_SAMPLES = "samples"
 KIND_CELL_AVERAGES = "cell_averages"
 
+# Gauss-Legendre points per axis of a cell average, and the largest order
+# accepted: computing the rule costs the cube of the order
+QUAD_ORDER = 5
+QUAD_ORDER_MAX = 256
+EVAL_GRID = 20  # points per axis of the default evaluation grid
+
 
 class MissingData(Exception):
     """A lattice sample required by the evaluation window is absent.
@@ -135,7 +141,7 @@ class LatticeField:
         jmin: int,
         jmax: int,
         kind: str = KIND_SAMPLES,
-        quad_order: int = 5,
+        quad_order: int = QUAD_ORDER,
     ) -> "LatticeField":
         """Tabulate a function on the lattice rectangle, as samples or averages."""
         k = np.arange(kmin, kmax + 1)[:, None]
@@ -189,8 +195,8 @@ class EvalGrid:
 
 @lru_cache(maxsize=16)
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order < 1:
-        raise ValueError("quad_order must be >= 1")
+    if not 1 <= order <= QUAD_ORDER_MAX:
+        raise ValueError(f"quad_order must be in 1..{QUAD_ORDER_MAX}, got {order}")
     return np.polynomial.legendre.leggauss(order)
 
 
@@ -204,7 +210,7 @@ def _gauss_mean(g: Callable, k, w: float, quad_order: int):
     return m
 
 
-def cell_average(f: Callable, k, j, w: float, quad_order: int = 5):
+def cell_average(f: Callable, k, j, w: float, quad_order: int = QUAD_ORDER):
     """Mean of f over the lattice cell [k/w,(k+1)/w] x [j/w,(j+1)/w].
 
     The Gauss-Legendre mean over u of the mean over v, exact for polynomial
@@ -413,7 +419,7 @@ def apply_sw(
     field: SourceField,
     kernel: TensorKernel2D,
     grid: EvalGrid,
-    quad_order: int = 5,
+    quad_order: int = QUAD_ORDER,
 ) -> np.ndarray:
     """Sampling series from cell averages instead of point samples.
 
@@ -428,7 +434,7 @@ def apply_gbs(
     field: Union[TestFunction, Callable],
     kernel: TensorKernel2D,
     grid: EvalGrid,
-    quad_order: int = 5,
+    quad_order: int = QUAD_ORDER,
 ) -> np.ndarray:
     """Boolean-sum operator: cell averages of f(x,v) + f(u,y) - f(u,v).
 
@@ -464,10 +470,7 @@ OPERATORS = {
 
 
 def representation_residual(
-    f: TestFunction,
-    kernel: TensorKernel2D,
-    grid: EvalGrid,
-    quad_order: int = 5,
+    f: TestFunction, kernel: TensorKernel2D, grid: EvalGrid
 ) -> np.ndarray:
     """Second-order residual of the average-based series.
 
@@ -478,7 +481,7 @@ def representation_residual(
     """
     fx = f.partial(1, 0)
     fy = f.partial(0, 1)
-    sw = apply_sw(f, kernel, grid, quad_order)
+    sw = apply_sw(f, kernel, grid)
     gw = apply_gw(f, kernel, grid)
     gwx = apply_gw(fx, kernel, grid)
     gwy = apply_gw(fy, kernel, grid)

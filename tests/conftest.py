@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from kanto import (
@@ -8,6 +11,13 @@ from kanto import (
 )
 
 STANDARD_SHIFTS = (2.0, 3.0, 4.0)
+
+# pytest's `pythonpath` setting puts src/ on this process's sys.path only; the
+# CLI tests run `python -m kanto` in child processes, which read PYTHONPATH
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")

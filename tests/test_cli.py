@@ -10,8 +10,18 @@ import sys
 import numpy as np
 import pytest
 
-from kanto import LatticeField, cli, fn_lookup, write_lattice_csv
-from kanto.operators import KIND_CELL_AVERAGES
+from kanto import (
+    CentralBSpline,
+    LatticeField,
+    TensorKernel2D,
+    UnsupportedKernel,
+    cli,
+    construct_combination_kernel,
+    fn_lookup,
+    validate_kernel,
+    write_lattice_csv,
+)
+from kanto.operators import KIND_CELL_AVERAGES, QUAD_ORDER_MAX
 
 
 def run_cli(*args, env_extra=None):
@@ -84,6 +94,45 @@ def test_flag_table(command):
     assert table == {**COMMON_FLAGS, **FLAG_TABLE[command]}
     op_default = {"reconstruct": "gw", "converge": "gw", "gbs": "gbs"}
     assert sub.get_default("op") == op_default.get(command)
+
+
+@pytest.mark.parametrize("command", FLAG_TABLE)
+def test_every_option_has_help(command):
+    parser = cli._build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subs.choices[command]
+    helps = {option: a.help for a in sub._actions for option in a.option_strings}
+    assert all(helps.values()), helps
+    grid = FLAG_TABLE[command].get("--grid-n")
+    if grid is not None:
+        # one flag name, two grids: the help says which one it sets
+        which = "evaluation" if grid == GRID_20["--grid-n"] else "moment"
+        assert which in helps["--grid-n"]
+    if "--quad-order" in helps:
+        assert str(QUAD_ORDER_MAX) in helps["--quad-order"]
+
+
+KERNELS = [("bspline", r, None) for r in range(1, 21)] + [
+    ("combo", r, ",".join(str(s) for s in range(2, r + 2))) for r in range(2, 6)
+]
+
+
+@pytest.mark.parametrize("kind, r, shifts", KERNELS)
+def test_api_and_cli_admit_the_same_kernels(kind, r, shifts, tmp_path):
+    argv = ["kernel-info", "--kernel", kind, "--r", str(r)]
+    if kind == "bspline":
+        axis = CentralBSpline(r)
+    else:
+        axis = construct_combination_kernel(r, [float(s) for s in shifts.split(",")])
+        argv += ["--shifts", shifts]
+    try:
+        validate_kernel(TensorKernel2D(axis, axis))
+        admitted = True
+    except UnsupportedKernel:
+        admitted = False
+    assert cli.main([*argv, "--out", str(tmp_path / "k.csv")]) == (0 if admitted else 2)
+    # B-splines from order 17 on lose the partition of unity to rounding
+    assert admitted == (kind == "combo" or r <= 16)
 
 
 class TestKernelInfo:
@@ -580,6 +629,22 @@ class TestErrorPaths:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert "2**53" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("reconstruct", "--fn", "x", "--op", "sw", "--w", "1", "--grid-n", "2"),
+            ("converge", "--fn", "x", "--op", "sw", "--w-list", "5,10", "--grid-n", "2"),
+            ("gbs", "--fn", "x", "--w", "1", "--grid-n", "2"),
+        ],
+    )
+    def test_quad_order_above_the_cap(self, args):
+        # was no cap: --quad-order 1600 took 5.9 s and 71 MB
+        order = QUAD_ORDER_MAX + 1
+        proc = run_cli(*args, "--quad-order", str(order))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: quad_order must be in 1..{QUAD_ORDER_MAX}, got {order}\n"
 
     def test_negative_eta_max(self):
         # was exit 0 with only the header row

@@ -33,7 +33,7 @@ from kanto import (
     write_lattice_csv,
 )
 from kanto.functions import TestFunction as CatalogEntry
-from kanto.operators import KIND_CELL_AVERAGES, KIND_SAMPLES
+from kanto.operators import KIND_CELL_AVERAGES, KIND_SAMPLES, QUAD_ORDER_MAX
 
 rng = np.random.default_rng(2)
 
@@ -72,6 +72,21 @@ class TestCellAverage:
     def test_negative_cell(self):
         got = cell_average(lambda u, v: v, -4, -4, 8.0)
         assert got == pytest.approx((-4 + 0.5) / 8.0, abs=1e-14)
+
+    def test_order_at_the_cap(self):
+        got = cell_average(lambda u, v: u * v, 0, 0, 1.0, QUAD_ORDER_MAX)
+        assert got == pytest.approx(0.25, abs=1e-14)
+
+    @pytest.mark.parametrize("order", [0, QUAD_ORDER_MAX + 1])
+    def test_order_outside_the_cap(self, order, chibar3):
+        # the Gauss rule costs the cube of its order: 1600 took 5.9 s and 71 MB
+        grid = EvalGrid.regular((0.0, 0.0, 1.0, 1.0), 2, 1.0)
+        message = re.escape(f"quad_order must be in 1..{QUAD_ORDER_MAX}, got {order}")
+        with pytest.raises(ValueError, match=message):
+            cell_average(lambda u, v: u, 0, 0, 1.0, order)
+        for op in (apply_sw, apply_gbs):
+            with pytest.raises(ValueError, match=message):
+                op(fn_lookup("x"), chibar3, grid, order)
 
 
 class TestEvalGrid:
