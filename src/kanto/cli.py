@@ -39,6 +39,7 @@ from .operators import (
     EvalGrid,
     LatticeField,
     MissingData,
+    _check_quad_order,
     _check_rate,
     _interior_hole,
     admissible_box,
@@ -330,6 +331,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         _check_rates(args)
+        if hasattr(args, "quad_order"):
+            # gw, and sw on a lattice file, build no rule that would check it
+            _check_quad_order(args.quad_order)
         kernel = _build_kernel(args)
         args.handler(args, kernel)
     except MissingData as exc:

@@ -6,20 +6,22 @@ strings are printed as they are, and a column of labels may hold floats too
 (the ``slope`` row under the rates of a convergence table).  Lines end in
 LF only.
 
-The text is built as bytes in numpy.  Tables on tensor grids repeat their
-coordinates many times, so a float column is formatted once per distinct
-value, found by the bit pattern of the float (which keeps ``-0.0`` apart
-from ``0.0``), into a NUL-padded ``uint8`` row.  The 17 digits of those
-values come from an exact product with a power of ten (below); the few
-values where that product cannot decide the last digit, and zeros,
-infinities, NaNs and values beyond 1e-250..1e250 in magnitude, are formatted
-one by one with ``"%.17g"``.  Integer and label columns are formatted once
-per distinct value in Python.  Rows are then gathered, joined with ``,`` and
-``\\n``, and their NUL padding dropped, a fixed block of rows at a time.
+The text is built as bytes in numpy, a fixed block of rows at a time.  One
+sort of a float column's bit patterns (which keep ``-0.0`` apart from
+``0.0``) decides whether any value repeats.  A column that repeats, such as
+the coordinates of a tensor grid, is formatted once per distinct value into
+NUL-padded ``uint8`` rows, which each row block then copies by index.  A
+column with no repeat is formatted straight into each row block.  The 17
+digits of a value come from an exact product with a power of ten (below);
+the few values where that product cannot decide the last digit, and zeros,
+infinities, NaNs and values beyond 1e-250..1e250 in magnitude, are
+formatted one by one with ``"%.17g"``.  Integer and label columns are
+formatted once per distinct value in Python.  Each row block is joined with
+``,`` and ``\\n``, its NUL padding dropped, and handed on as one chunk.
 
 Every file kanto writes, tables and ``.meta.json`` sidecars, is written by
-``write_file``: an existing file is rewritten in place, so it keeps its
-inode, its mode and the links that lead to it.
+``write_file``, a table one chunk at a time: an existing file is rewritten
+in place, so it keeps its inode, its mode and the links that lead to it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import os
 import stat
 import sys
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,7 +81,7 @@ def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e = np.floor(np.log10(a)).astype(np.int64)
     e0 = int(e.min())
     powers = [_pow10(16 - k) for k in range(e0, int(e.max()) + 1)]
-    hi, lo, hi_h, hi_l = np.array(powers)[e - e0].T
+    hi, lo, hi_h, hi_l = np.array(powers).T.take(e - e0, axis=1)
     # a * hi = p + err exactly (Dekker's TwoProduct with a Veltkamp split;
     # numpy has no fused multiply-add)
     p = a * hi
@@ -137,17 +139,18 @@ def _text_matrix(texts: list) -> np.ndarray:
 
 
 def _float_rows(x: np.ndarray, out: np.ndarray) -> int:
-    """Write ``"%.17g" % v`` of each v of x into the zeroed rows of out.
+    """Write ``"%.17g" % v`` of each v of x, NUL-padded, into the rows of out.
 
-    Returns the width used.
+    out has ``_WIDTH`` columns; returns the width of the longest text.
     """
     q, e, ok = _digits(x)
     n = x.size
     # column i of src holds the 17 digits of q[i], then _CONST; the digits
-    # are peeled off three groups of six at once
-    groups = np.empty((3, n), dtype=np.int64)
-    groups[0] = q // 10**12
-    groups[1] = q // 10**6 % 10**6
+    # are peeled off three groups of six at once, each of which fits uint32
+    top = q // 10**6
+    groups = np.empty((3, n), dtype=np.uint32)
+    groups[0] = top // 10**6
+    groups[1] = top % 10**6
     groups[2] = q % 10**6
     digits = np.empty((3, 6, n), dtype=np.uint8)
     for i in range(5, -1, -1):
@@ -174,9 +177,10 @@ def _float_rows(x: np.ndarray, out: np.ndarray) -> int:
     ]
     width = max(map(len, found))
     table = np.array([tpl + (_NUL,) * (width - len(tpl)) for tpl in found], np.intp)
-    index = (table * n)[slot[key]]
+    index = (table * n).take(slot[key], axis=0)
     index += np.arange(n)[:, None]
     out[:, :width] = src.ravel().take(index)
+    out[:, width:] = 0
     slow = np.flatnonzero(~ok)
     if slow.size:
         fallback = _text_matrix(["%.17g" % v for v in x[slow].tolist()])
@@ -185,8 +189,14 @@ def _float_rows(x: np.ndarray, out: np.ndarray) -> int:
     return width
 
 
-def _column(values) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct texts of a column as NUL-padded uint8 rows, and each row's text."""
+def _column(values) -> tuple[np.ndarray | None, np.ndarray]:
+    """How the text of a column is made, a block of rows at a time.
+
+    Either the distinct texts as NUL-padded uint8 rows and each row's index
+    into them, or None and the float64 values, formatted block by block
+    into the rows.  A float column is deduplicated only when a bit pattern
+    repeats, which one sort decides.
+    """
     col = np.asarray(values)
     if col.dtype.kind in "iu":
         distinct, which = np.unique(col, return_inverse=True)
@@ -195,50 +205,73 @@ def _column(values) -> tuple[np.ndarray, np.ndarray]:
         texts = ["%.17g" % v if isinstance(v, float) else str(v) for v in values]
         return _text_matrix(texts), np.arange(len(texts))
     col = col.astype(np.float64, copy=False)
-    bits, which = np.unique(col.view(np.uint64), return_inverse=True)
-    x = bits.view(np.float64)
-    text = np.zeros((x.size, _WIDTH), dtype=np.uint8)
-    width = 0
-    for start in range(0, x.size, _BLOCK):
-        stop = start + _BLOCK
-        width = max(width, _float_rows(x[start:stop], text[start:stop]))
-    return np.ascontiguousarray(text[:, :width]), which
+    bits = col.view(np.uint64)
+    ascending = np.sort(bits)
+    if (ascending[1:] != ascending[:-1]).all():
+        return None, col
+    # np.unique, not np.searchsorted on the sorted bits: operators.py runs
+    # np.unique on uint64 too, and code pages no other step touches raise
+    # the peak RSS of a run
+    distinct, which = np.unique(bits, return_inverse=True)
+    x = distinct.view(np.float64)
+    text = np.empty((x.size, _WIDTH), dtype=np.uint8)
+    width = max(
+        _float_rows(x[start : start + _BLOCK], text[start : start + _BLOCK])
+        for start in range(0, x.size, _BLOCK)
+    )
+    return text[:, :width], which
 
 
-def _csv_bytes(header: Sequence[str], columns: Sequence) -> bytes:
-    """The CSV text of the table as bytes."""
+def _csv_chunks(header: Sequence[str], columns: Sequence) -> Iterator[bytes]:
+    """The CSV text of the table as bytes: the header, then a chunk per row block.
+
+    The columns are checked before this returns, so an error is raised
+    before the first chunk is asked for.
+    """
     if not columns or len(header) != len(columns):
         raise ValueError("need one column per header name")
-    texts, whichs = zip(*map(_column, columns))
-    rows = len(whichs[0])
-    if any(len(which) != rows for which in whichs):
+    cells = [_column(col) for col in columns]
+    rows = len(cells[0][1])
+    if any(len(data) != rows for _, data in cells):
         raise ValueError("columns differ in length")
-    # one line: each column's text, then its separator
-    ends = np.cumsum([text.shape[1] + 1 for text in texts])
+    return _row_blocks(header, cells, rows)
+
+
+def _row_blocks(header: Sequence[str], cells: list, rows: int) -> Iterator[bytes]:
+    # one line: each column's text, then its separator; a float column
+    # formatted block by block gets room for the longest float text
+    widths = [_WIDTH if text is None else text.shape[1] for text, _ in cells]
+    ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)
     line = np.empty((min(rows, _BLOCK), ends[-1]), dtype=np.uint8)
     line[:, ends - 1] = ord(",")
     line[:, -1] = ord("\n")
-    chunks = [(",".join(header) + "\n").encode()]
+    yield (",".join(header) + "\n").encode()
     for start in range(0, rows, _BLOCK):
         block = line[: rows - start]
-        for text, which, end in zip(texts, whichs, ends):
-            rows_text = text.take(which[start : start + _BLOCK], axis=0)
-            block[:, end - 1 - text.shape[1] : end - 1] = rows_text
+        for (text, data), width, end in zip(cells, widths, ends):
+            cell = block[:, end - 1 - width : end - 1]
+            part = data[start : start + _BLOCK]
+            if text is None:
+                _float_rows(part, cell)
+            else:
+                cell[:] = text.take(part, axis=0)
         flat = block.ravel()
-        chunks.append(flat[flat != 0].tobytes())
-    return b"".join(chunks)
+        yield flat[flat != 0].tobytes()
 
 
-def write_file(path, data: bytes) -> None:
+def write_file(path, data: bytes | Iterable[bytes]) -> None:
     """Write data to the file at path, created if absent, and cut it there.
 
-    The file is opened without ``O_TRUNC`` and cut to the new length after
-    the write.  On ext4, a truncating open of a file whose blocks are
-    allocated on disk, as an earlier run's output is once written back,
-    took 50-140 ms on a 2-core VM, whether that run had ended 0 or 35 s
-    before; rewriting in place took 0.01 ms.  Only regular files are cut,
-    so ``/dev/null`` and FIFOs work.  A write that fails leaves a regular file empty rather than
-    holding the tail of its previous contents.
+    data is bytes or an iterable of byte chunks; chunks are written as they
+    come, so a table is never held whole.  The file is opened without
+    ``O_TRUNC`` and cut to the new length after the last write.  On ext4, a
+    truncating open of a file whose blocks are allocated on disk, as an
+    earlier run's output is once written back, took 50-140 ms on a 2-core
+    VM, whether that run had ended 0 or 35 s before; rewriting in place
+    took 0.01 ms.  Only regular files are cut, so ``/dev/null`` and FIFOs
+    work.  A write that fails, or a chunk source that raises, leaves a
+    regular file empty rather than holding the chunks written so far or the
+    tail of its previous contents.
 
     The rewrite is not atomic, and it gives up the ordering that the same
     ext4 heuristic gives a truncating open: after a system crash the file
@@ -246,32 +279,40 @@ def write_file(path, data: bytes) -> None:
     at a row boundary still parses.  A run whose output must survive a
     crash should write to a new path.
     """
+    if isinstance(data, bytes):
+        data = (data,)
     # O_BINARY (Windows only) keeps "\n" from becoming "\r\n"
     flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
     fd = os.open(path, flags, 0o666)
     with open(fd, "wb", buffering=0) as fh:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        size = 0
         try:
-            view = memoryview(data)
-            while view:  # a raw write may take only part of the bytes
-                view = view[fh.write(view) :]
+            for chunk in data:
+                view = memoryview(chunk)
+                size += len(view)
+                while view:  # a raw write may take only part of the bytes
+                    view = view[fh.write(view) :]
         except BaseException:
             if regular:
                 fh.truncate(0)
             raise
         if regular:
-            fh.truncate(len(data))
+            fh.truncate(size)
 
 
 def format_csv(header: Sequence[str], columns: Sequence) -> str:
     """CSV text of equal-length columns under a header of column names."""
-    return _csv_bytes(header, columns).decode()
+    return b"".join(_csv_chunks(header, columns)).decode()
 
 
 def write_csv(header: Sequence[str], columns: Sequence, out=None) -> None:
-    """Write the table to the file ``out``, or to standard output without one."""
-    data = _csv_bytes(header, columns)
+    """Write the table to the file ``out``, or to standard output without one.
+
+    A file is written a block of rows at a time.
+    """
+    chunks = _csv_chunks(header, columns)
     if not out:
-        sys.stdout.write(data.decode())
+        sys.stdout.write(b"".join(chunks).decode())
     else:
-        write_file(out, data)
+        write_file(out, chunks)

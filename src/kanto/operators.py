@@ -193,10 +193,14 @@ class EvalGrid:
         return _evaluate(f, self.points[:, 0], self.points[:, 1])
 
 
-@lru_cache(maxsize=16)
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_quad_order(order: int) -> None:
     if not 1 <= order <= QUAD_ORDER_MAX:
         raise ValueError(f"quad_order must be in 1..{QUAD_ORDER_MAX}, got {order}")
+
+
+@lru_cache(maxsize=16)
+def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    _check_quad_order(order)
     return np.polynomial.legendre.leggauss(order)
 
 

@@ -646,6 +646,24 @@ class TestErrorPaths:
         assert proc.stdout == ""
         assert proc.stderr == f"error: quad_order must be in 1..{QUAD_ORDER_MAX}, got {order}\n"
 
+    @pytest.mark.parametrize("order", [-1, 0, QUAD_ORDER_MAX + 1])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("reconstruct", "--fn", "x", "--grid-n", "2"),
+            ("converge", "--fn", "x", "--w-list", "5,10", "--grid-n", "2"),
+        ],
+        ids=["reconstruct", "converge"],
+    )
+    def test_quad_order_out_of_range_with_gw(self, args, order, tmp_path, capsys):
+        # gw builds no quadrature rule; these exited 0 and ignored the order
+        out = tmp_path / "t.csv"
+        assert cli.main([*args, "--quad-order", str(order), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: quad_order must be in 1..{QUAD_ORDER_MAX}, got {order}\n"
+        )
+
     def test_negative_eta_max(self):
         # was exit 0 with only the header row
         proc = run_cli("moments", "--eta-max", "-1")

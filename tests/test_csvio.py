@@ -1,14 +1,16 @@
 """The shared CSV writer against the per-row formatting it replaced.
 
 Every table used to be printed row by row as
-``",".join(format(float(v), ".17g") ...)``; the writer formats each
-distinct float once, computes its digits in numpy, and must give the same
-bytes, whatever the columns hold: heavy repeats, both zeros, NaN payloads,
-infinities, subnormals, ties and values next to powers of ten.
+``",".join(format(float(v), ".17g") ...)``; the writer computes the
+digits in numpy, a block of rows at a time, formats a column whose values
+repeat once per distinct value, and must give the same bytes, whatever the
+columns hold: heavy repeats, both zeros, NaN payloads, infinities,
+subnormals, ties and values next to powers of ten.
 
-Files are rewritten in place, without a truncating open: the old bytes must
-not survive a shorter write or a failed one, and the inode, the mode,
-symlinks and devices must stay as they are.
+Files are rewritten in place, without a truncating open, and a table is
+written a block at a time: the old bytes must not survive a shorter write
+or a failed one, and the inode, the mode, symlinks and devices must stay as
+they are.
 """
 
 import errno
@@ -17,6 +19,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 
 from kanto import LatticeField, fn_lookup, write_lattice_csv
 from kanto import csvio
-from kanto.csvio import _BLOCK, format_csv, write_csv
+from kanto.csvio import _BLOCK, format_csv, write_csv, write_file
 
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1e308, 0.1]
 
@@ -219,6 +222,50 @@ def test_failed_write_leaves_no_old_bytes(tmp_path, target, monkeypatch):
     assert path.read_bytes() == b""
 
 
+@pytest.mark.parametrize(
+    "header, columns",
+    [(["a", "b"], [[1, 2], [0.5]]), (["a"], [[1], [2]]), ([], [])],
+    ids=["lengths", "header", "empty"],
+)
+def test_bad_table_fails_before_the_file_is_opened(
+    tmp_path, monkeypatch, header, columns
+):
+    path = tmp_path / "t.csv"
+    path.write_bytes(OLD)
+    opened = []
+    real_open = os.open
+
+    def recording_open(*args, **kwargs):
+        opened.append(args)
+        return real_open(*args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    with pytest.raises(ValueError):
+        write_csv(header, columns, path)
+    assert opened == []
+    assert path.read_bytes() == OLD
+
+
+def test_chunk_source_that_raises_leaves_the_file_empty(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(OLD)
+
+    def chunks():
+        yield b"a,b\n1,2\n"
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_file(path, chunks())
+    assert path.read_bytes() == b""
+
+
+def test_many_blocks_to_dev_null():
+    rows = 2 * _BLOCK + 3
+    write_csv(["v", "i"], [np.linspace(0.0, 1.0, rows), np.arange(rows)], os.devnull)
+    write_file(os.devnull, iter([b"a", b"b"]))
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
 def from_bits(bits):
     return np.array(bits, dtype=np.uint64).view(np.float64)
 
@@ -314,6 +361,100 @@ def test_rows_across_block_boundaries():
     header = ["d", "r", "i", "l"]
     want = old_rows(header, [list(c) for c in columns])
     assert_same_lines(format_csv(header, columns), want)
+
+
+# Bit patterns that a dedupe by value would merge: both zeros and two NaN
+# payloads.  They must stay distinct, so "-0" keeps its sign.
+LOOKALIKES = from_bits(
+    [0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001]
+)
+LONG_KINDS = ["distinct", "boundary", "repeats", "constant", "int", "label"]
+
+
+def long_column(kind, rows, rng):
+    """One column of `kind`; float columns are float64 arrays, as the CLI passes."""
+    if kind == "int":
+        return rng.integers(-(10**12), 10**12, rows)
+    if kind == "label":
+        values = rng.uniform(-1.0, 1.0, rows).tolist()
+        return ["slope" if i % 5 else v for i, v in enumerate(values)]
+    if kind == "repeats":
+        return rng.choice(np.concatenate([LOOKALIKES, rng.uniform(-1e3, 1e3, 3)]), rows)
+    if kind == "constant":
+        return np.full(rows, rng.choice(SPECIAL))
+    # no bit pattern repeats, though the lookalikes are among the values
+    col = rng.uniform(-10.0, 10.0, rows)
+    col[::3] = from_bits(rng.integers(0, 2**64, col[::3].size, dtype=np.uint64))
+    if rows:
+        col[rng.choice(rows, LOOKALIKES.size, replace=False)] = LOOKALIKES
+    if kind == "boundary" and rows:
+        # the one repeat: a row of the first block and a row of a later one
+        col[rng.integers(_BLOCK, rows)] = col[rng.integers(0, _BLOCK)]
+    return col
+
+
+@st.composite
+def long_tables(draw):
+    """No rows, or more than one row block, mixing every column path."""
+    rows = draw(st.sampled_from([0, _BLOCK + 1, 2 * _BLOCK + 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(LONG_KINDS), min_size=1, max_size=6))
+    columns = [long_column(kind, rows, rng) for kind in kinds]
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=long_tables())
+def test_long_tables_match_row_loop(table):
+    header, columns = table
+    want = old_rows(header, [list(c) for c in columns])
+    assert_same_lines(format_csv(header, columns), want)
+
+
+def test_float_columns_are_deduplicated_only_when_they_repeat(monkeypatch):
+    rows = 2 * _BLOCK + 3
+    distinct = np.random.default_rng(8).uniform(-1.0, 1.0, rows)
+    grid = np.linspace(0.0, 1.0, 96)[np.arange(rows) % 96]
+    sizes, uniques = [], []
+    real_rows, real_unique = csvio._float_rows, np.unique
+
+    def counting_rows(x, out):
+        sizes.append(x.size)
+        return real_rows(x, out)
+
+    def counting_unique(*args, **kwargs):
+        uniques.append(args)
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(csvio, "_float_rows", counting_rows)
+    monkeypatch.setattr(np, "unique", counting_unique)
+    got = format_csv(["d"], [distinct])
+    # no repeats: no np.unique, and one formatting pass per row block
+    assert uniques == []
+    assert sizes == [_BLOCK, _BLOCK, rows - 2 * _BLOCK]
+    sizes.clear()
+    got_grid = format_csv(["g"], [grid])
+    # repeats: each of the 96 distinct values is formatted once
+    assert sizes == [96]
+    monkeypatch.undo()
+    assert got == old_rows(["d"], [distinct.tolist()])
+    assert got_grid == old_rows(["g"], [grid.tolist()])
+
+
+def test_writing_a_file_holds_one_block_at_a_time(tmp_path):
+    # the text is 3.7 MB; a writer that joined the whole table peaked at 13 MB
+    # traced, this one at 1.8 MB
+    rng = np.random.default_rng(60)
+    columns = [rng.uniform(-1.0, 1.0, 60_000) for _ in range(3)]
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        write_csv(["a", "b", "c"], columns, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 3_500_000
+    assert peak < 4_000_000
 
 
 def test_writing_imports_neither_fractions_nor_decimal():
