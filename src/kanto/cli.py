@@ -17,6 +17,7 @@ import dataclasses
 import gc
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -246,7 +247,14 @@ def _flag(*names, **options) -> argparse.ArgumentParser:
     return parent
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process.
+
+    Building it takes 22 parsers (root, subcommands and one-flag parents)
+    and most of a warm call's own time; ``parse_args`` does not change it,
+    so every ``main`` call shares one.
+    """
     parser = _Parser(
         prog="kanto",
         description="Lattice sampling series: reconstruction, moments, error bounds.",

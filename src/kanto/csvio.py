@@ -309,10 +309,13 @@ def format_csv(header: Sequence[str], columns: Sequence) -> str:
 def write_csv(header: Sequence[str], columns: Sequence, out=None) -> None:
     """Write the table to the file ``out``, or to standard output without one.
 
-    A file is written a block of rows at a time.
+    Either way the table is written a block of rows at a time, and never
+    held whole.  Standard output gets text (each block decoded as it
+    comes), so a replaced ``sys.stdout`` such as a ``StringIO`` works too.
     """
     chunks = _csv_chunks(header, columns)
     if not out:
-        sys.stdout.write(b"".join(chunks).decode())
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode())
     else:
         write_file(out, chunks)

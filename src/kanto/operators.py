@@ -13,10 +13,12 @@ One core serves all three.  It tabulates the source once per call (only
 on the cells some window touches) and then runs over the window offsets in
 ascending (k, j) order for all points at once; past a point's window a
 column reads the window's last cell with weight exactly 0 and adds a zero.
-Each point so gets the same floating-point operations in the same order as
-a scalar loop over its own window, and results are reproducible bit for
-bit.  Analytic sources must accept 2-d numpy arrays and evaluate
-elementwise; they may return any result that broadcasts against their inputs.
+The boolean sum's two single-axis means are tabulated the same way, once
+per distinct (window cell, other-axis coordinate) pair.  Each point so gets
+the same floating-point operations in the same order as a scalar loop over
+its own window, and results are reproducible bit for bit.  Analytic
+sources must accept 2-d numpy arrays and evaluate elementwise; they may
+return any result that broadcasts against their inputs.
 """
 
 from __future__ import annotations
@@ -337,22 +339,23 @@ def _distinct_columns(axis: _AxisWindows) -> tuple[np.ndarray, list]:
 
 def _index_table(
     f: Callable,
-    kx: _AxisWindows,
-    ky: _AxisWindows,
+    columns_x: tuple[np.ndarray, list],
+    columns_y: tuple[np.ndarray, list],
     w: float,
     kind: str,
     quad_order: int | None,
 ) -> Callable:
     """The ``kind`` values of f over the distinct window indices of each axis.
 
-    They are tabulated once, on the whole rectangle of those indices (not
-    on their whole range, which a coarse grid at a high rate would make
-    large).  A value that is not finite is an error naming the lattice
-    rate w: at a rate far from 1 the cells k/w can leave the range where
-    the source is finite.
+    ``columns_x`` and ``columns_y`` are the :func:`_distinct_columns` of the
+    two axes.  The values are tabulated once, on the whole rectangle of
+    those indices (not on their whole range, which a coarse grid at a high
+    rate would make large).  A value that is not finite is an error naming
+    the lattice rate w: at a rate far from 1 the cells k/w can leave the
+    range where the source is finite.
     """
-    ks, rows = _distinct_columns(kx)
-    js, cols = _distinct_columns(ky)
+    ks, rows = columns_x
+    js, cols = columns_y
     with np.errstate(all="ignore"):
         table = _tabulate(f, ks[:, None], js[None, :], w, kind, quad_order)
     bad = np.argwhere(~np.isfinite(table))
@@ -364,6 +367,39 @@ def _index_table(
             "rate at which the source is finite on the cells k/w"
         )
     return _gather(table, rows, cols)
+
+
+def _axis_means(
+    g: Callable,
+    axis: _AxisWindows,
+    columns: tuple[np.ndarray, list],
+    t: np.ndarray,
+    w: float,
+    quad_order: int,
+) -> list:
+    """Row a: at each point i, the Gauss mean of g(., t[i]) over column a's cell.
+
+    ``columns`` are the :func:`_distinct_columns` of ``axis``, and ``t`` is
+    the points' other coordinate.  The means are tabulated once per
+    distinct (cell, coordinate) pair, on the rectangle of the distinct
+    cells and the distinct t (told apart by bit pattern, so 0.0 and -0.0
+    stay apart), and each column reads the table with one flat ``take``.
+    On a tensor grid that rectangle holds exactly the pairs that occur.
+    Where it is larger than window columns times points (scattered
+    points), g is evaluated per point instead, so it never sees more
+    elements than one per column and point.  Either way g gets the same
+    (u, t) pairs, and each mean the same operations.
+    """
+
+    def mean(k, s):
+        return _gauss_mean(lambda u: g(u, s), k, w, quad_order)
+
+    cells, pos = columns
+    bits, which = np.unique(t.view(np.uint64), return_inverse=True)
+    if cells.size * bits.size > len(pos) * t.size:
+        return list(_evaluate(mean, axis.cells[:, axis.which], t))
+    flat = _evaluate(mean, cells[:, None], bits.view(np.float64)).ravel()
+    return [flat.take(p * bits.size + which) for p in pos]
 
 
 def _check_coverage(field: LatticeField, kx: _AxisWindows, ky: _AxisWindows) -> None:
@@ -392,7 +428,10 @@ def _lattice_series(
     kx, ky = _grid_windows(kernel, grid)
     w = grid.w
     if not isinstance(field, LatticeField):
-        return _windowed_sum(kx, ky, _index_table(field, kx, ky, w, kind, quad_order))
+        table = _index_table(
+            field, _distinct_columns(kx), _distinct_columns(ky), w, kind, quad_order
+        )
+        return _windowed_sum(kx, ky, table)
     # before coverage, so that a box the MissingData hint offers can run
     if field.kind != kind:
         based = "sample" if kind == KIND_SAMPLES else "average"
@@ -445,7 +484,9 @@ def apply_gbs(
     The first two terms reduce to single-axis means through the evaluation
     point and reuse the same quadrature nodes as the full tensor rule, so
     the three terms cancel exactly (to rounding) on additively separable
-    functions.  Needs an analytic field.
+    functions.  Each mean is tabulated once per distinct (window cell,
+    other-axis coordinate) pair, or per point where that table would be
+    the larger (see :func:`_axis_means`).  Needs an analytic field.
     """
     if isinstance(field, LatticeField):
         raise ValueError("boolean-sum operator needs an analytic field")
@@ -453,13 +494,11 @@ def apply_gbs(
     w = grid.w
     x, y = grid.points[:, 0], grid.points[:, 1]
     kx, ky = _grid_windows(kernel, grid)
-    cell = _index_table(f, kx, ky, w, KIND_CELL_AVERAGES, quad_order)
+    columns_x, columns_y = _distinct_columns(kx), _distinct_columns(ky)
+    cell = _index_table(f, columns_x, columns_y, w, KIND_CELL_AVERAGES, quad_order)
     # row a: mean over window column a of the point's axis, through the point
-    ks = kx.cells[:, kx.which]
-    js = ky.cells[:, ky.which]
-    q = quad_order
-    mean_u = _evaluate(lambda k, y: _gauss_mean(lambda u: f(u, y), k, w, q), ks, y)
-    mean_v = _evaluate(lambda j, x: _gauss_mean(lambda v: f(x, v), j, w, q), js, x)
+    mean_u = _axis_means(f, kx, columns_x, y, w, quad_order)
+    mean_v = _axis_means(lambda v, x: f(x, v), ky, columns_y, x, w, quad_order)
     return _windowed_sum(kx, ky, lambda a, b: mean_v[b] + mean_u[a] - cell(a, b))
 
 

@@ -112,6 +112,27 @@ def test_every_option_has_help(command):
         assert str(QUAD_ORDER_MAX) in helps["--quad-order"]
 
 
+def test_one_parser_per_process(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["gbs", "--fn", "sin_x_cos_y", "--w", "5", "--grid-n", "3"]
+    outputs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        outputs.append(out.encode())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(b"x,y,approx,exact,abs_err,modulus_bound\n")
+    # a usage error after a successful call: still one line and exit 2
+    assert cli.main(["gbs", "--fn", "sin_x_cos_y", "--grid-n", "three"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: kanto gbs: argument --grid-n")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == outputs[0]
+
+
 KERNELS = [("bspline", r, None) for r in range(1, 21)] + [
     ("combo", r, ",".join(str(s) for s in range(2, r + 2))) for r in range(2, 6)
 ]

@@ -5,7 +5,9 @@ point's window in ascending (k, j) order: ``acc += (a * b) * value(k, j)``.
 The cases cover random points and points on a window edge (``w*x - hi`` an
 integer, where windows are one wider), both fixture kernels, all three
 operators, and lattice-field as well as analytic sources, including sources
-that return a scalar or ignore one argument.  Missing data
+that return a scalar or ignore one argument.  Points that share a
+coordinate on one axis, and 0.0 beside -0.0, reach both the tabulated and
+the per-point axis means of the boolean sum.  Missing data
 must be reported at the same (k, j) as the scalar implementation did.
 Kernel windows, computed in one kernel call per axis over all window
 columns and distinct coordinates, must equal the windows evaluated column
@@ -144,8 +146,18 @@ def grids(draw):
     # both fixture kernels have half-integer support ends, so w*x - hi is
     # an integer exactly when w*x is a half-integer
     edge = st.integers(min_value=-40, max_value=110).map(lambda n: (n + 0.5) / w)
-    coord = st.one_of(st.floats(min_value=-1.0, max_value=2.0), edge)
-    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    zero = st.sampled_from([0.0, -0.0])
+    coord = st.one_of(st.floats(min_value=-1.0, max_value=2.0), edge, zero)
+    pair = st.lists(coord, min_size=2, max_size=2)
+    points = draw(st.lists(pair, min_size=1, max_size=6))
+    shared = draw(st.sampled_from([None, 0, 1]))
+    if shared is not None:
+        # one axis takes its coordinates from a pool of one or two: the
+        # boolean sum then often tabulates one axis mean and evaluates the
+        # other per point
+        pool = st.sampled_from(draw(st.lists(coord, min_size=1, max_size=2)))
+        for point in points:
+            point[shared] = draw(pool)
     return EvalGrid(points=points, w=w)
 
 
@@ -163,6 +175,19 @@ def grids(draw):
     op="sw",
     fn_name="sin_x_cos_y",
     via_field=True,
+)
+# y from a pool of three (both zeros among them) and x close together: the
+# means over u come from a table of the three y, the means over v are
+# evaluated per point
+@example(
+    grid=EvalGrid(
+        points=[(0.4, 0.0), (0.45, -0.0), (0.5, 1.5), (0.55, 0.0), (0.6, -0.0), (0.65, 1.5)],
+        w=8.0,
+    ),
+    kernel_name="chibar3",
+    op="gbs",
+    fn_name="gaussian",
+    via_field=False,
 )
 def test_core_matches_scalar_oracle_bitwise(grid, kernel_name, op, fn_name, via_field):
     kernel = KERNELS[kernel_name]
@@ -362,17 +387,23 @@ def test_axis_windows_per_distinct_coordinate_match_per_point(t, kernel_name):
 
 
 class Counting:
-    """A kernel or function that counts its calls; other attributes pass through."""
+    """A kernel or function that counts its calls; other attributes pass through.
+
+    ``sizes`` holds the number of elements each call received (the size of
+    its broadcast arguments).
+    """
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
+        self.sizes = []
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def __call__(self, *args):
         self.calls += 1
+        self.sizes.append(np.broadcast(*args).size)
         return self.inner(*args)
 
 
@@ -399,3 +430,54 @@ def test_gbs_calls_f_once_per_node(w, grid_n, quad_order):
     apply_gbs(f, TensorKernel2D(kx, ky), grid, quad_order)
     assert f.calls == quad_order**2 + 2 * quad_order
     assert (kx.calls, ky.calls) == (1, 1)
+    # after the cell averages, q calls per axis mean, each on the rectangle
+    # of the axis's distinct window cells and the other axis's distinct
+    # coordinates, which on a tensor grid holds just the pairs that occur
+    cells_x = distinct_cells(_chi3, w * grid.points[:, 0])
+    cells_y = distinct_cells(_chi3, w * grid.points[:, 1])
+    mean_u = [cells_x * grid_n] * quad_order
+    mean_v = [cells_y * grid_n] * quad_order
+    assert f.sizes[quad_order**2 :] == mean_u + mean_v
+
+
+def distinct_cells(kernel, t):
+    """How many lattice cells the windows of the coordinates t cover."""
+    lo, hi = kernel.support
+    cells = set()
+    for s in t.tolist():
+        cells.update(range(math.ceil(s - hi), math.floor(s - lo) + 1))
+    return len(cells)
+
+
+@pytest.mark.parametrize("w", [5.0, 40.0])
+@pytest.mark.parametrize("quad_order", [3, 5])
+def test_gbs_evaluates_scattered_points_per_point(w, quad_order):
+    # a diagonal: every coordinate distinct, windows far apart, so the
+    # rectangle of distinct cells and coordinates is larger than one
+    # element per window column and point
+    t = np.linspace(-1.0, 2.0, 7)
+    grid = EvalGrid(points=np.column_stack([t, t[::-1]]), w=w)
+    f = Counting(fn_lookup("sin_x_cos_y"))
+    apply_gbs(f, KERNELS["chibar3"], grid, quad_order)
+    assert f.calls == quad_order**2 + 2 * quad_order
+    columns = len(_axis_windows(_chi3, w * t).weights)
+    assert distinct_cells(_chi3, w * t) * len(t) > columns * len(t)
+    assert f.sizes[quad_order**2 :] == [columns * len(t)] * (2 * quad_order)
+
+
+@pytest.mark.parametrize("scattered", [False, True])
+def test_gbs_keeps_zero_signs_apart(scattered):
+    # a source that tells -0.0 from 0.0 in either argument: a table that
+    # merged the two zeros would give the -0.0 points the 0.0 means
+    def f(x, y):
+        return np.copysign(1.0, x) + np.copysign(2.0, y)
+
+    zs = [0.0, -0.0, 0.25]
+    if scattered:
+        points = [(0.0, 1.7), (-0.0, -0.9), (1.1, 0.0), (-0.6, -0.0)]
+    else:
+        points = [(x, y) for x in zs for y in zs]
+    grid = EvalGrid(points=points, w=8.0)
+    kernel = KERNELS["chibar3"]
+    got = apply_gbs(f, kernel, grid, QUAD_ORDER)
+    assert got.tolist() == [oracle("gbs", f, kernel, 8.0, x, y) for x, y in points]
