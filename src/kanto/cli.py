@@ -40,6 +40,7 @@ from .operators import (
     EvalGrid,
     LatticeField,
     MissingData,
+    _check_box,
     _check_quad_order,
     _check_rate,
     _interior_hole,
@@ -107,6 +108,7 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
     x0, y0, x1, y1 = parts
     if x0 >= x1 or y0 >= y1:
         raise ValueError("box must satisfy x0 < x1 and y0 < y1")
+    _check_box(parts)
     return parts
 
 
@@ -138,11 +140,14 @@ def _fn_and_box(args) -> tuple[TestFunction, tuple[float, float, float, float]]:
 
 
 def _fn_columns(args, kernel: TensorKernel2D, f: TestFunction, box) -> tuple:
-    """The FN_HEADER columns of operator --op applied to f on the --box grid."""
+    """The FN_HEADER columns of operator --op applied to f on the --box grid.
+
+    x and y are the grid's axes, which the CSV writer takes factored.
+    """
     grid = EvalGrid.regular(box, args.grid_n, args.w)
     approx = OPERATORS[args.op](f, kernel, grid, args.quad_order)
     exact = grid.sample(f)
-    return (*grid.points.T, approx, exact, np.abs(approx - exact))
+    return (*grid.axes, approx, exact, np.abs(approx - exact))
 
 
 def _cmd_reconstruct(args, kernel: TensorKernel2D) -> None:
@@ -160,7 +165,7 @@ def _cmd_reconstruct(args, kernel: TensorKernel2D) -> None:
         approx = OPERATORS[args.op](field, kernel, grid, args.quad_order)
     except MissingData as exc:
         raise MissingData(exc.k, exc.j, _admissible_hint(field, kernel, exc)) from None
-    write_csv(("x", "y", "approx"), (*grid.points.T, approx), args.out)
+    write_csv(("x", "y", "approx"), (*grid.axes, approx), args.out)
 
 
 def _cmd_moments(args, kernel: TensorKernel2D) -> None:
@@ -226,7 +231,7 @@ def _cmd_gbs(args, kernel: TensorKernel2D) -> None:
     moments = MomentTable.compute(kernel, eta_max=2)
     bound = gbs_modulus_bound(moments, args.w, delta, delta, omega)
     columns = _fn_columns(args, kernel, f, box)
-    bounds = np.full(len(columns[0]), bound)
+    bounds = np.full_like(columns[-1], bound)
     write_csv((*FN_HEADER, "modulus_bound"), (*columns, bounds), args.out)
 
 

@@ -6,12 +6,15 @@ strings are printed as they are, and a column of labels may hold floats too
 (the ``slope`` row under the rates of a convergence table).  Lines end in
 LF only.
 
-The text is built as bytes in numpy, a fixed block of rows at a time.  One
-sort of a float column's bit patterns (which keep ``-0.0`` apart from
-``0.0``) decides whether any value repeats.  A column that repeats, such as
-the coordinates of a tensor grid, is formatted once per distinct value into
-NUL-padded ``uint8`` rows, which each row block then copies by index.  A
-column with no repeat is formatted straight into each row block.  The 17
+The text is built as bytes in numpy, a fixed block of rows at a time.  A
+column may come already factored, as a :class:`Factored` of its values and
+each row's index into them (the coordinates of an evaluation grid do): each
+value is then formatted once into NUL-padded ``uint8`` rows, which each row
+block copies by index, and the column is never sorted.  For a plain float
+column, one sort of its bit patterns (which keep ``-0.0`` apart from
+``0.0``) decides whether any value repeats.  A column that repeats is
+formatted the same way, once per distinct value.  A column with no repeat
+is formatted straight into each row block.  The 17
 digits of a value come from an exact product with a power of ten (below);
 the few values where that product cannot decide the last digit, and zeros,
 infinities, NaNs and values beyond 1e-250..1e250 in magnitude, are
@@ -30,11 +33,11 @@ import os
 import stat
 import sys
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["format_csv", "write_csv", "write_file"]
+__all__ = ["Factored", "format_csv", "write_csv", "write_file"]
 
 # Rows, and distinct floats, handled at once; keeps temporaries to a few MB.
 _BLOCK = 4096
@@ -189,14 +192,41 @@ def _float_rows(x: np.ndarray, out: np.ndarray) -> int:
     return width
 
 
+class Factored(NamedTuple):
+    """A float column given as ``values[index]``: its values, and each row's index.
+
+    The values may repeat; each is formatted once.
+    """
+
+    values: np.ndarray
+    index: np.ndarray
+
+
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """``"%.17g"`` of each float64 of x, as NUL-padded uint8 rows."""
+    text = np.empty((x.size, _WIDTH), dtype=np.uint8)
+    width = max(
+        (
+            _float_rows(x[start : start + _BLOCK], text[start : start + _BLOCK])
+            for start in range(0, x.size, _BLOCK)
+        ),
+        default=0,
+    )
+    return text[:, :width]
+
+
 def _column(values) -> tuple[np.ndarray | None, np.ndarray]:
     """How the text of a column is made, a block of rows at a time.
 
     Either the distinct texts as NUL-padded uint8 rows and each row's index
     into them, or None and the float64 values, formatted block by block
-    into the rows.  A float column is deduplicated only when a bit pattern
-    repeats, which one sort decides.
+    into the rows.  A :class:`Factored` column brings its index along.  A
+    plain float column is deduplicated only when a bit pattern repeats,
+    which one sort decides.
     """
+    if isinstance(values, Factored):
+        x = np.asarray(values.values, dtype=np.float64)
+        return _float_text(x), np.asarray(values.index)
     col = np.asarray(values)
     if col.dtype.kind in "iu":
         distinct, which = np.unique(col, return_inverse=True)
@@ -213,13 +243,7 @@ def _column(values) -> tuple[np.ndarray | None, np.ndarray]:
     # np.unique on uint64 too, and code pages no other step touches raise
     # the peak RSS of a run
     distinct, which = np.unique(bits, return_inverse=True)
-    x = distinct.view(np.float64)
-    text = np.empty((x.size, _WIDTH), dtype=np.uint8)
-    width = max(
-        _float_rows(x[start : start + _BLOCK], text[start : start + _BLOCK])
-        for start in range(0, x.size, _BLOCK)
-    )
-    return text[:, :width], which
+    return _float_text(distinct.view(np.float64)), which
 
 
 def _csv_chunks(header: Sequence[str], columns: Sequence) -> Iterator[bytes]:
@@ -302,16 +326,22 @@ def write_file(path, data: bytes | Iterable[bytes]) -> None:
 
 
 def format_csv(header: Sequence[str], columns: Sequence) -> str:
-    """CSV text of equal-length columns under a header of column names."""
+    """CSV text of equal-length columns under a header of column names.
+
+    A column is a sequence of values or a :class:`Factored` float column.
+    """
     return b"".join(_csv_chunks(header, columns)).decode()
 
 
 def write_csv(header: Sequence[str], columns: Sequence, out=None) -> None:
     """Write the table to the file ``out``, or to standard output without one.
 
-    Either way the table is written a block of rows at a time, and never
-    held whole.  Standard output gets text (each block decoded as it
-    comes), so a replaced ``sys.stdout`` such as a ``StringIO`` works too.
+    Columns are as for :func:`format_csv`; a :class:`Factored` column, such
+    as an evaluation grid's axis, has each value formatted once and is never
+    sorted.  Either way the table is written a block of rows at a time,
+    and never held whole.  Standard output gets text (each block decoded as
+    it comes), so a replaced ``sys.stdout`` such as a ``StringIO`` works
+    too.
     """
     chunks = _csv_chunks(header, columns)
     if not out:

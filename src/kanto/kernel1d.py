@@ -191,11 +191,15 @@ def discrete_moment(kernel: Kernel1D, eta: int, u, absolute: bool = False):
     return total
 
 
-def _shifted_integer_moment(base: CentralBSpline, eps: float, eta: int) -> float:
-    """sum over integers m of M_r(m - eps) m^eta, exact over the support window."""
+def _shifted_integer_moments(base: CentralBSpline, eps: float, count: int) -> list:
+    """sum over integers m of M_r(m - eps) m^eta for eta = 0..count-1.
+
+    Exact over the support window, with one B-spline evaluation for all eta.
+    """
     half = 0.5 * base.order
     ms = np.arange(math.ceil(eps - half), math.floor(eps + half) + 1, dtype=float)
-    return float(np.sum(base(ms - eps) * ms**eta))
+    vals = base(ms - eps)
+    return [float(np.sum(vals * ms**eta)) for eta in range(count)]
 
 
 def construct_combination_kernel(r: int, shifts) -> CombinationKernel:
@@ -216,8 +220,7 @@ def construct_combination_kernel(r: int, shifts) -> CombinationKernel:
     # huge shifts overflow their powers: the condition is then inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
         for mu, eps in enumerate(shifts):
-            for eta in range(r):
-                matrix[eta, mu] = _shifted_integer_moment(base, eps, eta)
+            matrix[:, mu] = _shifted_integer_moments(base, eps, r)
         cond = np.linalg.cond(matrix)
     if not np.isfinite(cond) or cond > SINGULARITY_THRESHOLD:
         raise SingularSystem(

@@ -79,10 +79,13 @@ def _unit_grid(grid_n: int) -> np.ndarray:
 
 
 def partition_of_unity_check(kernel: TensorKernel2D, grid_n: int) -> float:
-    """Max deviation of sum_{k,j} chi(u-k, v-j) from 1 over the unit cell grid."""
+    """Max deviation of sum_{k,j} chi(u-k, v-j) from 1 over the unit cell grid.
+
+    Axes that share one kernel object share its moment.
+    """
     us = _unit_grid(grid_n)
     ax = discrete_moment(kernel.kx, 0, us)
-    ay = discrete_moment(kernel.ky, 0, us)
+    ay = ax if kernel.ky is kernel.kx else discrete_moment(kernel.ky, 0, us)
     return float(np.abs(np.outer(ax, ay) - 1.0).max())
 
 

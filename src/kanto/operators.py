@@ -9,12 +9,17 @@ They differ in what is summed per lattice cell:
 * the boolean-sum cell integrand f(x,v) + f(u,y) - f(u,v), which makes the
   operator exact on additively separable functions.
 
-One core serves all three.  It tabulates the source once per call (only
-on the cells some window touches) and then runs over the window offsets in
-ascending (k, j) order for all points at once; past a point's window a
-column reads the window's last cell with weight exactly 0 and adds a zero.
-The boolean sum's two single-axis means are tabulated the same way, once
-per distinct (window cell, other-axis coordinate) pair.  Each point so gets
+One core serves all three.  An :class:`EvalGrid` carries its axes: the
+coordinate values of each axis and each point's index into them, taken
+from the ``linspace`` axes of a regular grid and found once otherwise.
+Kernel windows are computed once per axis value, in one kernel call per
+grid when both axes share a kernel, and gathered to the points by that
+index.  The core tabulates the source once per call (only on the cells some
+window touches) and then runs over the window offsets in ascending (k, j)
+order for all points at once; past a point's window a column reads the
+window's last cell with weight exactly 0 and adds a zero.  The boolean
+sum's two single-axis means are tabulated the same way, once per (window
+cell, other-axis value) pair.  Each point so gets
 the same floating-point operations in the same order as a scalar loop over
 its own window, and results are reproducible bit for bit.  Analytic
 sources must accept 2-d numpy arrays and evaluate elementwise; they may
@@ -26,13 +31,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .csvio import write_csv, write_file
+from .csvio import Factored, write_csv, write_file
 from .functions import TestFunction, _evaluate
 from .kernel1d import Kernel1D
 from .kernel2d import TensorKernel2D, max_support_radius
@@ -155,18 +160,51 @@ class LatticeField:
 SourceField = Union[TestFunction, LatticeField, Callable]
 
 
+def _check_box(box: tuple[float, float, float, float]) -> None:
+    """Refuse a box whose width or height is not a finite float.
+
+    Its corners may each be finite while their difference overflows, and
+    so would every grid step taken from it.
+    """
+    x0, y0, x1, y1 = map(float, box)
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise ValueError(
+            f"box {x0!r},{y0!r},{x1!r},{y1!r} is wider or taller than the "
+            "largest float; shrink it"
+        )
+
+
+def _factor(t: np.ndarray) -> Factored:
+    """The distinct values of t, told apart by bit pattern, and each one's index."""
+    bits, index = np.unique(t.view(np.uint64), return_inverse=True)
+    return Factored(bits.view(np.float64), index)
+
+
 @dataclass(frozen=True)
 class EvalGrid:
-    """Evaluation points (N x 2 array, row-major build order) at lattice rate w."""
+    """Evaluation points (N x 2 array, row-major build order) at lattice rate w.
+
+    ``axes`` holds each axis as a :class:`~kanto.csvio.Factored`: values and
+    each point's index into them, so that ``values[index]`` is that column
+    of ``points`` bit for bit.  :meth:`regular` takes them from its
+    ``linspace`` axes; otherwise they are the distinct coordinates (told
+    apart by bit pattern, so 0.0 and -0.0 stay apart), found once, on first
+    use.  An axis may hold one value twice; both copies get the same
+    windows.  ``points`` is a read-only view, so that the axes stay true.
+    """
 
     points: np.ndarray
     w: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "points", np.asarray(self.points, dtype=float).reshape(-1, 2)
-        )
+        points = np.asarray(self.points, dtype=float).reshape(-1, 2).view()
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
         _check_rate(self.w)
+
+    @cached_property
+    def axes(self) -> tuple[Factored, Factored]:
+        return _factor(self.points[:, 0]), _factor(self.points[:, 1])
 
     @classmethod
     def regular(
@@ -178,17 +216,25 @@ class EvalGrid:
     ) -> "EvalGrid":
         """Regular grid_n x grid_n grid on the box shrunk by margin on all sides.
 
-        Points are ordered row-major: x varies slowest, y fastest.
+        Points are ordered row-major: x varies slowest, y fastest.  A box
+        whose width or height overflows is a ValueError.
         """
         x0, y0, x1, y1 = box
         if grid_n < 1:
             raise ValueError("grid_n must be >= 1")
+        _check_box(box)
         if x0 + margin > x1 - margin or y0 + margin > y1 - margin:
             raise ValueError("margin leaves an empty interior")
         xs = np.linspace(x0 + margin, x1 - margin, grid_n)
         ys = np.linspace(y0 + margin, y1 - margin, grid_n)
         pts = np.column_stack([np.repeat(xs, grid_n), np.tile(ys, grid_n)])
-        return cls(points=pts, w=w)
+        grid = cls(points=pts, w=w)
+        # the same repeat and tile, of each node's index
+        index = np.arange(grid_n)
+        x = Factored(xs, np.repeat(index, grid_n))
+        y = Factored(ys, np.tile(index, grid_n))
+        object.__setattr__(grid, "axes", (x, y))
+        return grid
 
     def sample(self, f: Callable) -> np.ndarray:
         """f at every evaluation point, from one array call."""
@@ -242,14 +288,14 @@ def _tabulate(
 class _AxisWindows(NamedTuple):
     """Lattice windows of all evaluation points along one axis.
 
-    ``which[i]`` is the distinct coordinate of point i.  Column ``a`` of
-    distinct coordinate d reads lattice index ``cells[a, d]``, so the window
-    of point i runs from ``cells[0, which[i]]`` to ``cells[-1, which[i]]``.
-    Windows differ in width by at most one, and a column past a window
-    reads its last cell with weight exactly 0.  ``weights[a]`` holds the
-    kernel weights of column a at every point: one kernel call gives them
-    all, and each column is gathered to the points as its own array, which
-    keeps it contiguous.
+    ``which[i]`` is the axis value of point i.  Column ``a`` of axis value
+    d reads lattice index ``cells[a, d]``, so the window of point i runs
+    from ``cells[0, which[i]]`` to ``cells[-1, which[i]]``.  Windows differ
+    in width by at most one, and a column past a window reads its last cell
+    with weight exactly 0.  ``weights[a]`` holds the kernel weights of
+    column a at every point: one kernel call gives them all, and each
+    column is gathered to the points as its own array, which keeps it
+    contiguous.
     """
 
     weights: list
@@ -257,44 +303,76 @@ class _AxisWindows(NamedTuple):
     which: np.ndarray
 
 
-def _axis_windows(kernel: Kernel1D, t: np.ndarray) -> _AxisWindows:
-    """Windows of the coordinates t, computed once per distinct coordinate.
+def _window_offsets(
+    support: tuple[float, float], ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Window offsets of the scaled axis values ts, and each value's last index.
 
-    Tensor grids repeat each coordinate many times.  Coordinates are told
-    apart by their bit pattern, so each point gets exactly the values it
-    would get on its own.
+    chi(t - k) can be nonzero only in the window t - hi <= k <= t - lo.
+    ``offsets[a, d]`` is column a of value d; past its window it runs on.
     """
-    bits, which = np.unique(t.view(np.uint64), return_inverse=True)
-    ts = bits.view(np.float64)
     # from 2**53 on, floats skip integers, so window ends and the int64
     # lattice indices would be wrong
     bad = ~(np.abs(ts) < 2.0**53)
     if bad.any():
+        # the one with the smallest bit pattern, whatever order ts is in
+        worst = ts[bad]
+        worst = worst[worst.view(np.uint64).argmin()]
         raise ValueError(
-            f"scaled coordinate {float(ts[bad][0])!r} (lattice rate times a "
+            f"scaled coordinate {float(worst)!r} (lattice rate times a "
             "point coordinate) must be finite and below 2**53 in magnitude, "
             "where lattice indices stop being exact; lower the rate or move "
             "the box toward 0"
         )
-    lo, hi = kernel.support
-    # chi(t - k) can be nonzero only in the window t - hi <= k <= t - lo; a
-    # column past it gets weight exactly 0, which a kernel rounding at its
-    # support end can miss
+    lo, hi = support
     first = np.ceil(ts - hi)
     last = np.floor(ts - lo)
     offsets = first + np.arange(int((last - first).max(initial=0)) + 1)[:, None]
-    weights = np.where(offsets > last, 0.0, kernel(ts - offsets))
+    return offsets, last
+
+
+def _windows(
+    values: np.ndarray, offsets: np.ndarray, last: np.ndarray, which: np.ndarray
+) -> _AxisWindows:
+    """The windows of :func:`_window_offsets`, with kernel values at ts - offsets."""
+    # a column past a window gets weight exactly 0, which a kernel rounding
+    # at its support end can miss
+    weights = np.where(offsets > last, 0.0, values)
     cells = np.minimum(offsets, last).astype(np.int64)
     return _AxisWindows([col[which] for col in weights], cells, which)
+
+
+def _axis_windows(kernel: Kernel1D, ts: np.ndarray, which: np.ndarray) -> _AxisWindows:
+    """Windows of the points whose scaled coordinate is ``ts[which]``.
+
+    They are computed once per value of ts, in one kernel call, and
+    gathered to the points, so each point gets exactly the values it would
+    get on its own.
+    """
+    offsets, last = _window_offsets(kernel.support, ts)
+    return _windows(kernel(ts - offsets), offsets, last, which)
 
 
 def _grid_windows(
     kernel: TensorKernel2D, grid: EvalGrid
 ) -> tuple[_AxisWindows, _AxisWindows]:
-    # an overflow to inf is left to the finiteness check of _axis_windows
+    """Both axes' windows, from the grid's axes.
+
+    Axes that share one kernel object get their values from one call.
+    """
+    (xs, ix), (ys, iy) = grid.axes
+    # an overflow to inf is left to the finiteness check of _window_offsets
     with np.errstate(over="ignore"):
-        tx, ty = grid.w * grid.points[:, 0], grid.w * grid.points[:, 1]
-    return _axis_windows(kernel.kx, tx), _axis_windows(kernel.ky, ty)
+        tx, ty = grid.w * xs, grid.w * ys
+    if kernel.kx is not kernel.ky:
+        return _axis_windows(kernel.kx, tx, ix), _axis_windows(kernel.ky, ty, iy)
+    (ox, lx), (oy, ly) = (_window_offsets(kernel.kx.support, t) for t in (tx, ty))
+    dx, dy = tx - ox, ty - oy
+    values = kernel.kx(np.concatenate([dx.ravel(), dy.ravel()]))
+    return (
+        _windows(values[: dx.size].reshape(dx.shape), ox, lx, ix),
+        _windows(values[dx.size :].reshape(dy.shape), oy, ly, iy),
+    )
 
 
 def _windowed_sum(
@@ -373,17 +451,17 @@ def _axis_means(
     g: Callable,
     axis: _AxisWindows,
     columns: tuple[np.ndarray, list],
-    t: np.ndarray,
+    other: Factored,
     w: float,
     quad_order: int,
 ) -> list:
     """Row a: at each point i, the Gauss mean of g(., t[i]) over column a's cell.
 
-    ``columns`` are the :func:`_distinct_columns` of ``axis``, and ``t`` is
-    the points' other coordinate.  The means are tabulated once per
-    distinct (cell, coordinate) pair, on the rectangle of the distinct
-    cells and the distinct t (told apart by bit pattern, so 0.0 and -0.0
-    stay apart), and each column reads the table with one flat ``take``.
+    ``columns`` are the :func:`_distinct_columns` of ``axis``, and ``other``
+    is the grid's other axis: t = ``other.values[other.index]`` is the
+    points' other coordinate.  The means are tabulated once per (cell,
+    value) pair, on the rectangle of the distinct cells and the other
+    axis's values, and each column reads the table with one flat ``take``.
     On a tensor grid that rectangle holds exactly the pairs that occur.
     Where it is larger than window columns times points (scattered
     points), g is evaluated per point instead, so it never sees more
@@ -395,27 +473,32 @@ def _axis_means(
         return _gauss_mean(lambda u: g(u, s), k, w, quad_order)
 
     cells, pos = columns
-    bits, which = np.unique(t.view(np.uint64), return_inverse=True)
-    if cells.size * bits.size > len(pos) * t.size:
-        return list(_evaluate(mean, axis.cells[:, axis.which], t))
-    flat = _evaluate(mean, cells[:, None], bits.view(np.float64)).ravel()
-    return [flat.take(p * bits.size + which) for p in pos]
+    values, which = other
+    if cells.size * values.size > len(pos) * which.size:
+        return list(_evaluate(mean, axis.cells[:, axis.which], values[which]))
+    flat = _evaluate(mean, cells[:, None], values).ravel()
+    return [flat.take(p * values.size + which) for p in pos]
 
 
 def _check_coverage(field: LatticeField, kx: _AxisWindows, ky: _AxisWindows) -> None:
-    """Raise MissingData at the first end of the first window that leaves the field."""
-    k0, k1 = kx.cells[[0, -1]][:, kx.which]
-    j0, j1 = ky.cells[[0, -1]][:, ky.which]
-    bad = (k0 < field.kmin) | (k1 > field.kmax) | (j0 < field.jmin) | (j1 > field.jmax)
-    if not bad.any():
+    """Raise MissingData at the first end of the first window that leaves the field.
+
+    The window ends are compared once per axis value; points are looked at
+    only when some window leaves the field.
+    """
+    out_x = (kx.cells[0] < field.kmin) | (kx.cells[-1] > field.kmax)
+    out_y = (ky.cells[0] < field.jmin) | (ky.cells[-1] > field.jmax)
+    if not (out_x.any() or out_y.any()):
         return
-    i = bad.argmax()
-    for k in (k0[i], k1[i]):
+    i = (out_x[kx.which] | out_y[ky.which]).argmax()
+    k0, k1 = kx.cells[[0, -1], kx.which[i]]
+    j0, j1 = ky.cells[[0, -1], ky.which[i]]
+    for k in (k0, k1):
         if not field.kmin <= k <= field.kmax:
-            raise MissingData(int(k), int(j0[i]))
-    for j in (j0[i], j1[i]):
+            raise MissingData(int(k), int(j0))
+    for j in (j0, j1):
         if not field.jmin <= j <= field.jmax:
-            raise MissingData(int(k0[i]), int(j))
+            raise MissingData(int(k0), int(j))
 
 
 def _lattice_series(
@@ -484,15 +567,15 @@ def apply_gbs(
     The first two terms reduce to single-axis means through the evaluation
     point and reuse the same quadrature nodes as the full tensor rule, so
     the three terms cancel exactly (to rounding) on additively separable
-    functions.  Each mean is tabulated once per distinct (window cell,
-    other-axis coordinate) pair, or per point where that table would be
-    the larger (see :func:`_axis_means`).  Needs an analytic field.
+    functions.  Each mean is tabulated once per (window cell, other-axis
+    value) pair, or per point where that table would be the larger (see
+    :func:`_axis_means`).  Needs an analytic field.
     """
     if isinstance(field, LatticeField):
         raise ValueError("boolean-sum operator needs an analytic field")
     f = field
     w = grid.w
-    x, y = grid.points[:, 0], grid.points[:, 1]
+    x, y = grid.axes
     kx, ky = _grid_windows(kernel, grid)
     columns_x, columns_y = _distinct_columns(kx), _distinct_columns(ky)
     cell = _index_table(f, columns_x, columns_y, w, KIND_CELL_AVERAGES, quad_order)
@@ -562,9 +645,9 @@ def admissible_box(
 
     Rows and columns at the edges of the field that hold no value are left
     out; an absent cell between them is not (see :func:`_interior_hole`).
-    The box has x0 < x1 and y0 < y1, as ``--box`` requires, and its
-    scaled corners (lattice rate times a corner) stay below 2**53 in
-    magnitude, as the windows require.
+    The box has x0 < x1 and y0 < y1 and a finite width and height, as
+    ``--box`` requires, and its scaled corners (lattice rate times a
+    corner) stay below 2**53 in magnitude, as the windows require.
     """
     k0, k1, j0, j1 = _held_range(field)
     kmin, kmax = field.kmin + k0, field.kmin + k1
@@ -584,6 +667,7 @@ def admissible_box(
     box = ((kmin + hix) / w, (jmin + hiy) / w, (kmax + lox) / w, (jmax + loy) / w)
     if not all(map(math.isfinite, box)):
         raise ValueError(f"admissible box overflows at lattice rate w={w!r}")
+    _check_box(box)
     if not (box[0] < box[2] and box[1] < box[3]):
         raise ValueError("field too small for the kernel window")
     return box

@@ -445,6 +445,37 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "args",
         [
+            ("reconstruct", "--fn", "x", "--grid-n", "3", "--w", "1e-300"),
+            ("converge", "--fn", "x", "--grid-n", "3", "--w-list", "1e-300,2e-300"),
+            ("gbs", "--fn", "x", "--grid-n", "3", "--w", "1e-300"),
+            ("bounds", "--fn", "x", "--w", "1e-300"),
+        ],
+    )
+    def test_box_wider_than_the_largest_float(self, args):
+        # x1 - x0 overflows though every scaled coordinate is about 1e8: was
+        # two numpy RuntimeWarnings and a message about an infinite scaled
+        # coordinate, or a NaN function value, or an infinite sup norm
+        box = "--box=-1e308,-1e308,1e308,1e308"
+        proc = run_cli(*args, box)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: box -1e+308,-1e+308,1e+308,1e+308 is wider or taller than "
+            "the largest float; shrink it\n"
+        )
+
+    def test_past_2_53_names_the_value_the_per_point_check_named(self):
+        proc = run_cli(
+            "reconstruct", "--fn", "x", "--box=-1e20,-1e20,1e20,1e20",
+            "--grid-n", "3", "--w", "1",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: scaled coordinate 1e+20 ")
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
             ("bounds", "--fn", "xy", "--w", "1e300"),
             ("bounds", "--fn", "sin_x_cos_y", "--w", "1e-300"),
             ("gbs", "--fn", "xy", "--w", "1e-300", "--grid-n", "2"),
@@ -547,6 +578,21 @@ class TestErrorPaths:
         proc = run_cli("reconstruct", "--input", str(path))
         assert proc.returncode == 2
         assert proc.stderr == f"error: admissible box overflows at lattice rate w={rate!r}\n"
+
+    def test_admissible_box_wider_than_the_largest_float(self, tmp_path):
+        # finite corners, but x1 - x0 overflows: was two numpy RuntimeWarnings
+        # from linspace, then a message about a NaN scaled coordinate
+        path = tmp_path / "wide.csv"
+        ks = range(-10, 11)
+        path.write_text("k,j,value\n" + "".join(f"{k},{j},0.5\n" for k in ks for j in ks))
+        meta = {"w": 7e-308, "kind": "samples", "kmin": -10, "kmax": 10,
+                "jmin": -10, "jmax": 10}
+        (tmp_path / "wide.meta.json").write_text(json.dumps(meta))
+        proc = run_cli("reconstruct", "--input", str(path), "--grid-n", "2")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("error: box -6.428571428571428e+307,")
+        assert proc.stderr.endswith(" is wider or taller than the largest float; shrink it\n")
 
     @pytest.mark.parametrize(
         "meta, message",

@@ -9,14 +9,17 @@ that return a scalar or ignore one argument.  Points that share a
 coordinate on one axis, and 0.0 beside -0.0, reach both the tabulated and
 the per-point axis means of the boolean sum.  Missing data
 must be reported at the same (k, j) as the scalar implementation did.
-Kernel windows, computed in one kernel call per axis over all window
-columns and distinct coordinates, must equal the windows evaluated column
-by column at every point; a column past a point's shorter window reads
-the window's last cell with weight exactly 0, also where the kernel itself
-rounds to a tiny nonzero value there.
+Kernel windows, computed once per axis value (one kernel call per grid
+when both axes share a kernel object), must equal the windows evaluated
+column by column at every point; a column past a point's shorter window
+reads the window's last cell with weight exactly 0, also where the kernel
+itself rounds to a tiny nonzero value there.  A regular grid's axes, taken
+from its ``linspace`` arrays, must reproduce its points and give every
+operator the same bits as the axes found from the points alone.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,12 +39,14 @@ from kanto import (
     cell_average,
     construct_combination_kernel,
     fn_lookup,
+    validate_kernel,
 )
 from kanto.operators import (
     KIND_CELL_AVERAGES,
     KIND_SAMPLES,
     _axis_windows,
     _distinct_columns,
+    _grid_windows,
 )
 
 _chi3 = construct_combination_kernel(3, (2.0, 3.0, 4.0))
@@ -346,27 +351,40 @@ def bits(a):
 
 @st.composite
 def axis_coordinates(draw):
+    """Scaled axis values ts and each point's index into them: t = ts[which].
+
+    Every value is some point's, in any order, and a value may repeat.
+    """
     w = draw(rates)
-    if draw(st.booleans()):  # one axis of a tensor grid
+    if draw(st.booleans()):  # one axis of a tensor grid, both routes
         n = draw(st.integers(min_value=1, max_value=12))
         box = draw(st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)))
         grid = EvalGrid.regular((min(box), 0.0, max(box) + 0.1, 1.0), n, w)
-        return w * grid.points[:, draw(st.sampled_from([0, 1]))]
+        if draw(st.booleans()):
+            grid = EvalGrid(points=grid.points, w=w)
+        values, which = grid.axes[draw(st.sampled_from([0, 1]))]
+        return w * values, which
     # integer and half-integer w*x: window edges of every kernel above
     edge = st.integers(min_value=-80, max_value=220).map(lambda m: m / 2 / w)
     coord = st.one_of(st.floats(-1.0, 2.0), edge, st.sampled_from([0.0, -0.0]))
-    return w * np.array(draw(st.lists(coord, min_size=1, max_size=30)))
+    values = draw(st.lists(coord, min_size=1, max_size=30))
+    extra = draw(st.lists(st.integers(0, len(values) - 1), max_size=10))
+    which = draw(st.permutations(list(range(len(values))) + extra))
+    return w * np.array(values), np.array(which, dtype=np.intp)
 
 
 @settings(max_examples=300, deadline=None)
-@given(t=axis_coordinates(), kernel_name=st.sampled_from(sorted(AXIS_KERNELS)))
+@given(axis=axis_coordinates(), kernel_name=st.sampled_from(sorted(AXIS_KERNELS)))
 # the column past the first window (-6..0, where the second is 0..7) lands
 # on the kernel's lower support end, where it rounds to a nonzero value
-@example(t=np.array([-3.94, 2.1]), kernel_name="chibar4_rounded")
-def test_axis_windows_per_distinct_coordinate_match_per_point(t, kernel_name):
-    axis = AXIS_KERNELS[kernel_name]
-    got = _axis_windows(axis, t)
-    first, last, weights = per_point_windows(axis, t)
+@example(axis=(np.array([-3.94, 2.1]), np.array([0, 1])), kernel_name="chibar4_rounded")
+def test_axis_windows_per_distinct_coordinate_match_per_point(axis, kernel_name):
+    kernel = AXIS_KERNELS[kernel_name]
+    ts, which = axis
+    t = ts[which]
+    got = _axis_windows(kernel, ts, which)
+    assert got.which is which
+    first, last, weights = per_point_windows(kernel, t)
     cells = got.cells[:, got.which]
     assert len(cells) == len(got.weights) == len(weights)
     # the window ends, and past its last cell a column reads that cell again
@@ -407,17 +425,33 @@ class Counting:
         return self.inner(*args)
 
 
-# call counts, not speed: each axis takes one kernel call over all window
-# columns, and the boolean sum one f call per quadrature node and axis on
-# top of the q*q of the cell averages
+# call counts, not speed: a grid takes one kernel call over all window
+# columns of both axes when they share one kernel object, and one per axis
+# otherwise; the boolean sum one f call per quadrature node and axis on top
+# of the q*q of the cell averages
 @pytest.mark.parametrize("w", [5.0, 40.0])
 @pytest.mark.parametrize("grid_n", [3, 20])
 @pytest.mark.parametrize("kernel_name", ["m2", "chibar3", "chibar4"])
 def test_one_kernel_call_per_axis(w, grid_n, kernel_name):
-    kernel = Counting(AXIS_KERNELS[kernel_name])
     grid = EvalGrid.regular((-0.3, 0.1, 1.2, 0.9), grid_n, w)
-    _axis_windows(kernel, w * grid.points[:, 0])
-    assert kernel.calls == 1
+    # axes sharing one kernel object: one call for the grid
+    shared = Counting(AXIS_KERNELS[kernel_name])
+    _grid_windows(TensorKernel2D(shared, shared), grid)
+    assert shared.calls == 1
+    # two kernel objects: one call per axis
+    kx, ky = Counting(AXIS_KERNELS[kernel_name]), Counting(AXIS_KERNELS[kernel_name])
+    _grid_windows(TensorKernel2D(kx, ky), grid)
+    assert (kx.calls, ky.calls) == (1, 1)
+
+
+@pytest.mark.parametrize("kernel_name", ["m2", "chibar3", "chibar4"])
+def test_validate_kernel_evaluates_a_shared_axis_once(kernel_name):
+    shared = Counting(AXIS_KERNELS[kernel_name])
+    validate_kernel(TensorKernel2D(shared, shared))
+    assert shared.calls == 1
+    kx, ky = Counting(AXIS_KERNELS[kernel_name]), Counting(AXIS_KERNELS[kernel_name])
+    validate_kernel(TensorKernel2D(kx, ky))
+    assert (kx.calls, ky.calls) == (1, 1)
 
 
 @pytest.mark.parametrize("w", [5.0, 40.0])
@@ -460,7 +494,7 @@ def test_gbs_evaluates_scattered_points_per_point(w, quad_order):
     f = Counting(fn_lookup("sin_x_cos_y"))
     apply_gbs(f, KERNELS["chibar3"], grid, quad_order)
     assert f.calls == quad_order**2 + 2 * quad_order
-    columns = len(_axis_windows(_chi3, w * t).weights)
+    columns = len(_axis_windows(_chi3, w * t, np.arange(len(t))).weights)
     assert distinct_cells(_chi3, w * t) * len(t) > columns * len(t)
     assert f.sizes[quad_order**2 :] == [columns * len(t)] * (2 * quad_order)
 
@@ -481,3 +515,180 @@ def test_gbs_keeps_zero_signs_apart(scattered):
     kernel = KERNELS["chibar3"]
     got = apply_gbs(f, kernel, grid, QUAD_ORDER)
     assert got.tolist() == [oracle("gbs", f, kernel, 8.0, x, y) for x, y in points]
+
+
+@st.composite
+def regular_grids(draw):
+    """A regular grid on an awkward box: its axes come from ``linspace``."""
+    w = draw(rates)
+    n = draw(st.integers(min_value=1, max_value=6))
+    shape = draw(st.sampled_from(["plain", "no_interior", "subnormal", "repeats", "straddle"]))
+    x0, y0 = draw(st.floats(-1.0, 2.0)), draw(st.floats(-1.0, 2.0))
+    margin = 0.0
+    if shape == "plain":
+        dx, dy = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    elif shape == "no_interior":
+        # the margin leaves a single point: every node of an axis is one value
+        dx = dy = draw(st.floats(0.0, 1.0))
+        margin = dx / 2
+    elif shape == "subnormal":
+        x0 = y0 = draw(st.sampled_from([0.0, -1e-310]))
+        dx, dy = 1e-310, draw(st.sampled_from([1e-310, 5e-324, 1.0]))
+    elif shape == "repeats":
+        # nodes closer than the float spacing round together
+        x0, dx = 1.0, 1e-15
+        dy = draw(st.sampled_from([4e-16, 1e-15, 0.5]))
+    else:
+        x0, y0 = -draw(st.floats(0.0, 1.0)), -draw(st.floats(0.0, 1.0))
+        dx, dy = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))
+    x1, y1 = x0 + dx, y0 + dy
+    if x0 + margin > x1 - margin or y0 + margin > y1 - margin:
+        margin = 0.0
+    return EvalGrid.regular((x0, y0, x1, y1), n, w, margin)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=regular_grids())
+@example(grid=EvalGrid.regular((1.0, -0.5, 1.0 + 1e-15, 0.5), 12, 8.0))
+def test_regular_axes_reproduce_the_points(grid):
+    n = round(math.sqrt(len(grid.points)))
+    # row-major: x varies slowest, y fastest
+    (xs, _), (ys, _) = grid.axes
+    assert bits(grid.points[:, 0]) == bits(np.repeat(xs, n))
+    assert bits(grid.points[:, 1]) == bits(np.tile(ys, n))
+    for column, (values, index) in enumerate(grid.axes):
+        assert values.size == n and index.size == n * n
+        assert bits(values[index]) == bits(grid.points[:, column])
+        # the points' own factorisation agrees
+        found, which = EvalGrid(points=grid.points, w=grid.w).axes[column]
+        assert bits(found[which]) == bits(grid.points[:, column])
+
+
+def test_linspace_axis_may_repeat_a_value():
+    # the case the awkward boxes above draw: regular grids hold repeats
+    values, _ = EvalGrid.regular((1.0, 0.0, 1.0 + 1e-15, 1.0), 12, 8.0).axes[0]
+    assert len(set(values.tolist())) < values.size
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    grid=regular_grids(),
+    kernel_name=st.sampled_from(sorted(KERNELS)),
+    op=st.sampled_from(["gw", "sw", "gbs"]),
+    fn_name=st.sampled_from(FUNCTIONS),
+    via_field=st.booleans(),
+)
+def test_regular_axes_and_found_axes_give_the_same_bits(
+    grid, kernel_name, op, fn_name, via_field
+):
+    # chibar3 shares one kernel object across its axes, m3_tensor does not
+    kernel = KERNELS[kernel_name]
+    source = fn_lookup(fn_name)
+    w = grid.w
+    if via_field and op != "gbs":
+        kind = KIND_SAMPLES if op == "gw" else KIND_CELL_AVERAGES
+        lo = math.floor(w * grid.points.min()) - 8
+        hi = math.ceil(w * grid.points.max()) + 8
+        source = LatticeField.from_function(source, w, lo, hi, lo, hi, kind, QUAD_ORDER)
+    got = apply(op, source, kernel, grid)
+    want = apply(op, source, kernel, EvalGrid(points=grid.points, w=w))
+    assert bits(got) == bits(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    grid=regular_grids(),
+    found=st.booleans(),
+    kernel_name=st.sampled_from(sorted(KERNELS)),
+    op=st.sampled_from(["gw", "sw"]),
+    pad=st.tuples(*[st.integers(min_value=-6, max_value=6)] * 4),
+)
+def test_regular_grid_missing_data_reports_the_scalar_index(
+    grid, found, kernel_name, op, pad
+):
+    # a field around the grid, each edge moved in or out: windows leave it
+    # at a grid corner or along an edge, on either axis
+    kernel = KERNELS[kernel_name]
+    w = grid.w
+    if found:
+        grid = EvalGrid(points=grid.points, w=w)
+    kind = KIND_SAMPLES if op == "gw" else KIND_CELL_AVERAGES
+    kmin = math.floor(w * grid.points[:, 0].min()) - 2 + pad[0]
+    kmax = math.ceil(w * grid.points[:, 0].max()) + 2 + pad[1]
+    jmin = math.floor(w * grid.points[:, 1].min()) - 2 + pad[2]
+    jmax = math.ceil(w * grid.points[:, 1].max()) + 2 + pad[3]
+    field = LatticeField.from_function(
+        fn_lookup("gaussian"), w, kmin, max(kmin, kmax), jmin, max(jmin, jmax),
+        kind, QUAD_ORDER,
+    )
+    want = first_missing(field, kernel, grid)
+    if want is None:
+        apply(op, field, kernel, grid)
+    else:
+        with pytest.raises(MissingData) as err:
+            apply(op, field, kernel, grid)
+        assert (err.value.k, err.value.j) == want
+
+
+def scaled_overflow(grid):
+    """The value the per-point check named: the smallest bit pattern of the
+    first axis (x, then y) whose scaled coordinates reach 2**53 or overflow."""
+    for column in (0, 1):
+        with np.errstate(over="ignore"):
+            t = grid.w * grid.points[:, column]
+        bad = t[~(np.abs(t) < 2.0**53)]
+        if bad.size:
+            return float(bad[bad.view(np.uint64).argmin()])
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    corners=st.lists(
+        st.one_of(st.floats(-1e300, 1e300), st.sampled_from([-1e20, 1e20, -3.0, 0.0])),
+        min_size=4, max_size=4,
+    ),
+    n=st.integers(min_value=1, max_value=4),
+    w=st.sampled_from([1.0, 1e10, 1e300]),
+    found=st.booleans(),
+)
+@example(corners=[-1e20, -1e20, 1e20, 1e20], n=3, w=1.0, found=False)
+def test_past_2_53_names_the_per_point_value(corners, n, w, found):
+    x0, x1 = sorted(corners[::2])
+    y0, y1 = sorted(corners[1::2])
+    grid = EvalGrid.regular((x0, y0, x1, y1), n, w)
+    if found:
+        grid = EvalGrid(points=grid.points, w=w)
+    want = scaled_overflow(grid)
+    if want is None:
+        _grid_windows(KERNELS["chibar3"], grid)
+        return
+    for kernel in KERNELS.values():
+        with pytest.raises(ValueError, match="2\\*\\*53") as err:
+            _grid_windows(kernel, grid)
+        assert str(err.value).startswith(f"scaled coordinate {want!r} ")
+
+
+def test_past_2_53_on_a_box_across_0_names_the_positive_end():
+    grid = EvalGrid.regular((-1e20, -1e20, 1e20, 1e20), 3, 1.0)
+    with pytest.raises(ValueError, match="^scaled coordinate 1e\\+20 "):
+        _grid_windows(KERNELS["chibar3"], grid)
+
+
+@pytest.mark.parametrize(
+    "box", [(-1e308, -1e308, 1e308, 1e308), (0.0, -1e308, 1.0, 1e308), (-np.inf, 0, 1, 1)]
+)
+def test_box_wider_than_the_largest_float_is_refused(box):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="wider or taller than the largest float"):
+            EvalGrid.regular(box, 3, 1e-300)
+
+
+def test_grid_points_are_read_only():
+    # the axes are found or given once; points written later would leave them stale
+    given = np.array([[0.1, 0.2], [0.3, 0.4]])
+    for grid in (EvalGrid(points=given, w=4.0), EvalGrid.regular((0, 0, 1, 1), 2, 4.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            grid.points[0, 0] = 5.0
+    given[0, 0] = 0.5  # the caller's own array stays writable

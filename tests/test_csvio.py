@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from kanto import LatticeField, fn_lookup, write_lattice_csv
 from kanto import csvio
-from kanto.csvio import _BLOCK, format_csv, write_csv, write_file
+from kanto.csvio import _BLOCK, Factored, format_csv, write_csv, write_file
 
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1e308, 0.1]
 
@@ -440,6 +440,42 @@ def test_float_columns_are_deduplicated_only_when_they_repeat(monkeypatch):
     monkeypatch.undo()
     assert got == old_rows(["d"], [distinct.tolist()])
     assert got_grid == old_rows(["g"], [grid.tolist()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(floats, min_size=1, max_size=8),
+    picks=st.lists(st.integers(0, 7), max_size=40),
+)
+def test_factored_column_writes_the_plain_column_bytes(values, picks):
+    # values may repeat (as a linspace axis can) or go unused
+    values = np.array(values)
+    index = np.array([i % values.size for i in picks], dtype=np.intp)
+    plain = values[index]
+    want = format_csv(["c", "d"], [plain, plain])
+    assert want == old_rows(["c", "d"], [plain.tolist()] * 2)
+    assert format_csv(["c", "d"], [Factored(values, index), plain]) == want
+
+
+def test_factored_column_is_formatted_once_per_value_without_a_sort(monkeypatch):
+    # values past one block of distinct floats, rows past two row blocks
+    values = np.random.default_rng(5).uniform(-1e3, 1e3, _BLOCK + 5)
+    index = np.arange(2 * _BLOCK + 3) % values.size
+    sizes, sorts = [], []
+    real_rows = csvio._float_rows
+
+    def counting_rows(x, out):
+        sizes.append(x.size)
+        return real_rows(x, out)
+
+    monkeypatch.setattr(csvio, "_float_rows", counting_rows)
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(a))
+    monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(a))
+    got = format_csv(["x"], [Factored(values, index)])
+    monkeypatch.undo()
+    assert sorts == []
+    assert sizes == [_BLOCK, 5]
+    assert got == old_rows(["x"], [values[index].tolist()])
 
 
 def test_writing_a_file_holds_one_block_at_a_time(tmp_path):

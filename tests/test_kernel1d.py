@@ -20,6 +20,8 @@ from kanto import (
     construct_combination_kernel,
     discrete_moment,
 )
+import kanto.kernel1d
+from kanto.kernel1d import SINGULARITY_THRESHOLD
 
 rng = np.random.default_rng(0)
 
@@ -281,3 +283,61 @@ class TestDiscreteMoment:
 
         with pytest.raises(ValueError):
             discrete_moment(Everywhere(), 0, 0.0)
+
+
+def per_entry_combination(r, shifts):
+    """The solve with each matrix entry from its own B-spline evaluation.
+
+    The per-(shift, eta) formula that construct_combination_kernel used
+    before it evaluated each shifted B-spline once for all eta.
+    """
+    base = CentralBSpline(r)
+    matrix = np.empty((r, r))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mu, eps in enumerate(shifts):
+            for eta in range(r):
+                half = 0.5 * r
+                ms = np.arange(math.ceil(eps - half), math.floor(eps + half) + 1, dtype=float)
+                matrix[eta, mu] = float(np.sum(base(ms - eps) * ms**eta))
+        cond = np.linalg.cond(matrix)
+    if not np.isfinite(cond) or cond > SINGULARITY_THRESHOLD:
+        return None
+    rhs = np.zeros(r)
+    rhs[0] = 1.0
+    return tuple(np.linalg.solve(matrix, rhs))
+
+
+@st.composite
+def combination_shifts(draw):
+    r = draw(st.integers(min_value=2, max_value=13))
+    pattern = draw(st.sampled_from(["consecutive", "centred", "halves", "drawn"]))
+    if pattern == "consecutive":
+        start = draw(st.integers(-5, 5))
+        return r, [float(start + i) for i in range(r)]
+    if pattern == "centred":
+        return r, [i - (r - 1) / 2 for i in range(r)]
+    if pattern == "halves":
+        return r, [0.5 * i - 1.0 for i in range(r)]
+    steps = draw(st.lists(st.floats(0.1, 2.0), min_size=r, max_size=r))
+    return r, list(np.cumsum(steps) - draw(st.floats(0.0, 10.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=combination_shifts())
+def test_one_bspline_evaluation_per_shift_matches_per_entry_solve(case):
+    r, shifts = case
+    want = per_entry_combination(r, shifts)
+    if want is None:
+        with pytest.raises(SingularSystem):
+            construct_combination_kernel(r, shifts)
+        return
+    got = construct_combination_kernel(r, shifts).coefficients
+    assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+
+def test_combination_solve_evaluates_each_shifted_bspline_once(monkeypatch):
+    calls = []
+    real = kanto.kernel1d.bspline_eval
+    monkeypatch.setattr(kanto.kernel1d, "bspline_eval", lambda n, t: calls.append(n) or real(n, t))
+    construct_combination_kernel(3, (2.0, 3.0, 4.0))
+    assert calls == [3, 3, 3]
