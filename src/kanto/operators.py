@@ -14,16 +14,16 @@ coordinate values of each axis and each point's index into them, taken
 from the ``linspace`` axes of a regular grid and found once otherwise.
 Kernel windows are computed once per axis value, in one kernel call per
 grid when both axes share a kernel, and gathered to the points by that
-index.  The core tabulates the source once per call (only on the cells some
-window touches) and then runs over the window offsets in ascending (k, j)
-order for all points at once; past a point's window a column reads the
-window's last cell with weight exactly 0 and adds a zero.  The boolean
-sum's two single-axis means are tabulated the same way, once per (window
-cell, other-axis value) pair.  Each point so gets
-the same floating-point operations in the same order as a scalar loop over
-its own window, and results are reproducible bit for bit.  Analytic
-sources must accept 2-d numpy arrays and evaluate elementwise; they may
-return any result that broadcasts against their inputs.
+index.  The core tabulates the source once per call (only on the cells
+some window touches) and then runs over the window offsets in ascending
+(k, j) order for all points at once; past a point's window a column reads
+the window's last cell with weight exactly 0 and adds a zero.  The
+boolean sum's two single-axis means are tabulated the same way, once per
+(window cell, other-axis value) pair.  Quadrature rules stack their nodes
+in row blocks of up to ``_STACK`` elements, one source call a block.  Each
+point so gets the operations of a scalar loop over its own window, in its
+order, bit for bit.  Analytic sources must take 2-d arrays, evaluate
+elementwise and return results that broadcast against their inputs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import iadd
 from pathlib import Path
 from typing import Callable, NamedTuple, Union
 
@@ -67,6 +68,7 @@ KIND_CELL_AVERAGES = "cell_averages"
 # accepted: computing the rule costs the cube of the order
 QUAD_ORDER = 5
 QUAD_ORDER_MAX = 256
+_STACK = 2**16  # elements a block of stacked quadrature nodes gives a source
 EVAL_GRID = 20  # points per axis of the default evaluation grid
 
 
@@ -249,31 +251,49 @@ def _check_quad_order(order: int) -> None:
 @lru_cache(maxsize=16)
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     _check_quad_order(order)
-    return np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (nodes + 1.0), 0.5 * weights  # on [0, 1], weights summing to 1
 
 
-def _gauss_mean(g: Callable, k, w: float, quad_order: int):
-    """Gauss-Legendre mean of g over [k/w, (k+1)/w], one g call per node on all k."""
-    nodes, weights = _gauss_rule(quad_order)
-    m = 0.0
-    for gi, wi in zip(nodes, weights):
-        # the weights sum to 2
-        m += 0.5 * wi * g((k + 0.5 * (gi + 1.0)) / w)
-    return m
+def _stacked_mean(g: Callable, k, t, w: float, quad_order: int) -> np.ndarray:
+    """Gauss-Legendre mean over u of g(u, t) on each cell [k/w, (k+1)/w].
+
+    g gets the nodes' rows (k + x_i)/w stacked in blocks of ``_STACK``
+    elements or one node's; t must not vary along k's first axis, and k has
+    the rank of both.  Means add (0.5*w_i) * g in node order from +0.
+    """
+    offsets, halves = _gauss_rule(quad_order)
+    mean = np.zeros(np.broadcast(k, t).shape)
+    step, n, rank = max(1, _STACK // max(mean.size, 1)), len(k), np.ndim(k)
+    for start in range(0, quad_order, step):
+        x = offsets[start : start + step].reshape(-1, *[1] * rank)
+        values = g(((k + x) / w).reshape(-1, *np.shape(k)[1:]), t)
+        # values that vary along the stacked rows hold each node's in turn
+        split = np.ndim(values) == rank and len(values) > n
+        for i, half in enumerate(halves[start : start + step]):
+            mean += half * (values[i * n : (i + 1) * n] if split else values)
+    return mean
 
 
 def cell_average(f: Callable, k, j, w: float, quad_order: int = QUAD_ORDER):
     """Mean of f over the lattice cell [k/w,(k+1)/w] x [j/w,(j+1)/w].
 
     The Gauss-Legendre mean over u of the mean over v, exact for polynomial
-    degree up to 2*quad_order - 1 per axis, with one f call per node pair.
-    With integer arrays ``k`` and ``j`` it returns the cell means, and each
-    cell gets the same operations in the same order as a scalar call.
+    degree up to 2*quad_order - 1 per axis, with one f call per v node and
+    block of stacked u nodes.  With integer arrays ``k`` and ``j`` it
+    returns the cell means, each with the operations of a scalar call.
     """
-    mean = _gauss_mean(
-        lambda u: _gauss_mean(lambda v: f(u, v), j, w, quad_order), k, w, quad_order
-    )
-    return float(mean) if np.ndim(mean) == 0 else mean
+    shape = np.broadcast(k, j).shape
+    # a table's (n, 1) by (1, m) stacks as it is; other shapes as one row
+    if not (np.ndim(k) == np.ndim(j) and np.shape(j)[:1] == (1,)):
+        k, j = (np.broadcast_to(a, shape).reshape(1, -1) for a in (k, j))
+
+    def inner(u, j):  # the mean over v at every u of a block, one f call per v node
+        terms = (half * f(u, (j + x) / w) for x, half in zip(*_gauss_rule(quad_order)))
+        return reduce(iadd, terms, 0.0)  # in node order from +0, adding in place
+
+    mean = _stacked_mean(inner, k, j, w, quad_order).reshape(shape)
+    return float(mean) if not shape else mean
 
 
 def _tabulate(
@@ -282,7 +302,7 @@ def _tabulate(
     """Point samples f(k/w, j/w) or cell averages of f at lattice indices k, j."""
     if kind == KIND_SAMPLES:
         return _evaluate(f, k / w, j / w)
-    return _evaluate(lambda k, j: cell_average(f, k, j, w, quad_order), k, j)
+    return cell_average(f, k, j, w, quad_order)
 
 
 class _AxisWindows(NamedTuple):
@@ -461,22 +481,18 @@ def _axis_means(
     is the grid's other axis: t = ``other.values[other.index]`` is the
     points' other coordinate.  The means are tabulated once per (cell,
     value) pair, on the rectangle of the distinct cells and the other
-    axis's values, and each column reads the table with one flat ``take``.
-    On a tensor grid that rectangle holds exactly the pairs that occur.
-    Where it is larger than window columns times points (scattered
-    points), g is evaluated per point instead, so it never sees more
-    elements than one per column and point.  Either way g gets the same
-    (u, t) pairs, and each mean the same operations.
+    axis's values (on a tensor grid, exactly the pairs that occur), and
+    each column reads the table with one flat ``take``.  Where that
+    rectangle is larger than window columns times points (scattered
+    points), the means are taken per point instead.  Either way g gets the
+    same (u, t) pairs, and each mean the same operations.
     """
-
-    def mean(k, s):
-        return _gauss_mean(lambda u: g(u, s), k, w, quad_order)
-
     cells, pos = columns
     values, which = other
     if cells.size * values.size > len(pos) * which.size:
-        return list(_evaluate(mean, axis.cells[:, axis.which], values[which]))
-    flat = _evaluate(mean, cells[:, None], values).ravel()
+        k, t = axis.cells[:, axis.which], values[which]
+        return list(_stacked_mean(g, k, t, w, quad_order))
+    flat = _stacked_mean(g, cells[:, None], values, w, quad_order).ravel()
     return [flat.take(p * values.size + which) for p in pos]
 
 

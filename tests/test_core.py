@@ -15,7 +15,10 @@ column by column at every point; a column past a point's shorter window
 reads the window's last cell with weight exactly 0, also where the kernel
 itself rounds to a tiny nonzero value there.  A regular grid's axes, taken
 from its ``linspace`` arrays, must reproduce its points and give every
-operator the same bits as the axes found from the points alone.
+operator the same bits as the axes found from the points alone.  The
+Gauss-Legendre rules, their nodes stacked in blocks of rows, must equal
+nested scalar loops bit for bit at every block size, and no source call
+may get more elements than the block cap or one node's values.
 """
 
 import math
@@ -41,9 +44,14 @@ from kanto import (
     fn_lookup,
     validate_kernel,
 )
+from kanto import operators
+from kanto.csvio import Factored
+from kanto.functions import CATALOG
 from kanto.operators import (
     KIND_CELL_AVERAGES,
     KIND_SAMPLES,
+    QUAD_ORDER_MAX,
+    _axis_means,
     _axis_windows,
     _distinct_columns,
     _grid_windows,
@@ -427,8 +435,8 @@ class Counting:
 
 # call counts, not speed: a grid takes one kernel call over all window
 # columns of both axes when they share one kernel object, and one per axis
-# otherwise; the boolean sum one f call per quadrature node and axis on top
-# of the q*q of the cell averages
+# otherwise; the boolean sum's cell averages one f call per v node, on the
+# u nodes stacked as rows, and each axis mean one f call on all its nodes
 @pytest.mark.parametrize("w", [5.0, 40.0])
 @pytest.mark.parametrize("grid_n", [3, 20])
 @pytest.mark.parametrize("kernel_name", ["m2", "chibar3", "chibar4"])
@@ -462,16 +470,18 @@ def test_gbs_calls_f_once_per_node(w, grid_n, quad_order):
     kx, ky = Counting(_chi3), Counting(_chi3)
     grid = EvalGrid.regular((-0.3, 0.1, 1.2, 0.9), grid_n, w)
     apply_gbs(f, TensorKernel2D(kx, ky), grid, quad_order)
-    assert f.calls == quad_order**2 + 2 * quad_order
+    assert f.calls == quad_order + 2
     assert (kx.calls, ky.calls) == (1, 1)
-    # after the cell averages, q calls per axis mean, each on the rectangle
-    # of the axis's distinct window cells and the other axis's distinct
+    # the cell averages: one call per v node on the table's rows for every
+    # u node; then one call per axis mean, on its nodes' rectangles of the
+    # axis's distinct window cells and the other axis's distinct
     # coordinates, which on a tensor grid holds just the pairs that occur
     cells_x = distinct_cells(_chi3, w * grid.points[:, 0])
     cells_y = distinct_cells(_chi3, w * grid.points[:, 1])
-    mean_u = [cells_x * grid_n] * quad_order
-    mean_v = [cells_y * grid_n] * quad_order
-    assert f.sizes[quad_order**2 :] == mean_u + mean_v
+    table = [quad_order * cells_x * cells_y] * quad_order
+    mean_u = quad_order * cells_x * grid_n
+    mean_v = quad_order * cells_y * grid_n
+    assert f.sizes == table + [mean_u, mean_v]
 
 
 def distinct_cells(kernel, t):
@@ -493,10 +503,144 @@ def test_gbs_evaluates_scattered_points_per_point(w, quad_order):
     grid = EvalGrid(points=np.column_stack([t, t[::-1]]), w=w)
     f = Counting(fn_lookup("sin_x_cos_y"))
     apply_gbs(f, KERNELS["chibar3"], grid, quad_order)
-    assert f.calls == quad_order**2 + 2 * quad_order
+    assert f.calls == quad_order + 2
     columns = len(_axis_windows(_chi3, w * t, np.arange(len(t))).weights)
-    assert distinct_cells(_chi3, w * t) * len(t) > columns * len(t)
-    assert f.sizes[quad_order**2 :] == [columns * len(t)] * (2 * quad_order)
+    cells = distinct_cells(_chi3, w * t)
+    assert cells * len(t) > columns * len(t)
+    assert f.sizes[:quad_order] == [quad_order * cells * cells] * quad_order
+    assert f.sizes[quad_order:] == [quad_order * columns * len(t)] * 2
+
+
+def block_sizes(node, q, cap):
+    """Elements of each call of a q-node rule stacked in blocks within cap."""
+    step = max(1, cap // node)
+    return [min(step, q - start) * node for start in range(0, q, step)]
+
+
+@pytest.mark.parametrize("scattered", [False, True])
+@pytest.mark.parametrize("op", ["sw", "gbs"])
+def test_stacked_nodes_stay_within_the_cap(op, scattered):
+    # at the highest order the stacked rules outgrow the cap and are split
+    # into blocks; no call gets more than the cap, and every node of every
+    # rule is still evaluated once
+    q, cap = QUAD_ORDER_MAX, operators._STACK
+    t = np.linspace(-1.0, 2.0, 4)
+    if scattered:
+        grid = EvalGrid(points=np.column_stack([t, t[::-1]]), w=40.0)
+    else:
+        grid = EvalGrid.regular((-1.0, -1.0, 2.0, 2.0), 4, 40.0)
+    cells = distinct_cells(_chi3, 40.0 * t)
+    assert q * cells * cells > cap
+    f = Counting(fn_lookup("x_plus_y"))
+    getattr(operators, f"apply_{op}")(f, KERNELS["chibar3"], grid, q)
+    # q calls, one per v node, for each block of u nodes
+    want = [size for size in block_sizes(cells * cells, q, cap) for _ in range(q)]
+    if op == "gbs":
+        # the axis means: distinct cells by the 4 values of the other axis,
+        # or per point on the diagonal, window columns by points
+        columns = len(_axis_windows(_chi3, 40.0 * t, np.arange(4)).weights)
+        want += block_sizes((columns if scattered else cells) * 4, q, cap) * 2
+    assert f.sizes == want
+    assert max(f.sizes) <= cap
+
+
+def test_a_node_above_the_cap_is_a_block_of_its_own():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_STACK", 5)
+        f = Counting(fn_lookup("x_plus_y"))
+        cell_average(f, np.arange(3)[:, None], np.arange(4)[None, :], 2.0, 7)
+    assert f.sizes == [12] * 49
+
+
+def scalar_mean(g, k, w, q):
+    """The Gauss-Legendre mean of g over [k/w, (k+1)/w], one scalar call per node."""
+    nodes, weights = np.polynomial.legendre.leggauss(q)
+    m = 0.0
+    for gi, wi in zip(nodes, weights):
+        m += 0.5 * wi * g((k + 0.5 * (gi + 1.0)) / w)
+    return m
+
+
+def scalar_cell_average(f, k, j, w, q):
+    """The mean over u of the mean over v, in nested scalar loops."""
+    return scalar_mean(lambda u: scalar_mean(lambda v: f(u, v), j, w, q), k, w, q)
+
+
+STACKED_SOURCES = {**{name: fn_lookup(name) for name in CATALOG}, "one": lambda x, y: 1.0}
+lattice_indices = st.integers(min_value=-60, max_value=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(STACKED_SOURCES)),
+    quad_order=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]),
+    layout=st.sampled_from(["scalar", "table", "paired"]),
+    ks=st.lists(lattice_indices, min_size=1, max_size=3),
+    js=st.lists(lattice_indices, min_size=1, max_size=3),
+    w=st.sampled_from([1.0, 7.0, 40.0]),
+    cap=st.sampled_from([1, 7, 2**16]),
+)
+def test_stacked_cell_average_matches_scalar_loops(name, quad_order, layout, ks, js, w, cap):
+    f = STACKED_SOURCES[name]
+    if quad_order == 64:  # a scalar loop of 64**2 calls per cell
+        ks, js = ks[:1], js[:2]
+    if layout == "paired":
+        js = (js * len(ks))[: len(ks)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_STACK", cap)
+        if layout == "scalar":
+            got = cell_average(f, ks[0], js[0], w, quad_order)
+            assert isinstance(got, float)
+            pairs, got = [(ks[0], js[0])], [got]
+        elif layout == "table":
+            got = cell_average(f, np.array(ks)[:, None], np.array(js)[None, :], w, quad_order)
+            assert got.shape == (len(ks), len(js))
+            pairs, got = [(k, j) for k in ks for j in js], got.ravel()
+        else:
+            got = cell_average(f, np.array(ks), np.array(js), w, quad_order)
+            assert got.shape == (len(ks),)
+            pairs = list(zip(ks, js))
+    want = [scalar_cell_average(f, k, j, w, quad_order) for k, j in pairs]
+    assert bits(got) == bits(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(STACKED_SOURCES)),
+    quad_order=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]),
+    xs=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=4),
+    ys=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=4),
+    tensor=st.booleans(),
+    swap=st.booleans(),
+    w=st.sampled_from([1.0, 7.0, 40.0]),
+    cap=st.sampled_from([1, 7, 2**16]),
+)
+def test_stacked_axis_means_match_scalar_loops(
+    name, quad_order, xs, ys, tensor, swap, w, cap
+):
+    # a tensor grid takes the rectangle of distinct cells and coordinates,
+    # a diagonal of distinct coordinates mostly the per-point means
+    f = STACKED_SOURCES[name]
+    g = (lambda v, x: f(x, v)) if swap else f
+    if quad_order == 64:
+        xs, ys = xs[:1], ys[:2]
+    if tensor:
+        ix, iy = np.repeat(np.arange(len(xs)), len(ys)), np.tile(np.arange(len(ys)), len(xs))
+    else:
+        n = min(len(xs), len(ys))
+        ix, iy = np.arange(n), np.arange(n)[::-1]
+    xs, ys = np.array(xs), np.array(ys)
+    axis = _axis_windows(_chi3, w * xs, ix)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_STACK", cap)
+        got = _axis_means(g, axis, _distinct_columns(axis), Factored(ys, iy), w, quad_order)
+    assert len(got) == len(axis.cells)
+    for row, cells_of in zip(got, axis.cells):
+        want = [
+            scalar_mean(lambda u: g(u, ys[b]), cells_of[a], w, quad_order)
+            for a, b in zip(ix, iy)
+        ]
+        assert bits(row) == bits(want)
 
 
 @pytest.mark.parametrize("scattered", [False, True])

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from kanto import LatticeField, fn_lookup, write_lattice_csv
 from kanto import csvio
-from kanto.csvio import _BLOCK, Factored, format_csv, write_csv, write_file
+from kanto.csvio import _BLOCK, _SHORT, Factored, format_csv, write_csv, write_file
 
 SPECIAL = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1e308, 0.1]
 
@@ -281,7 +281,11 @@ def assert_same_lines(got, want):
 
 def assert_floats_match(x):
     x = np.asarray(x, dtype=float)
-    assert_same_lines(format_csv(["v"], [x]), old_rows(["v"], [x.tolist()]))
+    want = old_rows(["v"], [x.tolist()])
+    assert_same_lines(format_csv(["v"], [x]), want)
+    # the numpy digits themselves, which a column of few values never reaches
+    text = [bytes(row).rstrip(b"\0").decode() for row in csvio._float_text(x)]
+    assert_same_lines("\n".join(["v", *text, ""]), want)
 
 
 BIT_PATTERNS = st.one_of(
@@ -386,9 +390,9 @@ def long_column(kind, rows, rng):
     # no bit pattern repeats, though the lookalikes are among the values
     col = rng.uniform(-10.0, 10.0, rows)
     col[::3] = from_bits(rng.integers(0, 2**64, col[::3].size, dtype=np.uint64))
-    if rows:
+    if rows >= LOOKALIKES.size:
         col[rng.choice(rows, LOOKALIKES.size, replace=False)] = LOOKALIKES
-    if kind == "boundary" and rows:
+    if kind == "boundary" and rows > _BLOCK:
         # the one repeat: a row of the first block and a row of a later one
         col[rng.integers(_BLOCK, rows)] = col[rng.integers(0, _BLOCK)]
     return col
@@ -396,8 +400,8 @@ def long_column(kind, rows, rng):
 
 @st.composite
 def long_tables(draw):
-    """No rows, or more than one row block, mixing every column path."""
-    rows = draw(st.sampled_from([0, _BLOCK + 1, 2 * _BLOCK + 7]))
+    """No rows, a short column or more than one row block, mixing every path."""
+    rows = draw(st.sampled_from([0, 1, _SHORT, _SHORT + 1, _BLOCK + 1, 2 * _BLOCK + 7]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = draw(st.lists(st.sampled_from(LONG_KINDS), min_size=1, max_size=6))
     columns = [long_column(kind, rows, rng) for kind in kinds]
@@ -410,6 +414,26 @@ def test_long_tables_match_row_loop(table):
     header, columns = table
     want = old_rows(header, [list(c) for c in columns])
     assert_same_lines(format_csv(header, columns), want)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _SHORT, _SHORT + 1])
+@pytest.mark.parametrize("kind", ["distinct", "repeats", "constant"])
+def test_short_float_columns_are_printed_value_by_value(rows, kind, monkeypatch):
+    # up to _SHORT values a float column skips the numpy digits, and from
+    # there on takes them; the bytes are the same either way
+    column = long_column(kind, rows, np.random.default_rng(rows))
+    passes = []
+    real_rows = csvio._float_rows
+
+    def counting_rows(x, out):
+        passes.append(x.size)
+        return real_rows(x, out)
+
+    monkeypatch.setattr(csvio, "_float_rows", counting_rows)
+    got = format_csv(["f", "i"], [column, np.arange(rows)])
+    monkeypatch.undo()
+    assert bool(passes) == (rows > _SHORT)
+    assert_same_lines(got, old_rows(["f", "i"], [column.tolist(), list(range(rows))]))
 
 
 def test_float_columns_are_deduplicated_only_when_they_repeat(monkeypatch):
