@@ -442,11 +442,12 @@ def convergence_study(
     except KeyError:
         raise ValueError(f"unknown operator {operator!r}; use gw, sw or gbs") from None
     margin = interior_margin(kernel, min(w_list))
+    # w moves no point: one grid, and its axes, serve every rate
+    grid = EvalGrid.regular(box, grid_n, w_list[0], margin)
     rows, exact = [], None
     for w in w_list:
-        grid = EvalGrid.regular(box, grid_n, w, margin)
-        approx = op(f, kernel, grid, quad_order)
-        exact = grid.sample(f) if exact is None else exact  # w moves no point
+        approx = op(f, kernel, grid._at_rate(w), quad_order)
+        exact = grid.sample(f) if exact is None else exact
         rows.append((float(w), float(np.abs(approx - exact).max())))
     logw = np.log([w for w, _ in rows])
     loge = np.log([max(e, 1e-300) for _, e in rows])

@@ -148,9 +148,13 @@ class CombinationKernel:
 
     def __call__(self, t):
         tt = np.asarray(t, dtype=float)
+        # every shifted B-spline in one call, row i at tt - shifts[i]; the
+        # rows then add in shift order, as one call per shift would
+        shifts = np.reshape(self.shifts, (-1,) + (1,) * tt.ndim)
+        values = bspline_eval(self.base_order, tt - shifts)
         acc = np.zeros_like(tt)
-        for a, eps in zip(self.coefficients, self.shifts):
-            acc += a * bspline_eval(self.base_order, tt - eps)
+        for a, value in zip(self.coefficients, values):
+            acc += a * value
         if np.ndim(t) == 0:
             return float(acc)
         return acc

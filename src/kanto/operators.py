@@ -69,6 +69,7 @@ KIND_CELL_AVERAGES = "cell_averages"
 QUAD_ORDER = 5
 QUAD_ORDER_MAX = 256
 _STACK = 2**16  # elements a block of stacked quadrature nodes gives a source
+_CELL_SPAN = 4  # widest cell range per window cell mapped without a sort
 EVAL_GRID = 20  # points per axis of the default evaluation grid
 
 
@@ -236,6 +237,12 @@ class EvalGrid:
         x = Factored(xs, np.repeat(index, grid_n))
         y = Factored(ys, np.tile(index, grid_n))
         object.__setattr__(grid, "axes", (x, y))
+        return grid
+
+    def _at_rate(self, w: float) -> "EvalGrid":
+        """The same points and axes at lattice rate w."""
+        grid = EvalGrid(points=self.points, w=w)
+        object.__setattr__(grid, "axes", self.axes)
         return grid
 
     def sample(self, f: Callable) -> np.ndarray:
@@ -430,9 +437,29 @@ def _gather(values: np.ndarray, rows: list, cols: list) -> Callable:
 
 
 def _distinct_columns(axis: _AxisWindows) -> tuple[np.ndarray, list]:
-    """Sorted distinct cells over all window columns, and each column's position."""
-    idx, pos = np.unique(axis.cells, return_inverse=True)
-    return idx, list(pos.reshape(axis.cells.shape)[:, axis.which])
+    """Sorted distinct cells over all window columns, and each column's position.
+
+    The cells are integers from ``cells[0].min()`` to ``cells[-1].max()``.
+    Where that range spans at most ``_CELL_SPAN`` times as many integers as
+    there are window cells, a presence mask over it gives the distinct cells
+    in ascending order and a running count of it each cell's position, with
+    no sort.  A wider range (a coarse grid at a high rate) would make the
+    mask large, and ``np.unique`` sorts the cells instead.  Both give the
+    same cells and positions.
+    """
+    cells = axis.cells
+    # columns ascend, so the first holds the least cell and the last the most
+    lo, hi = (cells[0].min(), cells[-1].max()) if cells.size else (0, 0)
+    if hi - lo < _CELL_SPAN * cells.size:
+        offset = cells - lo
+        present = np.zeros(hi - lo + 1, dtype=bool)
+        present[offset] = True
+        idx = np.flatnonzero(present) + lo
+        pos = (np.cumsum(present) - 1)[offset]
+    else:
+        idx, pos = np.unique(cells, return_inverse=True)
+        pos = pos.reshape(cells.shape)
+    return idx, list(pos[:, axis.which])
 
 
 def _index_table(

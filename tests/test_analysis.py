@@ -23,12 +23,14 @@ from kanto import (
     gbs_differential_bound,
     gbs_modulus_bound,
     gw_error_bound,
+    interior_margin,
     inverse_result_probe,
     kfunctional_constants,
     mixed_modulus_estimate,
     polynomial_reproduction_check,
     sw_remainder_bound,
 )
+from kanto import operators
 from kanto.functions import DEFAULT_BOX
 from kanto.kernel2d import MomentTable
 
@@ -37,6 +39,10 @@ rng = np.random.default_rng(3)
 UNIT_BOX = (0.0, 0.0, 1.0, 1.0)
 # wide enough that the interior margin of the widest kernel at w=5 stays real
 WIDE_BOX = (-1.0, -1.0, 2.0, 2.0)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
 
 
 def interior_points(n=10, seed=4):
@@ -350,6 +356,35 @@ class TestConvergence:
         assert lines[1].startswith("5,")
         assert lines[-1].startswith("slope,")
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("op", ["gw", "sw", "gbs"])
+    def test_one_grid_gives_the_bits_of_a_grid_per_rate(self, chibar3, monkeypatch, op):
+        f = fn_lookup("sin_x_cos_y")
+        rates = [5.0, 10.0, 20.0]
+        box = (-1.01, -0.98, 2.03, 1.99)
+        margin = interior_margin(chibar3, rates[0])
+        apply = {"gw": apply_gw, "sw": apply_sw, "gbs": apply_gbs}[op]
+        rows = []
+        for w in rates:
+            grid = EvalGrid.regular(box, 4, w, margin)
+            err = np.abs(apply(f, chibar3, grid) - grid.sample(f)).max()
+            rows.append((w, float(err)))
+        logw, loge = np.log(rates), np.log([e for _, e in rows])
+        coeffs = np.polyfit(logw, loge, 1)
+        residual = np.sqrt(np.mean((np.polyval(coeffs, logw) - loge) ** 2))
+        # one regular grid, whose axes every rate reuses: no axis is found
+        # again from the points
+        grids, factors = [], []
+        regular = EvalGrid.regular.__func__
+        monkeypatch.setattr(
+            EvalGrid, "regular", classmethod(lambda *a: grids.append(a) or regular(*a))
+        )
+        factor = operators._factor
+        monkeypatch.setattr(operators, "_factor", lambda t: factors.append(t) or factor(t))
+        table = convergence_study(f, chibar3, op, rates, box, grid_n=4)
+        assert len(grids) == 1 and factors == []
+        assert bits(table.rows) == bits(rows)
+        assert bits([table.fitted_slope, table.fit_residual]) == bits([coeffs[0], residual])
 
     def test_input_validation(self, m3_tensor):
         f = fn_lookup("x")

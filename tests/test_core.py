@@ -16,12 +16,17 @@ reads the window's last cell with weight exactly 0, also where the kernel
 itself rounds to a tiny nonzero value there.  A regular grid's axes, taken
 from its ``linspace`` arrays, must reproduce its points and give every
 operator the same bits as the axes found from the points alone.  The
+distinct window cells, mapped without a sort where their range is narrow,
+must equal ``np.unique`` of the cells on regular and scattered grids.  The
 Gauss-Legendre rules, their nodes stacked in blocks of rows, must equal
 nested scalar loops bit for bit at every block size, and no source call
 may get more elements than the block cap or one node's values.
 """
 
+import contextlib
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -44,7 +49,7 @@ from kanto import (
     fn_lookup,
     validate_kernel,
 )
-from kanto import operators
+from kanto import cli, operators
 from kanto.csvio import Factored
 from kanto.functions import CATALOG
 from kanto.operators import (
@@ -712,6 +717,78 @@ def test_linspace_axis_may_repeat_a_value():
     # the case the awkward boxes above draw: regular grids hold repeats
     values, _ = EvalGrid.regular((1.0, 0.0, 1.0 + 1e-15, 1.0), 12, 8.0).axes[0]
     assert len(set(values.tolist())) < values.size
+
+
+def sorted_columns(axis):
+    """The distinct window cells and each column's positions, by a sort."""
+    idx, pos = np.unique(axis.cells, return_inverse=True)
+    return idx, list(pos.reshape(axis.cells.shape)[:, axis.which])
+
+
+@st.composite
+def scattered_grids(draw):
+    """Up to 8 points (none at all too) in a square of half-width up to 1e4.
+
+    Their windows range from overlapping to far apart, where the cell range
+    is too wide for a presence mask.
+    """
+    half = draw(st.sampled_from([0.1, 1.0, 100.0, 1e4]))
+    coordinate = st.floats(-half, half)
+    points = draw(st.lists(st.tuples(coordinate, coordinate), max_size=8))
+    return EvalGrid(points=np.reshape(points, (-1, 2)), w=draw(rates))
+
+
+WIDE = EvalGrid(points=[(0.0, 0.0), (1e3, 0.5)], w=10.0)  # x cells 10,000 apart
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid=st.one_of(regular_grids(), scattered_grids()),
+    kernel_name=st.sampled_from(sorted(KERNELS)),
+)
+@example(grid=WIDE, kernel_name="chibar3")
+@example(grid=EvalGrid(points=np.empty((0, 2)), w=10.0), kernel_name="chibar3")
+def test_distinct_columns_equal_a_sort(grid, kernel_name):
+    for axis in _grid_windows(KERNELS[kernel_name], grid):
+        idx, pos = _distinct_columns(axis)
+        want_idx, want_pos = sorted_columns(axis)
+        assert idx.dtype == want_idx.dtype
+        assert idx.tolist() == want_idx.tolist()
+        assert len(pos) == len(want_pos)
+        for got, want in zip(pos, want_pos):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "grid, sorts",
+    [(EvalGrid.regular((-1.0, -1.0, 2.0, 2.0), 20, 40.0), 0), (WIDE, 1)],
+)
+def test_distinct_columns_sort_only_a_wide_cell_range(monkeypatch, grid, sorts):
+    axes = _grid_windows(KERNELS["chibar3"], grid)
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+    for axis in axes:
+        _distinct_columns(axis)
+    assert len(calls) == sorts
+
+
+@pytest.mark.parametrize("op", ["sw", "gbs"])
+def test_coarse_grid_at_a_high_rate_maps_no_cell_range(op):
+    # the 3 x 3 grid's window cells spread over millions of integers: with
+    # a presence mask and running count over them the peak was 51 MB, with
+    # np.unique about 61 KB
+    argv = ["reconstruct", "--fn", "gaussian", "--op", op, "--grid-n", "3", "--w", "1e6"]
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert cli.main(argv) == 0  # warm: imports and caches
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 120_000
 
 
 @settings(max_examples=120, deadline=None)

@@ -9,19 +9,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kanto import (
     CentralBSpline,
     CombinationKernel,
     SingularSystem,
+    TensorKernel2D,
     bspline_eval,
     construct_combination_kernel,
     discrete_moment,
 )
 import kanto.kernel1d
 from kanto.kernel1d import SINGULARITY_THRESHOLD
+from kanto.kernel2d import partition_of_unity_check, validate_kernel
 
 rng = np.random.default_rng(0)
 
@@ -341,3 +343,96 @@ def test_combination_solve_evaluates_each_shifted_bspline_once(monkeypatch):
     monkeypatch.setattr(kanto.kernel1d, "bspline_eval", lambda n, t: calls.append(n) or real(n, t))
     construct_combination_kernel(3, (2.0, 3.0, 4.0))
     assert calls == [3, 3, 3]
+
+
+def per_shift_combination(kernel, t):
+    """The combination kernel summed with one B-spline evaluation per shift."""
+    tt = np.asarray(t, dtype=float)
+    acc = np.zeros_like(tt)
+    for a, eps in zip(kernel.coefficients, kernel.shifts):
+        acc += a * bspline_eval(kernel.base_order, tt - eps)
+    return float(acc) if np.ndim(t) == 0 else acc
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+@st.composite
+def combination_arguments(draw):
+    """A combination kernel of base order 2..8 and an argument of rank 0..2.
+
+    Arguments mix signed zeros, each shifted support end and |t| up to 1e6.
+    """
+    n = draw(st.integers(min_value=2, max_value=8))
+    steps = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
+    shifts = tuple(np.cumsum(steps) - draw(st.floats(-5.0, 10.0)))
+    coefficients = draw(st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n))
+    kernel = CombinationKernel(n, shifts, coefficients)
+    ends = [eps + side * 0.5 * n for eps in kernel.shifts for side in (-1.0, 1.0)]
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, *ends]),
+        st.floats(-20.0, 20.0),
+        st.floats(-1e6, 1e6),
+    )
+    shape = draw(st.sampled_from(["float", "0-d", "1-d", "2-d"]))
+    if shape == "float":
+        return kernel, draw(values)
+    if shape == "0-d":
+        return kernel, np.array(draw(values))
+    t = np.array(draw(st.lists(values, max_size=12)))
+    if shape == "1-d":
+        return kernel, t
+    rows = draw(st.sampled_from([d for d in (1, 2, 3, 4) if t.size % d == 0]))
+    return kernel, t.reshape(rows, -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=combination_arguments())
+@example(case=(construct_combination_kernel(3, (2.0, 3.0, 4.0)), -0.0))
+@example(case=(construct_combination_kernel(3, (2.0, 3.0, 4.0)), np.array([0.5, 5.5])))
+def test_one_bspline_call_matches_the_per_shift_loop(case):
+    kernel, t = case
+    got = kernel(t)
+    want = per_shift_combination(kernel, t)
+    if np.ndim(t) == 0:
+        assert type(got) is float
+    else:
+        assert got.shape == np.shape(t)
+    assert bits(got) == bits(want)
+
+
+def test_combination_kernel_evaluates_its_bsplines_in_one_call(monkeypatch, chi3):
+    calls = []
+    real = kanto.kernel1d.bspline_eval
+    monkeypatch.setattr(
+        kanto.kernel1d, "bspline_eval", lambda n, t: calls.append(np.shape(t)) or real(n, t)
+    )
+    chi3(0.25)
+    chi3(np.zeros((4, 5)))
+    assert calls == [(3,), (3, 4, 5)]
+
+
+# the truncated-power sum loses digits as the order grows: order 16
+# deviates by 9.0e-9, order 17 by 4.3e-8, past validate_kernel's 1e-8
+@pytest.mark.parametrize("n", range(1, 17))
+def test_partition_of_unity_within_validation_tolerance(n):
+    spline = CentralBSpline(n)
+    kernel = TensorKernel2D(spline, spline)
+    assert partition_of_unity_check(kernel, 32) <= 1e-8
+    validate_kernel(kernel)
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_combination_partition_of_unity_from_one_bspline_call(monkeypatch, r):
+    chi = construct_combination_kernel(r, [float(s) for s in range(2, r + 2)])
+    calls = []
+    real = kanto.kernel1d.bspline_eval
+    monkeypatch.setattr(
+        kanto.kernel1d, "bspline_eval", lambda n, t: calls.append(n) or real(n, t)
+    )
+    kernel = TensorKernel2D(chi, chi)
+    assert partition_of_unity_check(kernel, 32) <= 1e-8
+    validate_kernel(kernel)
+    # one kernel call per check, shared by both axes
+    assert calls == [r, r]
