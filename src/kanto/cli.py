@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import Factored, write_csv
 from .functions import TestFunction, fn_lookup
 from .kernel1d import CentralBSpline, CombinationKernel, construct_combination_kernel
 from .kernel2d import (
@@ -219,7 +219,7 @@ def _cmd_kernel_info(args, kernel: TensorKernel2D) -> None:
             rows.append((f"shift_{i}", s))
             rows.append((f"coeff_{i}", c))
     names, values = zip(*rows)
-    write_csv(("name", "value"), (names, np.array(values, dtype=float)), args.out)
+    write_csv(("name", "value"), (names, values), args.out)
 
 
 def _cmd_gbs(args, kernel: TensorKernel2D) -> None:
@@ -231,7 +231,7 @@ def _cmd_gbs(args, kernel: TensorKernel2D) -> None:
     moments = MomentTable.compute(kernel, eta_max=2)
     bound = gbs_modulus_bound(moments, args.w, delta, delta, omega)
     columns = _fn_columns(args, kernel, f, box)
-    bounds = np.full_like(columns[-1], bound)
+    bounds = Factored(np.array([bound]), np.zeros(len(columns[-1]), dtype=np.intp))
     write_csv((*FN_HEADER, "modulus_bound"), (*columns, bounds), args.out)
 
 

@@ -6,21 +6,20 @@ strings are printed as they are, and a column of labels may hold floats too
 (the ``slope`` row under the rates of a convergence table).  Lines end in
 LF only.
 
-The text is built as bytes in numpy, a fixed block of rows at a time.  A
-column may come already factored, as a :class:`Factored` of its values and
-each row's index into them (the coordinates of an evaluation grid do): each
-value is then formatted once into NUL-padded ``uint8`` rows, which each row
-block copies by index, and the column is never sorted.  A plain float
-column of at most ``_SHORT`` values is printed value by value; in a longer
-one, one sort of its bit patterns (which keep ``-0.0`` apart from ``0.0``)
-finds any repeat, and it is then formatted once per distinct value, or
-else straight into each row block.  The 17
-digits of a value come from an exact product with a power of ten (below);
-the few values where that product cannot decide the last digit, and zeros,
-infinities, NaNs and values beyond 1e-250..1e250 in magnitude, are
-formatted one by one with ``"%.17g"``.  Integer and label columns are
-formatted once per distinct value in Python.  Each row block is joined with
-``,`` and ``\\n``, its NUL padding dropped, and handed on as one chunk.
+The text is built as bytes in numpy, a fixed block of rows at a time, by
+three rules; no column is searched for repeats.  A column whose producer
+knows that it repeats comes as a :class:`Factored` of its values and each
+row's index into them (an evaluation grid's axes, a lattice table's
+columns, a constant bound): each value is formatted once into NUL-padded
+``uint8`` rows, which each row block copies by index.  A plain float column
+longer than ``_SHORT`` is formatted straight into each row block.  Every
+other column (a short float column, integers, labels) is formatted value by
+value in Python.  The 17 digits of a float formatted in numpy come from an
+exact product with a power of ten (below); the few values where that
+product cannot decide the last digit, and zeros, infinities, NaNs and
+values beyond 1e-250..1e250 in magnitude, are formatted one by one with
+``"%.17g"``.  Each row block is joined with ``,`` and ``\\n``, its NUL
+padding dropped, and handed on as one chunk.
 
 Every file kanto writes, tables and ``.meta.json`` sidecars, is written by
 ``write_file``, a table one chunk at a time: an existing file is rewritten
@@ -194,9 +193,11 @@ def _float_rows(x: np.ndarray, out: np.ndarray) -> int:
 
 
 class Factored(NamedTuple):
-    """A float column given as ``values[index]``: its values, and each row's index.
+    """A column given as ``values[index]``: its values, and each row's index.
 
-    The values may repeat; each is formatted once.
+    The values are floats or ints and may repeat; each is formatted once.
+    A producer whose column repeats hands it over factored, since the
+    writer never searches a column for repeats.
     """
 
     values: np.ndarray
@@ -219,34 +220,24 @@ def _float_text(x: np.ndarray) -> np.ndarray:
 def _column(values) -> tuple[np.ndarray | None, np.ndarray]:
     """How the text of a column is made, a block of rows at a time.
 
-    Either the distinct texts as NUL-padded uint8 rows and each row's index
-    into them, or None and the float64 values, formatted block by block
-    into the rows.  A :class:`Factored` column brings its index along.  A
-    short plain float column is formatted value by value; a longer one is
-    deduplicated only when a bit pattern repeats, which one sort decides.
+    Either the texts as NUL-padded uint8 rows and each row's index into
+    them, or None and the float64 values, formatted block by block into
+    the rows.  A :class:`Factored` column brings its index along and has
+    each value formatted once; a plain float column longer than ``_SHORT``
+    is formatted block by block; any other column value by value.
     """
     if isinstance(values, Factored):
-        x = np.asarray(values.values, dtype=np.float64)
-        return _float_text(x), np.asarray(values.index)
+        col, index = np.asarray(values.values), np.asarray(values.index)
+        if col.dtype.kind == "f":
+            return _float_text(col.astype(np.float64, copy=False)), index
+        return _text_matrix([str(v) for v in col.tolist()]), index
     col = np.asarray(values)
-    if col.dtype.kind in "iu":
-        distinct, which = np.unique(col, return_inverse=True)
-        return _text_matrix([str(v) for v in distinct.tolist()]), which
-    if col.dtype.kind != "f":
-        texts = ["%.17g" % v if isinstance(v, float) else str(v) for v in values]
-        return _text_matrix(texts), np.arange(len(texts))
-    col = col.astype(np.float64, copy=False)
-    if col.size <= _SHORT:
-        return _text_matrix(["%.17g" % v for v in col.tolist()]), np.arange(col.size)
-    bits = col.view(np.uint64)
-    ascending = np.sort(bits)
-    if (ascending[1:] != ascending[:-1]).all():
-        return None, col
-    # np.unique, not np.searchsorted on the sorted bits: operators.py runs
-    # np.unique on uint64 too, and code pages no other step touches raise
-    # the peak RSS of a run
-    distinct, which = np.unique(bits, return_inverse=True)
-    return _float_text(distinct.view(np.float64)), which
+    if col.dtype.kind == "f" and col.size > _SHORT:
+        return None, col.astype(np.float64, copy=False)
+    if col.dtype.kind in "iuf":  # as Python ints and floats
+        values = col.tolist()
+    texts = ["%.17g" % v if isinstance(v, float) else str(v) for v in values]
+    return _text_matrix(texts), np.arange(len(texts))
 
 
 def _csv_chunks(header: Sequence[str], columns: Sequence) -> Iterator[bytes]:
@@ -331,7 +322,7 @@ def write_file(path, data: bytes | Iterable[bytes]) -> None:
 def format_csv(header: Sequence[str], columns: Sequence) -> str:
     """CSV text of equal-length columns under a header of column names.
 
-    A column is a sequence of values or a :class:`Factored` float column.
+    A column is a sequence of values or a :class:`Factored` column.
     """
     return b"".join(_csv_chunks(header, columns)).decode()
 
@@ -340,11 +331,10 @@ def write_csv(header: Sequence[str], columns: Sequence, out=None) -> None:
     """Write the table to the file ``out``, or to standard output without one.
 
     Columns are as for :func:`format_csv`; a :class:`Factored` column, such
-    as an evaluation grid's axis, has each value formatted once and is never
-    sorted.  Either way the table is written a block of rows at a time,
-    and never held whole.  Standard output gets text (each block decoded as
-    it comes), so a replaced ``sys.stdout`` such as a ``StringIO`` works
-    too.
+    as an evaluation grid's axis, has each value formatted once.  The table
+    is written a block of rows at a time, and never held whole.  Standard
+    output gets text (each block decoded as it comes), so a replaced
+    ``sys.stdout`` such as a ``StringIO`` works too.
     """
     chunks = _csv_chunks(header, columns)
     if not out:

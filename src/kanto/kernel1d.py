@@ -216,17 +216,24 @@ def construct_combination_kernel(r: int, shifts) -> CombinationKernel:
     checks that instead of assuming it.
 
     Raises :class:`SingularSystem` when the condition estimate of the
-    moment matrix exceeds ``SINGULARITY_THRESHOLD``.
+    moment matrix exceeds ``SINGULARITY_THRESHOLD`` (it is inf when an
+    entry overflows), or when an entry is NaN.
     """
     shifts = _check_shifts(r, shifts)
     base = CentralBSpline(r)
     matrix = np.empty((r, r))
-    # huge shifts overflow their powers: the condition is then inf or NaN
+    # huge shifts, or from r = 118 the shifts 2..r+1, overflow the powers
     with np.errstate(over="ignore", invalid="ignore"):
         for mu, eps in enumerate(shifts):
             matrix[:, mu] = _shifted_integer_moments(base, eps, r)
-        cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond) or cond > SINGULARITY_THRESHOLD:
+    # LAPACK's SVD fails on a NaN (inf times a zero B-spline) and prints on an inf
+    finite = np.isfinite(matrix).all()
+    if not finite and np.isnan(matrix).any():
+        raise SingularSystem(
+            f"moment matrix of order {r} overflows floats; lower --r or the shifts"
+        )
+    cond = np.linalg.cond(matrix) if finite else math.inf
+    if cond > SINGULARITY_THRESHOLD:
         raise SingularSystem(
             f"moment matrix condition {cond:.3e} exceeds {SINGULARITY_THRESHOLD:.0e}"
         )

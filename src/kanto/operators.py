@@ -732,11 +732,10 @@ def write_lattice_csv(field: LatticeField, path) -> None:
     import json  # only lattice I/O uses it; most runs never load it
 
     rows, cols = np.nonzero(~np.isnan(field.values))  # ascending (k, j)
-    write_csv(
-        ("k", "j", "value"),
-        (rows + field.kmin, cols + field.jmin, field.values[rows, cols]),
-        path,
-    )
+    k = Factored(np.arange(field.kmin, field.kmax + 1), rows)
+    j = Factored(np.arange(field.jmin, field.jmax + 1), cols)
+    # the values repeat too, as 8-bit pixels do
+    write_csv(("k", "j", "value"), (k, j, _factor(field.values[rows, cols])), path)
     meta = {
         "w": field.w,
         "kind": field.kind,

@@ -414,6 +414,21 @@ class TestErrorPaths:
         assert proc.returncode == 2
         assert proc.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "r, message",
+        [
+            # printed LAPACK's "On entry to DLASCL" lines on stdout too
+            (118, "moment matrix condition inf exceeds 1e+12"),
+            # was "SVD did not converge", numpy's LinAlgError
+            (119, "moment matrix of order 119 overflows floats; lower --r or the shifts"),
+        ],
+    )
+    def test_overflowing_kernel_order_in_one_line(self, r, message):
+        shifts = ",".join(map(str, range(2, r + 2)))
+        proc = run_cli("kernel-info", "--kernel", "combo", "--r", str(r), "--shifts", shifts)
+        assert proc.returncode == 2
+        assert (proc.stdout, proc.stderr) == ("", f"error: {message}\n")
+
     def test_bad_box(self):
         proc = run_cli("reconstruct", "--fn", "x", "--box", "1,2,3")
         assert proc.returncode == 2

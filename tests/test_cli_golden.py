@@ -112,3 +112,29 @@ def test_lattice_csv_writer(inputs):
 def test_benchmark_workload_at_smoke_size(name, tmp_path):
     load = workloads.make(name, 1, tmp_path, size="smoke")
     assert run(load.argv, tmp_path / "out.csv") == DIGESTS[name]
+
+
+def test_benchmark_workloads_sort_nothing(tmp_path, monkeypatch):
+    # every repeated column reaches the CSV writer factored by its producer,
+    # so a run needs no np.sort or np.unique, writer or not; the smoke runs
+    # take a 9 x 9 grid, whose 81 rows pass the short columns that the
+    # writer prints value by value
+    searches = []
+
+    def counted(search):
+        def counting(*args, **kwargs):
+            searches.append(search.__name__)
+            return search(*args, **kwargs)
+
+        return counting
+
+    argvs = {}
+    for name in workloads.NAMES:
+        argv = list(workloads.make(name, 1, tmp_path, size="smoke").argv)
+        argv[argv.index("--grid-n") + 1] = "9"
+        argvs[name] = [*argv, "--out", str(tmp_path / f"{name}.csv")]
+    monkeypatch.setattr(np, "sort", counted(np.sort))
+    monkeypatch.setattr(np, "unique", counted(np.unique))
+    for name, argv in argvs.items():
+        assert main(argv) == 0
+        assert searches == [], name

@@ -2,10 +2,10 @@
 
 Every table used to be printed row by row as
 ``",".join(format(float(v), ".17g") ...)``; the writer computes the
-digits in numpy, a block of rows at a time, formats a column whose values
-repeat once per distinct value, and must give the same bytes, whatever the
-columns hold: heavy repeats, both zeros, NaN payloads, infinities,
-subnormals, ties and values next to powers of ten.
+digits in numpy, a block of rows at a time, formats each value of a
+factored column once, never searches a column for repeats, and must give
+the same bytes, whatever the columns hold: heavy repeats, both zeros, NaN
+payloads, infinities, subnormals, ties and values next to powers of ten.
 
 Files are rewritten in place, without a truncating open, and a table is
 written a block at a time: the old bytes must not survive a shorter write
@@ -436,44 +436,76 @@ def test_short_float_columns_are_printed_value_by_value(rows, kind, monkeypatch)
     assert_same_lines(got, old_rows(["f", "i"], [column.tolist(), list(range(rows))]))
 
 
-def test_float_columns_are_deduplicated_only_when_they_repeat(monkeypatch):
+def test_no_column_is_searched_for_repeats(monkeypatch):
+    # a long float column takes one numpy pass per row block whether its
+    # values are distinct, repeat or are all one; ints are printed value by
+    # value; a Factored column has each of its values formatted once; and
+    # nothing is sorted
     rows = 2 * _BLOCK + 3
-    distinct = np.random.default_rng(8).uniform(-1.0, 1.0, rows)
-    grid = np.linspace(0.0, 1.0, 96)[np.arange(rows) % 96]
-    sizes, uniques = [], []
-    real_rows, real_unique = csvio._float_rows, np.unique
+    rng = np.random.default_rng(8)
+    long_floats = {
+        "distinct": rng.uniform(-1.0, 1.0, rows),
+        "repeated": np.linspace(0.0, 1.0, 96)[np.arange(rows) % 96],
+        "constant": np.full(rows, -0.0),
+    }
+    ints = [rng.integers(-(10**12), 10**12, rows), np.arange(rows) % 7]
+    grid = Factored(np.linspace(0.0, 1.0, 96), np.arange(rows) % 96)
+    sizes, searches = [], []
+    real_rows = csvio._float_rows
 
     def counting_rows(x, out):
         sizes.append(x.size)
         return real_rows(x, out)
 
-    def counting_unique(*args, **kwargs):
-        uniques.append(args)
-        return real_unique(*args, **kwargs)
+    def counted(search):
+        def counting(*args, **kwargs):
+            searches.append(search.__name__)
+            return search(*args, **kwargs)
+
+        return counting
 
     monkeypatch.setattr(csvio, "_float_rows", counting_rows)
-    monkeypatch.setattr(np, "unique", counting_unique)
-    got = format_csv(["d"], [distinct])
-    # no repeats: no np.unique, and one formatting pass per row block
-    assert uniques == []
-    assert sizes == [_BLOCK, _BLOCK, rows - 2 * _BLOCK]
-    sizes.clear()
+    monkeypatch.setattr(np, "sort", counted(np.sort))
+    monkeypatch.setattr(np, "unique", counted(np.unique))
+    got = {}
+    for name, column in long_floats.items():
+        got[name] = format_csv([name], [column])
+        assert sizes == [_BLOCK, _BLOCK, rows - 2 * _BLOCK], name
+        sizes.clear()
+    got_ints = format_csv(["i", "r"], ints)
+    assert sizes == []
     got_grid = format_csv(["g"], [grid])
-    # repeats: each of the 96 distinct values is formatted once
     assert sizes == [96]
     monkeypatch.undo()
-    assert got == old_rows(["d"], [distinct.tolist()])
-    assert got_grid == old_rows(["g"], [grid.tolist()])
+    assert searches == []
+    for name, column in long_floats.items():
+        assert got[name] == old_rows([name], [column.tolist()])
+    assert got_ints == old_rows(["i", "r"], [c.tolist() for c in ints])
+    assert got_grid == old_rows(["g"], [grid.values[grid.index].tolist()])
+
+
+INT64_EDGES = [-(2**63), -(2**53) - 1, -1, 0, 2**53, 2**53 + 1, 2**63 - 1]
+UINT64_EDGES = [0, 2**53 + 1, 2**63, 2**63 + 1, 2**64 - 1]
+
+
+def int_values(dtype, edges):
+    info = np.iinfo(dtype)
+    ints = st.one_of(st.sampled_from(edges), st.integers(int(info.min), int(info.max)))
+    return st.lists(ints, min_size=1, max_size=8).map(lambda v: np.array(v, dtype))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    values=st.lists(floats, min_size=1, max_size=8),
+    values=st.one_of(
+        st.lists(floats, min_size=1, max_size=8).map(np.array),
+        int_values(np.int64, INT64_EDGES),
+        int_values(np.uint64, UINT64_EDGES),
+    ),
     picks=st.lists(st.integers(0, 7), max_size=40),
 )
 def test_factored_column_writes_the_plain_column_bytes(values, picks):
-    # values may repeat (as a linspace axis can) or go unused
-    values = np.array(values)
+    # values may repeat (as a linspace axis can) or go unused; ints may be
+    # negative, past 2**53 or, as uint64, past 2**63
     index = np.array([i % values.size for i in picks], dtype=np.intp)
     plain = values[index]
     want = format_csv(["c", "d"], [plain, plain])

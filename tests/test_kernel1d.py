@@ -205,6 +205,20 @@ class TestCombinationKernel:
             with pytest.raises(SingularSystem):
                 construct_combination_kernel(3, shifts)
 
+    def test_overflowing_high_order_system(self):
+        # shifts 2..r+1: from r = 118 the powers overflow to inf, and from
+        # r = 119 an inf meets a zero B-spline value, which was numpy's
+        # LinAlgError "SVD did not converge"
+        with pytest.raises(SingularSystem, match="condition inf exceeds"):
+            construct_combination_kernel(118, range(2, 120))
+        for r in (119, 140):
+            with pytest.raises(SingularSystem) as info:
+                construct_combination_kernel(r, range(2, r + 2))
+            assert str(info.value) == (
+                f"moment matrix of order {r} overflows floats; "
+                "lower --r or the shifts"
+            )
+
     def test_bad_shift_arguments(self):
         # both constructors share one check; inf and NaN were an
         # OverflowError and "cannot convert float NaN to integer"

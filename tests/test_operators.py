@@ -6,6 +6,7 @@ must match bit for bit, not just approximately.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -502,3 +503,50 @@ class TestLatticeIO:
         path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
         with pytest.raises(ValueError):
             read_pgm(path)
+
+
+def pgm_field(tmp_path) -> LatticeField:
+    """A 96 x 80 PGM read back as a field: 8-bit pixels, so values repeat heavily."""
+    k, j = np.meshgrid(np.arange(96), np.arange(80), indexing="ij")
+    noise = np.random.default_rng(23).integers(0, 9, k.shape)
+    pixels = (120 + 90 * np.sin(0.11 * k) * np.cos(0.07 * j) + noise).astype(np.uint8)
+    path = tmp_path / "lattice.pgm"
+    path.write_bytes(b"P5\n96 80\n255\n" + np.ascontiguousarray(pixels.T).tobytes())
+    return read_pgm(path)
+
+
+def holey_field(tmp_path) -> LatticeField:
+    """Negative kmin and jmin, holes, both zeros and more than one row block."""
+    gen = np.random.default_rng(29)
+    pool = np.array([0.0, -0.0, 0.1, -1.5, 5e-324, -2.5e300, 1.0 / 3.0])
+    values = gen.choice(pool, (70, 65))
+    values[gen.random(values.shape) < 0.2] = gen.uniform(-1.0, 1.0)
+    values[gen.random(values.shape) < 0.1] = np.nan
+    return LatticeField(w=3.5, kind=KIND_SAMPLES, values=values, kmin=-41, jmin=-7)
+
+
+# sha256 of write_lattice_csv's table for each field, taken from the writer
+# that still searched every long column for repeats
+LATTICE_DIGESTS = {
+    "pgm": "e3137798823156df8a8364e1231452f7eddb2de9c5fa1620da2a1425a4a59d9f",
+    "holey": "dbcf12c2985b6e2f2e675c1d37913f5a3b41073580cc14fda2efff7097a0c5d1",
+}
+
+
+@pytest.mark.parametrize("name, build", [("pgm", pgm_field), ("holey", holey_field)])
+def test_lattice_csv_bytes_and_bit_exact_round_trip(name, build, tmp_path):
+    field = build(tmp_path)
+    path = tmp_path / f"{name}.csv"
+    write_lattice_csv(field, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LATTICE_DIGESTS[name]
+    back = read_lattice_csv(path)
+    assert (back.w, back.kind) == (field.w, field.kind)
+    assert (back.kmin, back.kmax, back.jmin, back.jmax) == (
+        field.kmin, field.kmax, field.jmin, field.jmax
+    )
+    holes = np.isnan(field.values)
+    assert np.array_equal(np.isnan(back.values), holes)
+    # bit patterns, so that -0.0 must come back as -0.0
+    assert np.array_equal(
+        back.values[~holes].view(np.uint64), field.values[~holes].view(np.uint64)
+    )
