@@ -24,6 +24,16 @@ in row blocks of up to ``_STACK`` elements, one source call a block.  Each
 point so gets the operations of a scalar loop over its own window, in its
 order, bit for bit.  Analytic sources must take 2-d arrays, evaluate
 elementwise and return results that broadcast against their inputs.
+
+A grid may hold its points once per lattice rate (:meth:`EvalGrid.at_rates`,
+one pass of a convergence study: as many whole rates as fit in
+``analysis.PASS_POINTS`` points, and at least one).  Its windows are then
+taken once per (rate, axis value), in the same one kernel call, the cells
+of each rate are told apart from those of every other, and the tables
+hold only same-rate pairs, each entry at its own rate.  One call so
+tabulates the source for every rate of the pass, and each point gets the
+operations of a call at its own rate; an ordinary grid is the case of one
+rate.
 """
 
 from __future__ import annotations
@@ -194,6 +204,9 @@ class EvalGrid:
     apart by bit pattern, so 0.0 and -0.0 stay apart), found once, on first
     use.  An axis may hold one value twice; both copies get the same
     windows.  ``points`` is a read-only view, so that the axes stay true.
+
+    ``rates`` holds the lattice rates as an array: ``[w]`` here, and on a
+    grid of :meth:`at_rates` one block of points per rate.
     """
 
     points: np.ndarray
@@ -208,6 +221,32 @@ class EvalGrid:
     @cached_property
     def axes(self) -> tuple[Factored, Factored]:
         return _factor(self.points[:, 0]), _factor(self.points[:, 1])
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        return np.array([self.w], dtype=float)
+
+    def at_rates(self, rates) -> "EvalGrid":
+        """The points once per rate, rate-major, each point at its own rate.
+
+        At one rate this is the grid at that rate.  At several, ``w`` is the
+        (N, 1) column of each point's rate, so that ``w * points`` holds the
+        scaled coordinates, and each axis keeps its values, its index
+        repeated once per rate.  The points and axes are shared or tiled,
+        never found again.
+        """
+        rates = [_check_rate(w) for w in rates]
+        if len(rates) == 1:
+            grid = EvalGrid(points=self.points, w=rates[0])
+            object.__setattr__(grid, "axes", self.axes)
+            return grid
+        points = np.tile(self.points, (len(rates), 1))
+        grid = EvalGrid(points=points, w=rates[0])
+        object.__setattr__(grid, "rates", np.array(rates, dtype=float))
+        object.__setattr__(grid, "w", np.repeat(grid.rates, len(self.points))[:, None])
+        axes = (Factored(v, np.tile(i, len(rates))) for v, i in self.axes)
+        object.__setattr__(grid, "axes", tuple(axes))
+        return grid
 
     @classmethod
     def regular(
@@ -239,12 +278,6 @@ class EvalGrid:
         object.__setattr__(grid, "axes", (x, y))
         return grid
 
-    def _at_rate(self, w: float) -> "EvalGrid":
-        """The same points and axes at lattice rate w."""
-        grid = EvalGrid(points=self.points, w=w)
-        object.__setattr__(grid, "axes", self.axes)
-        return grid
-
     def sample(self, f: Callable) -> np.ndarray:
         """f at every evaluation point, from one array call."""
         return _evaluate(f, self.points[:, 0], self.points[:, 1])
@@ -262,19 +295,20 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (nodes + 1.0), 0.5 * weights  # on [0, 1], weights summing to 1
 
 
-def _stacked_mean(g: Callable, k, t, w: float, quad_order: int) -> np.ndarray:
+def _stacked_mean(g: Callable, k, t, w, quad_order: int) -> np.ndarray:
     """Gauss-Legendre mean over u of g(u, t) on each cell [k/w, (k+1)/w].
 
     g gets the nodes' rows (k + x_i)/w stacked in blocks of ``_STACK``
-    elements or one node's; t must not vary along k's first axis, and k has
-    the rank of both.  Means add (0.5*w_i) * g in node order from +0.
+    elements or one node's; t must not vary along k's first axis, k has the
+    rank of both, and w (a rate, or one per cell) broadcasts against k
+    without growing it.  Means add (0.5*w_i) * g in node order from +0.
     """
     offsets, halves = _gauss_rule(quad_order)
     mean = np.zeros(np.broadcast(k, t).shape)
     step, n, rank = max(1, _STACK // max(mean.size, 1)), len(k), np.ndim(k)
     for start in range(0, quad_order, step):
         x = offsets[start : start + step].reshape(-1, *[1] * rank)
-        values = g(((k + x) / w).reshape(-1, *np.shape(k)[1:]), t)
+        values = g(((k + x) / w).reshape(len(x) * n, *np.shape(k)[1:]), t)
         # values that vary along the stacked rows hold each node's in turn
         split = np.ndim(values) == rank and len(values) > n
         for i, half in enumerate(halves[start : start + step]):
@@ -282,13 +316,14 @@ def _stacked_mean(g: Callable, k, t, w: float, quad_order: int) -> np.ndarray:
     return mean
 
 
-def cell_average(f: Callable, k, j, w: float, quad_order: int = QUAD_ORDER):
+def cell_average(f: Callable, k, j, w, quad_order: int = QUAD_ORDER):
     """Mean of f over the lattice cell [k/w,(k+1)/w] x [j/w,(j+1)/w].
 
     The Gauss-Legendre mean over u of the mean over v, exact for polynomial
     degree up to 2*quad_order - 1 per axis, with one f call per v node and
     block of stacked u nodes.  With integer arrays ``k`` and ``j`` it
-    returns the cell means, each with the operations of a scalar call.
+    returns the cell means, each with the operations of a scalar call; w
+    is one rate, or for 1-d ``k`` and ``j`` one rate per cell.
     """
     shape = np.broadcast(k, j).shape
     # a table's (n, 1) by (1, m) stacks as it is; other shapes as one row
@@ -303,9 +338,7 @@ def cell_average(f: Callable, k, j, w: float, quad_order: int = QUAD_ORDER):
     return float(mean) if not shape else mean
 
 
-def _tabulate(
-    f: Callable, k, j, w: float, kind: str, quad_order: int | None
-) -> np.ndarray:
+def _tabulate(f: Callable, k, j, w, kind: str, quad_order: int | None) -> np.ndarray:
     """Point samples f(k/w, j/w) or cell averages of f at lattice indices k, j."""
     if kind == KIND_SAMPLES:
         return _evaluate(f, k / w, j / w)
@@ -383,14 +416,19 @@ def _axis_windows(kernel: Kernel1D, ts: np.ndarray, which: np.ndarray) -> _AxisW
 def _grid_windows(
     kernel: TensorKernel2D, grid: EvalGrid
 ) -> tuple[_AxisWindows, _AxisWindows]:
-    """Both axes' windows, from the grid's axes.
+    """Both axes' windows, once per rate and axis value, from the grid's axes.
 
     Axes that share one kernel object get their values from one call.
     """
     (xs, ix), (ys, iy) = grid.axes
+    rates = grid.rates[:, None]
     # an overflow to inf is left to the finiteness check of _window_offsets
     with np.errstate(over="ignore"):
-        tx, ty = grid.w * xs, grid.w * ys
+        tx, ty = (rates * xs).ravel(), (rates * ys).ravel()
+    if len(rates) > 1:  # block r of the points reads the windows of block r
+        block = np.arange(len(rates))[:, None]
+        ix = (ix.reshape(len(rates), -1) + block * len(xs)).ravel()
+        iy = (iy.reshape(len(rates), -1) + block * len(ys)).ravel()
     if kernel.kx is not kernel.ky:
         return _axis_windows(kernel.kx, tx, ix), _axis_windows(kernel.ky, ty, iy)
     (ox, lx), (oy, ly) = (_window_offsets(kernel.kx.support, t) for t in (tx, ty))
@@ -425,100 +463,137 @@ def _windowed_sum(
     return acc
 
 
-def _gather(values: np.ndarray, rows: list, cols: list) -> Callable:
-    """term(a, b) of a table: rows[a] and cols[b] locate window column (a, b).
+def _gather(flat: np.ndarray, starts: list, cols: list) -> Callable:
+    """term(a, b) of a flat table: entry ``starts[a] + cols[b]`` at each point.
 
-    Each gather is one flat ``take`` of row offset plus column, which is
-    faster than 2-D fancy indexing and gives the same values.
+    Each gather is one flat ``take``, which is faster than 2-D fancy
+    indexing and gives the same values.
     """
-    flat = values.ravel()
-    starts = [r * values.shape[1] for r in rows]
     return lambda a, b: flat.take(starts[a] + cols[b])
 
 
-def _distinct_columns(axis: _AxisWindows) -> tuple[np.ndarray, list]:
-    """Sorted distinct cells over all window columns, and each column's position.
+def _distinct_columns(axis: _AxisWindows, blocks: int = 1) -> tuple:
+    """Distinct cells over all window columns, their positions, and their counts.
 
-    The cells are integers from ``cells[0].min()`` to ``cells[-1].max()``.
-    Where that range spans at most ``_CELL_SPAN`` times as many integers as
-    there are window cells, a presence mask over it gives the distinct cells
-    in ascending order and a running count of it each cell's position, with
-    no sort.  A wider range (a coarse grid at a high rate) would make the
-    mask large, and ``np.unique`` sorts the cells instead.  Both give the
-    same cells and positions.
+    The axis values, and the points, fall in ``blocks`` equal runs, one per
+    lattice rate.  The distinct cells run block by block, ``counts[r]`` of
+    block r in ascending order, and ``pos[a]`` holds each point's position
+    among them of the cell its window column a reads.  Block r's cells are
+    integers from ``lo[r]`` to ``hi[r]``, keyed ``cell - lo[r]`` plus the
+    spans of the blocks before it, so that no two blocks share a key.
+    Where each block's range spans at most ``_CELL_SPAN`` times as many
+    integers as it has window cells, a presence mask over the keys gives
+    the distinct cells in order and a running count of it each cell's
+    position, with no sort.  A wider range (a coarse grid at a high rate)
+    would make the mask large, and ``np.unique`` sorts each block's cells
+    instead.  Both give the same cells and positions.
     """
-    cells = axis.cells
-    # columns ascend, so the first holds the least cell and the last the most
-    lo, hi = (cells[0].min(), cells[-1].max()) if cells.size else (0, 0)
-    if hi - lo < _CELL_SPAN * cells.size:
-        offset = cells - lo
-        present = np.zeros(hi - lo + 1, dtype=bool)
-        present[offset] = True
-        idx = np.flatnonzero(present) + lo
-        pos = (np.cumsum(present) - 1)[offset]
+    cells = axis.cells.reshape(len(axis.cells), blocks, -1)
+    if cells.size:
+        # columns ascend: the first holds each block's least cell, the last its most
+        lo, hi = cells[0].min(1), cells[-1].max(1)
     else:
-        idx, pos = np.unique(cells, return_inverse=True)
-        pos = pos.reshape(cells.shape)
-    return idx, list(pos[:, axis.which])
+        lo = hi = np.zeros(blocks, dtype=np.int64)
+    span = hi - lo + 1
+    if (span <= _CELL_SPAN * (cells.size // blocks)).all():
+        ends = np.cumsum(span)  # block r keys its cells below ends[r]
+        shift = lo + span - ends
+        keys = (cells - shift[:, None]).reshape(len(cells), -1)
+        present = np.zeros(ends[-1], dtype=bool)
+        present[keys] = True
+        seen = np.cumsum(present)
+        counts = seen[ends - 1]  # distinct cells up to each block's end
+        counts[1:] -= seen[ends[:-1] - 1]
+        idx = np.flatnonzero(present) + np.repeat(shift, counts)
+        pos = (seen - 1)[keys]
+    else:
+        idx, pos, counts = [], [], []
+        for block in cells.swapaxes(0, 1):
+            found, where = np.unique(block, return_inverse=True)
+            idx.append(found)
+            pos.append(where.reshape(block.shape) + sum(counts))
+            counts.append(len(found))
+        idx, pos, counts = np.concatenate(idx), np.concatenate(pos, 1), np.array(counts)
+    return idx, list(pos[:, axis.which]), counts
 
 
 def _index_table(
     f: Callable,
-    columns_x: tuple[np.ndarray, list],
-    columns_y: tuple[np.ndarray, list],
-    w: float,
+    columns_x: tuple,
+    columns_y: tuple,
+    w: np.ndarray,
     kind: str,
     quad_order: int | None,
 ) -> Callable:
     """The ``kind`` values of f over the distinct window indices of each axis.
 
     ``columns_x`` and ``columns_y`` are the :func:`_distinct_columns` of the
-    two axes.  The values are tabulated once, on the whole rectangle of
-    those indices (not on their whole range, which a coarse grid at a high
-    rate would make large).  A value that is not finite is an error naming
-    the lattice rate w: at a rate far from 1 the cells k/w can leave the
-    range where the source is finite.
+    two axes, and ``w`` holds the rate of each block.  The values are
+    tabulated once, on each block's rectangle of those indices (not on
+    their whole range, which a coarse grid at a high rate would make
+    large).  One rectangle keeps the broadcast shape of its axes, on which
+    a source such as sin(x)·cos(y) computes each factor once per row or
+    column; several are laid out flat, rate after rate and row-major, with
+    w per element, so that each node block is one source call.  A value
+    that is not finite is an error naming its lattice rate: at a rate far
+    from 1 the cells k/w can leave the range where the source is finite.
     """
-    ks, rows = columns_x
-    js, cols = columns_y
+    ks, rows, nk = columns_x
+    js, cols, nj = columns_y
+    if len(nk) == 1:
+        k, j, starts = ks[:, None], js[None, :], [p * len(js) for p in rows]
+    else:
+        rate = np.repeat(np.arange(len(nk)), nk)  # the block of each x cell
+        width = nj[rate]
+        # cells ks[p] and js[q] of one block sit at start[p] + q
+        start = np.cumsum(width) - width - (np.cumsum(nj) - nj)[rate]
+        k = np.repeat(ks, width)
+        j = js[np.arange(width.sum()) - np.repeat(start, width)]
+        w = np.repeat(w[rate], width)
+        starts = [start.take(p) for p in rows]
     with np.errstate(all="ignore"):
-        table = _tabulate(f, ks[:, None], js[None, :], w, kind, quad_order)
-    bad = np.argwhere(~np.isfinite(table))
+        table = _tabulate(f, k, j, w, kind, quad_order)
+    bad = np.flatnonzero(~np.isfinite(table))
     if bad.size:
-        k, j = int(ks[bad[0, 0]]), int(js[bad[0, 1]])
+        k, j, w = (np.broadcast_to(a, table.shape).flat[bad[0]] for a in (k, j, w))
+        k, j, w = int(k), int(j), float(w)
         raise ValueError(
             f"source is not finite at lattice cell ({k}, {j}), near "
             f"({k / w:.6g}, {j / w:.6g}), at lattice rate {w!r}; choose a "
             "rate at which the source is finite on the cells k/w"
         )
-    return _gather(table, rows, cols)
+    return _gather(table.ravel(), starts, cols)
 
 
 def _axis_means(
     g: Callable,
     axis: _AxisWindows,
-    columns: tuple[np.ndarray, list],
+    columns: tuple,
     other: Factored,
-    w: float,
+    w,
     quad_order: int,
 ) -> list:
     """Row a: at each point i, the Gauss mean of g(., t[i]) over column a's cell.
 
-    ``columns`` are the :func:`_distinct_columns` of ``axis``, and ``other``
-    is the grid's other axis: t = ``other.values[other.index]`` is the
-    points' other coordinate.  The means are tabulated once per (cell,
-    value) pair, on the rectangle of the distinct cells and the other
-    axis's values (on a tensor grid, exactly the pairs that occur), and
-    each column reads the table with one flat ``take``.  Where that
-    rectangle is larger than window columns times points (scattered
-    points), the means are taken per point instead.  Either way g gets the
-    same (u, t) pairs, and each mean the same operations.
+    ``columns`` are the :func:`_distinct_columns` of ``axis``, ``w`` the
+    rate of each block (or the one rate), and ``other`` is the grid's other
+    axis: t = ``other.values[other.index]`` is the points' other
+    coordinate, the same values in every block.  The means are tabulated
+    once per (cell, value) pair, on the rectangle of the distinct cells of
+    every block and the other axis's values (on a tensor grid, exactly the
+    pairs that occur), each cell at its block's rate, and each column reads
+    the table with one flat ``take``.  Where that rectangle is larger than
+    window columns times points (scattered points), the means are taken
+    per point instead.  Either way g gets the same (u, t) pairs, and each
+    mean the same operations.
     """
-    cells, pos = columns
+    cells, pos, counts = columns
     values, which = other
     if cells.size * values.size > len(pos) * which.size:
         k, t = axis.cells[:, axis.which], values[which]
+        w = np.repeat(w, len(which) // len(counts))
         return list(_stacked_mean(g, k, t, w, quad_order))
+    w = np.repeat(w, counts)[:, None]
     flat = _stacked_mean(g, cells[:, None], values, w, quad_order).ravel()
     return [flat.take(p * values.size + which) for p in pos]
 
@@ -552,23 +627,23 @@ def _lattice_series(
     quad_order: int | None,
 ) -> np.ndarray:
     kx, ky = _grid_windows(kernel, grid)
-    w = grid.w
     if not isinstance(field, LatticeField):
-        table = _index_table(
-            field, _distinct_columns(kx), _distinct_columns(ky), w, kind, quad_order
-        )
+        blocks = len(grid.rates)
+        columns = _distinct_columns(kx, blocks), _distinct_columns(ky, blocks)
+        table = _index_table(field, *columns, grid.rates, kind, quad_order)
         return _windowed_sum(kx, ky, table)
     # before coverage, so that a box the MissingData hint offers can run
     if field.kind != kind:
         based = "sample" if kind == KIND_SAMPLES else "average"
         raise ValueError(f"{based}-based operator needs a field of kind {kind!r}")
-    if field.w != w:
+    if (grid.rates != field.w).any():
         raise ValueError("lattice rate of field and grid disagree")
     _check_coverage(field, kx, ky)
     # _check_coverage has put every window within the field
-    rows = [(k - field.kmin)[kx.which] for k in kx.cells]
+    n = field.values.shape[1]
+    starts = [(k - field.kmin)[kx.which] * n for k in kx.cells]
     cols = [(j - field.jmin)[ky.which] for j in ky.cells]
-    acc = _windowed_sum(kx, ky, _gather(field.values, rows, cols))
+    acc = _windowed_sum(kx, ky, _gather(field.values.ravel(), starts, cols))
     # a NaN result means a hole in some window: report the first one, in
     # point order and then ascending (k, j)
     for i in np.flatnonzero(np.isnan(acc)):
@@ -617,10 +692,10 @@ def apply_gbs(
     if isinstance(field, LatticeField):
         raise ValueError("boolean-sum operator needs an analytic field")
     f = field
-    w = grid.w
+    w = grid.rates
     x, y = grid.axes
     kx, ky = _grid_windows(kernel, grid)
-    columns_x, columns_y = _distinct_columns(kx), _distinct_columns(ky)
+    columns_x, columns_y = _distinct_columns(kx, len(w)), _distinct_columns(ky, len(w))
     cell = _index_table(f, columns_x, columns_y, w, KIND_CELL_AVERAGES, quad_order)
     # row a: mean over window column a of the point's axis, through the point
     mean_u = _axis_means(f, kx, columns_x, y, w, quad_order)
@@ -654,7 +729,8 @@ def representation_residual(
     gw = apply_gw(f, kernel, grid)
     gwx = apply_gw(fx, kernel, grid)
     gwy = apply_gw(fy, kernel, grid)
-    return sw - gw - (gwx + gwy) / (2.0 * grid.w)
+    # each point at its own rate, not a column of rates against a row
+    return sw - gw - (gwx + gwy) / (2.0 * np.reshape(grid.w, -1))
 
 
 def _held_range(field: LatticeField) -> tuple[int, int, int, int]:

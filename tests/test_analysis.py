@@ -386,6 +386,55 @@ class TestConvergence:
         assert bits(table.rows) == bits(rows)
         assert bits([table.fitted_slope, table.fit_residual]) == bits([coeffs[0], residual])
 
+    # a study stops where one operator call per rate stopped: at the first
+    # failing rate in list order, with that rate's own message (taken from
+    # the code that made such calls), though every rate runs in one pass
+    PASS_ERRORS = {
+        # rates 5 and 10 pass 2**53; rate 5's bad values are all negative,
+        # so rate 10's positive ones have the smaller bit patterns
+        "2**53": (
+            lambda x, y: x + y, "gw", [1.0, 5.0, 10.0], (-3e15, 0.0, 1e15, 20.0),
+            "scaled coordinate -1.4999999999999968e+16 (lattice rate times a point "
+            "coordinate) must be finite and below 2**53 in magnitude, where lattice "
+            "indices stop being exact; lower the rate or move the box toward 0",
+        ),
+        "table_gw": (
+            lambda x, y: np.log(x) + y, "gw", [5.0, 10.0, 20.0], (-5.0, 0.0, 5.0, 5.0),
+            "source is not finite at lattice cell (-24, 1), near (-4.8, 0.2), at "
+            "lattice rate 5.0; choose a rate at which the source is finite on the "
+            "cells k/w",
+        ),
+        "table_sw": (
+            lambda x, y: np.log(x) + y, "sw", [5.0, 10.0, 20.0], (-5.0, 0.0, 5.0, 5.0),
+            "source is not finite at lattice cell (-24, 1), near (-4.8, 0.2), at "
+            "lattice rate 5.0; choose a rate at which the source is finite on the "
+            "cells k/w",
+        ),
+        # rate 1 fails its table, and rate 10, whose windows are taken first
+        # in a pass, the 2**53 check
+        "table_before_2**53": (
+            lambda x, y: np.exp(x) + y, "gbs", [1.0, 10.0], (1e15, 0.0, 1.5e15, 20.0),
+            "source is not finite at lattice cell (1000000000000001, 1), near "
+            "(1e+15, 1), at lattice rate 1.0; choose a rate at which the source is "
+            "finite on the cells k/w",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PASS_ERRORS))
+    def test_a_failing_pass_names_the_first_failing_rate(self, chibar3, monkeypatch, case):
+        f, op, rates, box, message = self.PASS_ERRORS[case]
+        calls = []
+        apply = operators.OPERATORS[op]
+        monkeypatch.setitem(
+            operators.OPERATORS, op, lambda *a: calls.append(len(a[2].rates)) or apply(*a)
+        )
+        with pytest.raises(ValueError) as err:
+            convergence_study(f, chibar3, op, rates, box, grid_n=4)
+        assert str(err.value) == message
+        # the pass of every rate, then one call per rate up to the failing one
+        failing = {"2**53": 2, "table_gw": 1, "table_sw": 1, "table_before_2**53": 1}
+        assert calls == [len(rates)] + [1] * failing[case]
+
     def test_input_validation(self, m3_tensor):
         f = fn_lookup("x")
         with pytest.raises(ValueError):

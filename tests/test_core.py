@@ -20,7 +20,9 @@ distinct window cells, mapped without a sort where their range is narrow,
 must equal ``np.unique`` of the cells on regular and scattered grids.  The
 Gauss-Legendre rules, their nodes stacked in blocks of rows, must equal
 nested scalar loops bit for bit at every block size, and no source call
-may get more elements than the block cap or one node's values.
+may get more elements than the block cap or one node's values.  A grid
+that holds its points once per lattice rate must give each point the bits
+of a call at its own rate, from one kernel call.
 """
 
 import contextlib
@@ -412,7 +414,8 @@ def test_axis_windows_per_distinct_coordinate_match_per_point(axis, kernel_name)
         assert bits(got_w[~p]) == bits(want_w[~p])
         assert got_w[p].tolist() == [0.0] * p.sum()
     # distinct window cells and each column's position among them
-    idx, pos = _distinct_columns(got)
+    idx, pos, counts = _distinct_columns(got)
+    assert counts.tolist() == [len(idx)]
     assert idx.tolist() == sorted(set(span.ravel().tolist()))
     assert [idx[p].tolist() for p in pos] == span.tolist()
 
@@ -447,14 +450,16 @@ class Counting:
 @pytest.mark.parametrize("kernel_name", ["m2", "chibar3", "chibar4"])
 def test_one_kernel_call_per_axis(w, grid_n, kernel_name):
     grid = EvalGrid.regular((-0.3, 0.1, 1.2, 0.9), grid_n, w)
-    # axes sharing one kernel object: one call for the grid
-    shared = Counting(AXIS_KERNELS[kernel_name])
-    _grid_windows(TensorKernel2D(shared, shared), grid)
-    assert shared.calls == 1
-    # two kernel objects: one call per axis
-    kx, ky = Counting(AXIS_KERNELS[kernel_name]), Counting(AXIS_KERNELS[kernel_name])
-    _grid_windows(TensorKernel2D(kx, ky), grid)
-    assert (kx.calls, ky.calls) == (1, 1)
+    # the same for the grid at one rate and at three
+    for grid in (grid, grid.at_rates([w, 2 * w, 3 * w])):
+        # axes sharing one kernel object: one call for the grid
+        shared = Counting(AXIS_KERNELS[kernel_name])
+        _grid_windows(TensorKernel2D(shared, shared), grid)
+        assert shared.calls == 1
+        # two kernel objects: one call per axis
+        kx, ky = Counting(AXIS_KERNELS[kernel_name]), Counting(AXIS_KERNELS[kernel_name])
+        _grid_windows(TensorKernel2D(kx, ky), grid)
+        assert (kx.calls, ky.calls) == (1, 1)
 
 
 @pytest.mark.parametrize("kernel_name", ["m2", "chibar3", "chibar4"])
@@ -750,14 +755,64 @@ WIDE = EvalGrid(points=[(0.0, 0.0), (1e3, 0.5)], w=10.0)  # x cells 10,000 apart
 @example(grid=EvalGrid(points=np.empty((0, 2)), w=10.0), kernel_name="chibar3")
 def test_distinct_columns_equal_a_sort(grid, kernel_name):
     for axis in _grid_windows(KERNELS[kernel_name], grid):
-        idx, pos = _distinct_columns(axis)
+        idx, pos, counts = _distinct_columns(axis)
         want_idx, want_pos = sorted_columns(axis)
+        assert counts.tolist() == [len(idx)]
         assert idx.dtype == want_idx.dtype
         assert idx.tolist() == want_idx.tolist()
         assert len(pos) == len(want_pos)
         for got, want in zip(pos, want_pos):
             assert got.dtype == want.dtype
             assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid=st.one_of(regular_grids(), scattered_grids()),
+    more=st.lists(rates, min_size=1, max_size=3),
+    kernel_name=st.sampled_from(sorted(KERNELS)),
+    op=st.sampled_from(["gw", "sw", "gbs"]),
+    fn_name=st.sampled_from(FUNCTIONS),
+)
+@example(grid=WIDE, more=[3.0, 10.0], kernel_name="chibar3", op="gbs", fn_name="gaussian")
+@example(
+    grid=EvalGrid(points=np.empty((0, 2)), w=10.0),
+    more=[20.0],
+    kernel_name="chibar3",
+    op="sw",
+    fn_name="gaussian",
+)
+def test_a_grid_at_several_rates_gives_the_bits_of_a_call_per_rate(
+    grid, more, kernel_name, op, fn_name
+):
+    # one call over every (rate, point) pair, the same rate twice included:
+    # each rate's cells keyed apart, its tables side by side, both branches
+    # of the distinct cells and of the boolean sum's axis means
+    rates = [grid.w, *more]
+    source, kernel = fn_lookup(fn_name), KERNELS[kernel_name]
+    got = apply(op, source, kernel, grid.at_rates(rates))
+    want = [apply(op, source, kernel, grid.at_rates([w])) for w in rates]
+    assert bits(got) == bits(np.concatenate(want))
+
+
+@pytest.mark.parametrize("kernel_name", ["chibar3", "m3_tensor"])
+def test_distinct_columns_of_several_rates_equal_those_of_each_rate(kernel_name):
+    # rate after rate, the same rate twice too: each block holds that rate's
+    # own distinct cells, and every point reads the cells it reads alone (a
+    # column past its rate's widest window reads the last cell again)
+    grid = EvalGrid.regular((-1.0, -1.0, 2.0, 2.0), 5, 5.0)
+    rates = [5.0, 40.0, 5.0]
+    kernel = KERNELS[kernel_name]
+    n = len(grid.points)
+    for column, axis in enumerate(_grid_windows(kernel, grid.at_rates(rates))):
+        idx, pos, counts = _distinct_columns(axis, len(rates))
+        firsts = np.cumsum(counts) - counts
+        for r, w in enumerate(rates):
+            cells, at, _ = _distinct_columns(_grid_windows(kernel, grid.at_rates([w]))[column])
+            assert idx[firsts[r] : firsts[r] + counts[r]].tolist() == cells.tolist()
+            read = [idx[p[r * n : (r + 1) * n]].tolist() for p in pos]
+            alone = [cells[p].tolist() for p in at]
+            assert read == alone + alone[-1:] * (len(read) - len(alone))
 
 
 @pytest.mark.parametrize(

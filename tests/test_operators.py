@@ -74,6 +74,16 @@ class TestCellAverage:
         got = cell_average(lambda u, v: v, -4, -4, 8.0)
         assert got == pytest.approx((-4 + 0.5) / 8.0, abs=1e-14)
 
+    def test_cells_with_a_rate_each(self):
+        # 1-d cells, each at its own rate, no cells at all included
+        k, j = np.array([3, -4, 0]), np.array([7, -4, 0])
+        w = np.array([10.0, 8.0, 1.0])
+        f = lambda u, v: u * v  # noqa: E731
+        got = cell_average(f, k, j, w)
+        assert got.tolist() == [cell_average(f, *cell) for cell in zip(k, j, w)]
+        empty = np.array([], dtype=int)
+        assert cell_average(f, empty, empty, np.array([])).shape == (0,)
+
     def test_order_at_the_cap(self):
         got = cell_average(lambda u, v: u * v, 0, 0, 1.0, QUAD_ORDER_MAX)
         assert got == pytest.approx(0.25, abs=1e-14)
@@ -126,6 +136,33 @@ class TestEvalGrid:
         xs = np.linspace(-0.9, 1.9, 7)
         ys = np.linspace(-0.4, 1.4, 7)
         assert grid.points.tolist() == [[x, y] for x in xs for y in ys]
+
+    def test_at_rates_repeats_the_points_rate_major(self):
+        grid = EvalGrid.regular((-1.0, -0.5, 2.0, 1.5), 3, 5.0)
+        n = len(grid.points)
+        multi = grid.at_rates([5.0, 7.5, 40.0])
+        assert multi.points.tobytes() == np.tile(grid.points, (3, 1)).tobytes()
+        assert multi.rates.tolist() == [5.0, 7.5, 40.0]
+        assert multi.w.shape == (3 * n, 1)
+        assert multi.w.ravel().tolist() == [5.0] * n + [7.5] * n + [40.0] * n
+        # each point's scaled coordinates, and axes that still give the points
+        scaled = multi.w * multi.points
+        for rate, block in zip(multi.rates, np.split(scaled, 3)):
+            assert block.tobytes() == (rate * grid.points).tobytes()
+        for column, (values, index) in enumerate(multi.axes):
+            assert values is grid.axes[column].values
+            assert values[index].tobytes() == multi.points[:, column].tobytes()
+        # one rate: the grid at that rate, sharing points and axes
+        one = grid.at_rates([8.0])
+        assert one.w == 8.0 and one.axes is grid.axes
+        assert np.shares_memory(one.points, grid.points)
+        assert one.rates.tolist() == [8.0]
+
+    @pytest.mark.parametrize("rates", [[5.0, 0.0], [math.inf, 5.0], [5.0, math.nan]])
+    def test_at_rates_checks_every_rate(self, rates):
+        grid = EvalGrid.regular((0.0, 0.0, 1.0, 1.0), 2, 5.0)
+        with pytest.raises(ValueError, match="lattice rate w must be finite and > 0"):
+            grid.at_rates(rates)
 
     def test_sample_matches_pointwise_calls(self):
         f = fn_lookup("x2y2")
@@ -293,6 +330,19 @@ class TestAverageSeries:
             with pytest.raises(ValueError, match=re.escape(message)):
                 apply_gw(field, chibar3, grid)
 
+    def test_every_rate_of_a_grid_must_match_the_field(self, chibar3):
+        # a grid at several rates: the field's rate first is not enough
+        f = fn_lookup("x")
+        field = LatticeField.from_function(f, 10.0, -8, 18, -8, 18)
+        grid = EvalGrid.regular(self.BOXES[0], 3, 10.0)
+        message = "lattice rate of field and grid disagree"
+        for rates in ([10.0, 20.0], [20.0, 10.0], [10.0, 10.0, 5.0]):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                apply_gw(field, chibar3, grid.at_rates(rates))
+        once = apply_gw(field, chibar3, grid)
+        twice = apply_gw(field, chibar3, grid.at_rates([10.0, 10.0]))
+        assert twice.tobytes() == np.tile(once, 2).tobytes()
+
 
 class TestMissingData:
     def test_window_outside_field(self, m3_tensor):
@@ -408,6 +458,15 @@ class TestRepresentationResidual:
         grid = EvalGrid.regular((0.0, 0.0, 1.0, 1.0), 4, 10.0)
         res = representation_residual(f, chibar3, grid)
         assert np.abs(res).max() <= 1e-12
+
+    def test_each_point_of_a_grid_at_several_rates_at_its_own_rate(self, chibar3):
+        # a column of rates dividing a row of residuals would give an N x N table
+        f = fn_lookup("sin_x_cos_y")
+        grid = EvalGrid.regular((0.0, 0.0, 1.0, 1.0), 4, 10.0)
+        got = representation_residual(f, chibar3, grid.at_rates([10.0, 20.0]))
+        want = [representation_residual(f, chibar3, grid.at_rates([w])) for w in (10.0, 20.0)]
+        assert got.shape == (2 * len(grid.points),)
+        assert got.tobytes() == np.concatenate(want).tobytes()
 
     def test_missing_derivative_rejected(self, chibar3):
         bare = CatalogEntry(name="bare", fn=lambda x, y: x + y, partials={})
