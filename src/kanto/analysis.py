@@ -418,21 +418,16 @@ class ConvergenceTable:
         )
 
 
-# Points of one convergence-study pass.  A pass pays the operator's per-call
-# cost once for all its rates, but past about this many points its per-point
-# arrays leave the cache: on a 2-core Xeon VM, passes of 2**16 points took
-# 1.4-1.7 times as long as one rate per call on 60 x 60 and 80 x 80 grids at
-# five rates.
-PASS_POINTS = 2**12
-
-
 def _study_pass(op: Callable, f: Callable, kernel, grid: EvalGrid, rates, quad_order):
     """op at the grid's points at each rate, rate-major, from one call.
 
-    Each point gets the operations of a call at its own rate.  A call that
-    raises ValueError (every error the operators raise) is made again one
-    rate at a time, so that a study stops where a call per rate stops: at
-    the first failing rate, with its message.
+    The call pays the operator's per-call cost once for every rate, and
+    runs its per-point work in blocks of points (see :mod:`kanto.operators`),
+    so its arrays stay small however many rates it holds.  Each point gets
+    the operations of a call at its own rate.  A call that raises ValueError
+    (every error the operators raise) is made again one rate at a time, so
+    that a study stops where a call per rate stops: at the first failing
+    rate, with its message.
     """
     try:
         return op(f, kernel, grid.at_rates(rates), quad_order)
@@ -456,9 +451,7 @@ def convergence_study(
     The grid is shrunk by the admissibility margin of the smallest rate so
     the same points are compared across the whole rate list; the slope is
     the least-squares fit of log error against log rate.  The operator is
-    called once per pass (see :func:`_study_pass`): as many whole rates, in
-    list order, as the grid fits into ``PASS_POINTS`` points, and at least
-    one.
+    called once for every rate (see :func:`_study_pass`).
     """
     if len(w_list) < 2:
         raise ValueError("need at least two rates")
@@ -471,14 +464,9 @@ def convergence_study(
     margin = interior_margin(kernel, min(w_list))
     # w moves no point: one grid, and its axes, serve every rate
     grid = EvalGrid.regular(box, grid_n, w_list[0], margin)
-    size = max(1, PASS_POINTS // len(grid.points))
-    rows, exact = [], None
-    for start in range(0, len(w_list), size):
-        rates = w_list[start : start + size]
-        approx = _study_pass(op, f, kernel, grid, rates, quad_order)
-        exact = grid.sample(f) if exact is None else exact
-        errors = np.abs(approx.reshape(len(rates), -1) - exact).max(axis=1)
-        rows += zip(map(float, rates), map(float, errors))
+    approx = _study_pass(op, f, kernel, grid, w_list, quad_order)
+    errors = np.abs(approx.reshape(len(w_list), -1) - grid.sample(f)).max(axis=1)
+    rows = list(zip(map(float, w_list), map(float, errors)))
     logw = np.log([w for w, _ in rows])
     loge = np.log([max(e, 1e-300) for _, e in rows])
     coeffs = np.polyfit(logw, loge, 1)

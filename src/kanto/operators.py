@@ -12,28 +12,29 @@ They differ in what is summed per lattice cell:
 One core serves all three.  An :class:`EvalGrid` carries its axes: the
 coordinate values of each axis and each point's index into them, taken
 from the ``linspace`` axes of a regular grid and found once otherwise.
-Kernel windows are computed once per axis value, in one kernel call per
-grid when both axes share a kernel, and gathered to the points by that
-index.  The core tabulates the source once per call (only on the cells
-some window touches) and then runs over the window offsets in ascending
-(k, j) order for all points at once; past a point's window a column reads
-the window's last cell with weight exactly 0 and adds a zero.  The
-boolean sum's two single-axis means are tabulated the same way, once per
-(window cell, other-axis value) pair.  Quadrature rules stack their nodes
-in row blocks of up to ``_STACK`` elements, one source call a block.  Each
-point so gets the operations of a scalar loop over its own window, in its
-order, bit for bit.  Analytic sources must take 2-d arrays, evaluate
-elementwise and return results that broadcast against their inputs.
+A call computes what depends on axis values and cells alone once: the
+kernel windows per axis value, in one kernel call per grid when both axes
+share a kernel, the distinct window cells of each axis, and the tables
+read through them (the source on those cells, or a lattice field's own
+values, and the boolean sum's two single-axis means once per (window
+cell, other-axis value) pair).  Quadrature rules stack their nodes in row
+blocks of up to ``_STACK`` elements, one source call a block.  The
+per-point work runs in equal blocks of at most ``_BLOCK`` points: a block
+gathers its points' window weights and table positions and runs over the
+window offsets in ascending (k, j) order; past a point's window a column
+reads the window's last cell with weight exactly 0 and adds a zero.  No
+per-point array so outgrows a block, and each point gets the operations
+of a scalar loop over its own window, in its order, bit for bit.
+Analytic sources must take 2-d arrays, evaluate elementwise and return
+results that broadcast against their inputs.
 
 A grid may hold its points once per lattice rate (:meth:`EvalGrid.at_rates`,
-one pass of a convergence study: as many whole rates as fit in
-``analysis.PASS_POINTS`` points, and at least one).  Its windows are then
-taken once per (rate, axis value), in the same one kernel call, the cells
-of each rate are told apart from those of every other, and the tables
-hold only same-rate pairs, each entry at its own rate.  One call so
-tabulates the source for every rate of the pass, and each point gets the
-operations of a call at its own rate; an ordinary grid is the case of one
-rate.
+every rate of a convergence study).  Its windows are then taken once per
+(rate, axis value), in the same one kernel call, the cells of each rate
+are told apart from those of every other, and the tables hold only
+same-rate pairs, each entry at its own rate.  One call so tabulates the
+source for every rate, and each point gets the operations of a call at
+its own rate; an ordinary grid is the case of one rate.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ KIND_CELL_AVERAGES = "cell_averages"
 QUAD_ORDER = 5
 QUAD_ORDER_MAX = 256
 _STACK = 2**16  # elements a block of stacked quadrature nodes gives a source
+_BLOCK = 2**12  # points a block of the windowed sum gathers its arrays for
 _CELL_SPAN = 4  # widest cell range per window cell mapped without a sort
 EVAL_GRID = 20  # points per axis of the default evaluation grid
 
@@ -206,7 +208,7 @@ class EvalGrid:
     windows.  ``points`` is a read-only view, so that the axes stay true.
 
     ``rates`` holds the lattice rates as an array: ``[w]`` here, and on a
-    grid of :meth:`at_rates` one block of points per rate.
+    grid of :meth:`at_rates` one run of points per rate.
     """
 
     points: np.ndarray
@@ -349,18 +351,23 @@ class _AxisWindows(NamedTuple):
     """Lattice windows of all evaluation points along one axis.
 
     ``which[i]`` is the axis value of point i.  Column ``a`` of axis value
-    d reads lattice index ``cells[a, d]``, so the window of point i runs
-    from ``cells[0, which[i]]`` to ``cells[-1, which[i]]``.  Windows differ
-    in width by at most one, and a column past a window reads its last cell
-    with weight exactly 0.  ``weights[a]`` holds the kernel weights of
-    column a at every point: one kernel call gives them all, and each
-    column is gathered to the points as its own array, which keeps it
-    contiguous.
+    d reads lattice index ``cells[a, d]`` with kernel weight
+    ``weights[a, d]``, so the window of point i runs from
+    ``cells[0, which[i]]`` to ``cells[-1, which[i]]``.  Windows differ in
+    width by at most one, and a column past a window reads its last cell
+    with weight exactly 0.  One kernel call gives every weight; each block
+    of points gathers its own (:meth:`at`).
     """
 
-    weights: list
+    weights: np.ndarray
     cells: np.ndarray
     which: np.ndarray
+
+    def at(self, points: slice) -> list:
+        """The points' weights of each column that one of their windows reaches."""
+        which = self.which[points]
+        reach = (self.cells[-1] - self.cells[0]).take(which).max(initial=-1) + 1
+        return [col.take(which) for col in self.weights[:reach]]
 
 
 def _window_offsets(
@@ -399,15 +406,14 @@ def _windows(
     # at its support end can miss
     weights = np.where(offsets > last, 0.0, values)
     cells = np.minimum(offsets, last).astype(np.int64)
-    return _AxisWindows([col[which] for col in weights], cells, which)
+    return _AxisWindows(weights, cells, which)
 
 
 def _axis_windows(kernel: Kernel1D, ts: np.ndarray, which: np.ndarray) -> _AxisWindows:
     """Windows of the points whose scaled coordinate is ``ts[which]``.
 
-    They are computed once per value of ts, in one kernel call, and
-    gathered to the points, so each point gets exactly the values it would
-    get on its own.
+    They are computed once per value of ts, in one kernel call, so each
+    point that reads them gets exactly the values it would get on its own.
     """
     offsets, last = _window_offsets(kernel.support, ts)
     return _windows(kernel(ts - offsets), offsets, last, which)
@@ -425,10 +431,10 @@ def _grid_windows(
     # an overflow to inf is left to the finiteness check of _window_offsets
     with np.errstate(over="ignore"):
         tx, ty = (rates * xs).ravel(), (rates * ys).ravel()
-    if len(rates) > 1:  # block r of the points reads the windows of block r
-        block = np.arange(len(rates))[:, None]
-        ix = (ix.reshape(len(rates), -1) + block * len(xs)).ravel()
-        iy = (iy.reshape(len(rates), -1) + block * len(ys)).ravel()
+    if len(rates) > 1:  # the points at rate r read the windows at rate r
+        rate = np.arange(len(rates))[:, None]
+        ix = (ix.reshape(len(rates), -1) + rate * len(xs)).ravel()
+        iy = (iy.reshape(len(rates), -1) + rate * len(ys)).ravel()
     if kernel.kx is not kernel.ky:
         return _axis_windows(kernel.kx, tx, ix), _axis_windows(kernel.ky, ty, iy)
     (ox, lx), (oy, ly) = (_window_offsets(kernel.kx.support, t) for t in (tx, ty))
@@ -441,116 +447,135 @@ def _grid_windows(
 
 
 def _windowed_sum(
-    kx: _AxisWindows, ky: _AxisWindows, term: Callable[[int, int], np.ndarray]
+    kx: _AxisWindows, ky: _AxisWindows, terms: Callable[[slice], Callable]
 ) -> np.ndarray:
-    """sum over each point's window of (cx * cy) * term, for all points at once.
+    """sum over each point's window of (cx * cy) * term, a block of points at a time.
 
-    ``term(a, b)`` gives the summand of window column (a, b) at every point.
+    The points run in order, in equal blocks of at most ``_BLOCK``, each
+    block's arrays gone before the next one's are gathered: ``terms(s)``
+    gives ``term(a, b)``, the summand of window column (a, b) at each point
+    of slice s.  A block runs only the columns its windows reach.
+    """
+    n = len(kx.which)
+    out = np.zeros(n)
+    count = -(-n // _BLOCK)
+    for block in range(count):
+        s = slice(n * block // count, n * (block + 1) // count)
+        _add_windows(out[s], kx.at(s), ky.at(s), terms(s))
+    return out
+
+
+def _add_windows(acc: np.ndarray, wx: list, wy: list, term: Callable) -> None:
+    """Add (cx * cy) * term(a, b) to acc over every window column (a, b).
+
     Offsets run in ascending order.  A column past a point's window has
     weight 0 and reads a cell of the window, so it adds a zero (``acc``
     starts at +0 and so is never -0), and each point gets the operations of
     the scalar loop ``acc += (cx[k] * cy[j]) * value(k, j)`` in ascending
     (k, j) order, bit for bit.
     """
-    acc = np.zeros(len(kx.which))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for a, cx in enumerate(kx.weights):
-                for b, cy in enumerate(ky.weights):
-                    acc = acc + (cx * cy) * term(a, b)
+            for a, cx in enumerate(wx):
+                for b, cy in enumerate(wy):
+                    acc += (cx * cy) * term(a, b)
     except FloatingPointError:
         raise ValueError("the series overflows; scale the source values down") from None
-    return acc
 
 
-def _gather(flat: np.ndarray, starts: list, cols: list) -> Callable:
-    """term(a, b) of a flat table: entry ``starts[a] + cols[b]`` at each point.
+def _gather(flat: np.ndarray, starts, cols, kx: _AxisWindows, ky: _AxisWindows):
+    """terms(s) of a flat table: entry ``starts[a] + cols[b]`` at each point of s.
 
-    Each gather is one flat ``take``, which is faster than 2-D fancy
-    indexing and gives the same values.
+    The offsets, per axis value, are gathered to the block's points, and
+    each term is one flat ``take``, which is faster than 2-D fancy indexing
+    and gives the same values.
     """
-    return lambda a, b: flat.take(starts[a] + cols[b])
+
+    def terms(s: slice) -> Callable:
+        sx, sy = [r.take(kx.which[s]) for r in starts], [c.take(ky.which[s]) for c in cols]
+        return lambda a, b: flat.take(sx[a] + sy[b])
+
+    return terms
 
 
-def _distinct_columns(axis: _AxisWindows, blocks: int = 1) -> tuple:
+def _distinct_columns(axis: _AxisWindows, rates: int = 1) -> tuple:
     """Distinct cells over all window columns, their positions, and their counts.
 
-    The axis values, and the points, fall in ``blocks`` equal runs, one per
-    lattice rate.  The distinct cells run block by block, ``counts[r]`` of
-    block r in ascending order, and ``pos[a]`` holds each point's position
-    among them of the cell its window column a reads.  Block r's cells are
-    integers from ``lo[r]`` to ``hi[r]``, keyed ``cell - lo[r]`` plus the
-    spans of the blocks before it, so that no two blocks share a key.
-    Where each block's range spans at most ``_CELL_SPAN`` times as many
-    integers as it has window cells, a presence mask over the keys gives
-    the distinct cells in order and a running count of it each cell's
-    position, with no sort.  A wider range (a coarse grid at a high rate)
-    would make the mask large, and ``np.unique`` sorts each block's cells
-    instead.  Both give the same cells and positions.
+    The axis values fall in ``rates`` equal runs, one per lattice rate.  The
+    distinct cells run rate by rate, ``counts[r]`` of rate r in ascending
+    order, and ``pos[a, d]`` is the position among them of the cell that
+    window column a of axis value d reads.  Rate r's cells are integers
+    from ``lo[r]`` to ``hi[r]``, keyed ``cell - lo[r]`` plus the spans of
+    the rates before it, so that no two rates share a key.  Where each
+    rate's range spans at most ``_CELL_SPAN`` times as many integers as it
+    has window cells, a presence mask over the keys gives the distinct
+    cells in order and a running count of it each cell's position, with no
+    sort.  A wider range (a coarse grid at a high rate) would make the mask
+    large, and ``np.unique`` sorts each rate's cells instead.  Both give the
+    same cells and positions.
     """
-    cells = axis.cells.reshape(len(axis.cells), blocks, -1)
+    cells = axis.cells.reshape(len(axis.cells), rates, -1)
     if cells.size:
-        # columns ascend: the first holds each block's least cell, the last its most
+        # columns ascend: the first holds each rate's least cell, the last its most
         lo, hi = cells[0].min(1), cells[-1].max(1)
     else:
-        lo = hi = np.zeros(blocks, dtype=np.int64)
+        lo = hi = np.zeros(rates, dtype=np.int64)
     span = hi - lo + 1
-    if (span <= _CELL_SPAN * (cells.size // blocks)).all():
-        ends = np.cumsum(span)  # block r keys its cells below ends[r]
+    if (span <= _CELL_SPAN * (cells.size // rates)).all():
+        ends = np.cumsum(span)  # rate r keys its cells below ends[r]
         shift = lo + span - ends
         keys = (cells - shift[:, None]).reshape(len(cells), -1)
         present = np.zeros(ends[-1], dtype=bool)
         present[keys] = True
         seen = np.cumsum(present)
-        counts = seen[ends - 1]  # distinct cells up to each block's end
+        counts = seen[ends - 1]  # distinct cells up to each rate's end
         counts[1:] -= seen[ends[:-1] - 1]
         idx = np.flatnonzero(present) + np.repeat(shift, counts)
         pos = (seen - 1)[keys]
     else:
         idx, pos, counts = [], [], []
-        for block in cells.swapaxes(0, 1):
-            found, where = np.unique(block, return_inverse=True)
+        for run in cells.swapaxes(0, 1):
+            found, where = np.unique(run, return_inverse=True)
             idx.append(found)
-            pos.append(where.reshape(block.shape) + sum(counts))
+            pos.append(where.reshape(run.shape) + sum(counts))
             counts.append(len(found))
         idx, pos, counts = np.concatenate(idx), np.concatenate(pos, 1), np.array(counts)
-    return idx, list(pos[:, axis.which]), counts
+    return idx, pos, counts
 
 
 def _index_table(
     f: Callable,
-    columns_x: tuple,
-    columns_y: tuple,
+    windows: tuple[_AxisWindows, _AxisWindows],
+    columns: tuple,
     w: np.ndarray,
     kind: str,
     quad_order: int | None,
 ) -> Callable:
     """The ``kind`` values of f over the distinct window indices of each axis.
 
-    ``columns_x`` and ``columns_y`` are the :func:`_distinct_columns` of the
-    two axes, and ``w`` holds the rate of each block.  The values are
-    tabulated once, on each block's rectangle of those indices (not on
-    their whole range, which a coarse grid at a high rate would make
-    large).  One rectangle keeps the broadcast shape of its axes, on which
+    ``columns`` are the :func:`_distinct_columns` of the two axes'
+    ``windows``, and ``w`` holds each rate.  The values are tabulated once,
+    on each rate's rectangle of those indices (not on their whole range,
+    which a coarse grid at a high rate would make large), and read by
+    :func:`_gather`.  One rectangle keeps the broadcast shape of its axes, on which
     a source such as sin(x)·cos(y) computes each factor once per row or
     column; several are laid out flat, rate after rate and row-major, with
     w per element, so that each node block is one source call.  A value
     that is not finite is an error naming its lattice rate: at a rate far
     from 1 the cells k/w can leave the range where the source is finite.
     """
-    ks, rows, nk = columns_x
-    js, cols, nj = columns_y
+    (ks, rows, nk), (js, cols, nj) = columns
     if len(nk) == 1:
-        k, j, starts = ks[:, None], js[None, :], [p * len(js) for p in rows]
+        k, j, starts = ks[:, None], js[None, :], rows * len(js)
     else:
-        rate = np.repeat(np.arange(len(nk)), nk)  # the block of each x cell
+        rate = np.repeat(np.arange(len(nk)), nk)  # the rate of each x cell
         width = nj[rate]
-        # cells ks[p] and js[q] of one block sit at start[p] + q
+        # cells ks[p] and js[q] of one rate sit at start[p] + q
         start = np.cumsum(width) - width - (np.cumsum(nj) - nj)[rate]
         k = np.repeat(ks, width)
         j = js[np.arange(width.sum()) - np.repeat(start, width)]
         w = np.repeat(w[rate], width)
-        starts = [start.take(p) for p in rows]
+        starts = start.take(rows)
     with np.errstate(all="ignore"):
         table = _tabulate(f, k, j, w, kind, quad_order)
     bad = np.flatnonzero(~np.isfinite(table))
@@ -562,7 +587,7 @@ def _index_table(
             f"({k / w:.6g}, {j / w:.6g}), at lattice rate {w!r}; choose a "
             "rate at which the source is finite on the cells k/w"
         )
-    return _gather(table.ravel(), starts, cols)
+    return _gather(table.ravel(), starts, cols, *windows)
 
 
 def _axis_means(
@@ -572,30 +597,35 @@ def _axis_means(
     other: Factored,
     w,
     quad_order: int,
-) -> list:
-    """Row a: at each point i, the Gauss mean of g(., t[i]) over column a's cell.
+) -> Callable:
+    """Row a, for block s: at each point i, the mean of g(., t[i]) over column a's cell.
 
-    ``columns`` are the :func:`_distinct_columns` of ``axis``, ``w`` the
-    rate of each block (or the one rate), and ``other`` is the grid's other
-    axis: t = ``other.values[other.index]`` is the points' other
-    coordinate, the same values in every block.  The means are tabulated
-    once per (cell, value) pair, on the rectangle of the distinct cells of
-    every block and the other axis's values (on a tensor grid, exactly the
-    pairs that occur), each cell at its block's rate, and each column reads
-    the table with one flat ``take``.  Where that rectangle is larger than
-    window columns times points (scattered points), the means are taken
-    per point instead.  Either way g gets the same (u, t) pairs, and each
-    mean the same operations.
+    ``columns`` are the :func:`_distinct_columns` of ``axis``, ``w`` each
+    rate (or the one rate), and ``other`` is the grid's other axis:
+    t = ``other.values[other.index]`` is the points' other coordinate, the
+    same values at every rate.  The means are tabulated once per (cell,
+    value) pair, on the rectangle of the distinct cells of every rate and
+    the other axis's values (on a tensor grid, exactly the pairs that
+    occur), each cell at its rate, and each column reads the table with one
+    flat ``take``.  Where that rectangle is larger than window columns
+    times points (scattered points), the means are taken per point, a block
+    of points at a time, instead.  Either way g gets the same (u, t) pairs,
+    and each mean the same operations.
     """
     cells, pos, counts = columns
     values, which = other
     if cells.size * values.size > len(pos) * which.size:
-        k, t = axis.cells[:, axis.which], values[which]
-        w = np.repeat(w, len(which) // len(counts))
-        return list(_stacked_mean(g, k, t, w, quad_order))
+        rate = np.repeat(w, axis.cells.shape[1] // len(counts))  # per axis value
+
+        def means(s: slice) -> list:
+            at, t = axis.which[s], values[which[s]]
+            return list(_stacked_mean(g, axis.cells[:, at], t, rate.take(at), quad_order))
+
+        return means
     w = np.repeat(w, counts)[:, None]
     flat = _stacked_mean(g, cells[:, None], values, w, quad_order).ravel()
-    return [flat.take(p * values.size + which) for p in pos]
+    starts = pos * values.size
+    return lambda s: [flat.take(p.take(axis.which[s]) + which[s]) for p in starts]
 
 
 def _check_coverage(field: LatticeField, kx: _AxisWindows, ky: _AxisWindows) -> None:
@@ -626,11 +656,10 @@ def _lattice_series(
     grid: EvalGrid,
     quad_order: int | None,
 ) -> np.ndarray:
-    kx, ky = _grid_windows(kernel, grid)
+    kx, ky = windows = _grid_windows(kernel, grid)
     if not isinstance(field, LatticeField):
-        blocks = len(grid.rates)
-        columns = _distinct_columns(kx, blocks), _distinct_columns(ky, blocks)
-        table = _index_table(field, *columns, grid.rates, kind, quad_order)
+        columns = [_distinct_columns(axis, len(grid.rates)) for axis in windows]
+        table = _index_table(field, windows, columns, grid.rates, kind, quad_order)
         return _windowed_sum(kx, ky, table)
     # before coverage, so that a box the MissingData hint offers can run
     if field.kind != kind:
@@ -640,10 +669,9 @@ def _lattice_series(
         raise ValueError("lattice rate of field and grid disagree")
     _check_coverage(field, kx, ky)
     # _check_coverage has put every window within the field
-    n = field.values.shape[1]
-    starts = [(k - field.kmin)[kx.which] * n for k in kx.cells]
-    cols = [(j - field.jmin)[ky.which] for j in ky.cells]
-    acc = _windowed_sum(kx, ky, _gather(field.values.ravel(), starts, cols))
+    starts = (kx.cells - field.kmin) * field.values.shape[1]
+    table = _gather(field.values.ravel(), starts, ky.cells - field.jmin, kx, ky)
+    acc = _windowed_sum(kx, ky, table)
     # a NaN result means a hole in some window: report the first one, in
     # point order and then ascending (k, j)
     for i in np.flatnonzero(np.isnan(acc)):
@@ -694,13 +722,18 @@ def apply_gbs(
     f = field
     w = grid.rates
     x, y = grid.axes
-    kx, ky = _grid_windows(kernel, grid)
-    columns_x, columns_y = _distinct_columns(kx, len(w)), _distinct_columns(ky, len(w))
-    cell = _index_table(f, columns_x, columns_y, w, KIND_CELL_AVERAGES, quad_order)
+    kx, ky = windows = _grid_windows(kernel, grid)
+    columns_x, columns_y = columns = [_distinct_columns(axis, len(w)) for axis in windows]
+    cell = _index_table(f, windows, columns, w, KIND_CELL_AVERAGES, quad_order)
     # row a: mean over window column a of the point's axis, through the point
     mean_u = _axis_means(f, kx, columns_x, y, w, quad_order)
     mean_v = _axis_means(lambda v, x: f(x, v), ky, columns_y, x, w, quad_order)
-    return _windowed_sum(kx, ky, lambda a, b: mean_v[b] + mean_u[a] - cell(a, b))
+
+    def terms(s: slice) -> Callable:
+        u, v, c = mean_u(s), mean_v(s), cell(s)
+        return lambda a, b: v[b] + u[a] - c(a, b)
+
+    return _windowed_sum(kx, ky, terms)
 
 
 # Operator name -> op(source, kernel, grid, quad_order).  Each value is an

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kanto import LatticeField, analysis, fn_lookup, kernel1d, operators, write_lattice_csv
+from kanto import LatticeField, fn_lookup, kernel1d, operators, write_lattice_csv
 from kanto.cli import main
 from kanto.operators import EVAL_GRID, KIND_CELL_AVERAGES
 
@@ -50,7 +50,7 @@ DISPATCH = {
     ),
 }
 
-# six rates, which a study runs as few operator calls as the point cap allows
+# six rates, which a study runs in one operator call
 CONVERGE = {
     f"converge_{op}_6": (
         "converge", "--fn", "sin_x_cos_y", "--op", op, "--w-list", "5,7,10,20,40,80",
@@ -140,16 +140,17 @@ def test_benchmark_workload_at_full_size(name, tmp_path):
     assert run(load.argv, tmp_path / "out.csv") == FULL_SIZE[name]
 
 
-# rates per operator call: one, two, four and a remainder of two, all six
-@pytest.mark.parametrize("per_call", [1, 2, 4, 6])
+# rates' worth of points per block of the windowed sum: one, two, four (so
+# blocks of three) and all six
+@pytest.mark.parametrize("per_block", [1, 2, 4, 6])
 @pytest.mark.parametrize("name", sorted(CONVERGE))
-def test_converge_in_passes(name, per_call, tmp_path, monkeypatch):
-    # a pass holds as many whole rates as PASS_POINTS points; however the
-    # rates split, the bytes stay those of one call per rate, and each pass
-    # is one operator call that makes one kernel call
+def test_converge_in_passes(name, per_block, tmp_path, monkeypatch):
+    # a study is one pass, one operator call over every rate that makes one
+    # kernel call; however its points split into blocks, the bytes stay
+    # those of one call per rate
     argv = CONVERGE[name]
     op = argv[argv.index("--op") + 1]
-    monkeypatch.setattr(analysis, "PASS_POINTS", per_call * EVAL_GRID**2)
+    monkeypatch.setattr(operators, "_BLOCK", per_block * EVAL_GRID**2)
     passes = []  # rates, and kernel calls, of each operator call
     apply, bspline = operators.OPERATORS[op], kernel1d.bspline_eval
 
@@ -165,8 +166,7 @@ def test_converge_in_passes(name, per_call, tmp_path, monkeypatch):
     monkeypatch.setitem(operators.OPERATORS, op, counting_apply)
     monkeypatch.setattr(kernel1d, "bspline_eval", counting_bspline)
     assert run(argv, tmp_path / "out.csv") == DIGESTS[name]
-    sizes = [min(per_call, 6 - start) for start in range(0, 6, per_call)]
-    assert passes == [[size, 1] for size in sizes]
+    assert passes == [[6, 1]]
 
 
 def test_benchmark_workloads_sort_nothing(tmp_path, monkeypatch):

@@ -43,6 +43,7 @@ from kanto import (
     LatticeField,
     MissingData,
     TensorKernel2D,
+    admissible_box,
     apply_gbs,
     apply_gw,
     apply_sw,
@@ -401,7 +402,8 @@ def test_axis_windows_per_distinct_coordinate_match_per_point(axis, kernel_name)
     assert got.which is which
     first, last, weights = per_point_windows(kernel, t)
     cells = got.cells[:, got.which]
-    assert len(cells) == len(got.weights) == len(weights)
+    got_weights = got.at(slice(None))  # as a block of every point gathers them
+    assert len(cells) == len(got_weights) == len(weights)
     # the window ends, and past its last cell a column reads that cell again
     assert cells[0].tolist() == first.tolist()
     assert cells[-1].tolist() == last.tolist()
@@ -410,14 +412,14 @@ def test_axis_windows_per_distinct_coordinate_match_per_point(axis, kernel_name)
     # the kernel's own weights within each window, and +0 or -0 past it, so
     # that a column past a point's window adds nothing
     past = first + np.arange(len(weights))[:, None] > last
-    for got_w, want_w, p in zip(got.weights, weights, past):
+    for got_w, want_w, p in zip(got_weights, weights, past):
         assert bits(got_w[~p]) == bits(want_w[~p])
         assert got_w[p].tolist() == [0.0] * p.sum()
     # distinct window cells and each column's position among them
     idx, pos, counts = _distinct_columns(got)
     assert counts.tolist() == [len(idx)]
     assert idx.tolist() == sorted(set(span.ravel().tolist()))
-    assert [idx[p].tolist() for p in pos] == span.tolist()
+    assert idx[pos[:, got.which]].tolist() == span.tolist()
 
 
 class Counting:
@@ -643,7 +645,8 @@ def test_stacked_axis_means_match_scalar_loops(
     axis = _axis_windows(_chi3, w * xs, ix)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "_STACK", cap)
-        got = _axis_means(g, axis, _distinct_columns(axis), Factored(ys, iy), w, quad_order)
+        means = _axis_means(g, axis, _distinct_columns(axis), Factored(ys, iy), w, quad_order)
+        got = means(slice(0, len(ix)))  # one block of every point
     assert len(got) == len(axis.cells)
     for row, cells_of in zip(got, axis.cells):
         want = [
@@ -725,9 +728,9 @@ def test_linspace_axis_may_repeat_a_value():
 
 
 def sorted_columns(axis):
-    """The distinct window cells and each column's positions, by a sort."""
+    """The distinct window cells and each column's positions per axis value, by a sort."""
     idx, pos = np.unique(axis.cells, return_inverse=True)
-    return idx, list(pos.reshape(axis.cells.shape)[:, axis.which])
+    return idx, list(pos.reshape(axis.cells.shape))
 
 
 @st.composite
@@ -795,6 +798,144 @@ def test_a_grid_at_several_rates_gives_the_bits_of_a_call_per_rate(
     assert bits(got) == bits(np.concatenate(want))
 
 
+BLOCK = 7  # points of a block in the tests below, so that a few points cross blocks
+
+
+def blocks_of_one_call(monkeypatch, block):
+    """Set the block size and record the points of every block summed."""
+    monkeypatch.setattr(operators, "_BLOCK", block)
+    add, sizes = operators._add_windows, []
+
+    def counting(acc, *args):
+        sizes.append(len(acc))
+        return add(acc, *args)
+
+    monkeypatch.setattr(operators, "_add_windows", counting)
+    return sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+    data=st.data(),
+    w=rates,
+    more=st.lists(rates, max_size=2),
+    kernel_name=st.sampled_from(sorted(KERNELS)),
+    op=st.sampled_from(["gw", "sw", "gbs"]),
+    fn_name=st.sampled_from(FUNCTIONS),
+    via_field=st.booleans(),
+)
+def test_blocks_of_points_give_the_bits_of_one_block(
+    n, data, w, more, kernel_name, op, fn_name, via_field
+):
+    # points that share coordinates (the boolean sum's tabulated axis means)
+    # and points that do not (its per-point means), at one rate or several,
+    # from a lattice field (every rate the field's) or an analytic source
+    coord = st.one_of(st.floats(-1.0, 2.0), st.sampled_from([0.0, -0.0, 0.5, 1.25]))
+    if data.draw(st.booleans()):  # each axis from a pool of one to three values
+        pools = [data.draw(st.lists(coord, min_size=1, max_size=3)) for _ in "xy"]
+        coord_x, coord_y = map(st.sampled_from, pools)
+    else:
+        coord_x = coord_y = coord
+    points = data.draw(st.lists(st.tuples(coord_x, coord_y), min_size=n, max_size=n))
+    kernel, source = KERNELS[kernel_name], fn_lookup(fn_name)
+    if via_field and op != "gbs":
+        kind = KIND_SAMPLES if op == "gw" else KIND_CELL_AVERAGES
+        lo, hi = math.floor(-w) - 8, math.ceil(2 * w) + 8
+        source = LatticeField.from_function(source, w, lo, hi, lo, hi, kind, QUAD_ORDER)
+        more = [w] * len(more)
+    grid = EvalGrid(points=points, w=w).at_rates([w, *more])
+    size = len(grid.points)
+    with pytest.MonkeyPatch.context() as mp:
+        assert size <= operators._BLOCK
+        whole = blocks_of_one_call(mp, operators._BLOCK)
+        want = apply(op, source, kernel, grid)
+        mp.undo()
+        sizes = blocks_of_one_call(mp, BLOCK)
+        got = apply(op, source, kernel, grid)
+    assert whole == [size]
+    # equal blocks, in order, that cover every point once
+    assert len(sizes) == -(-size // BLOCK) and sum(sizes) == size
+    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= BLOCK
+    assert bits(got) == bits(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([BLOCK + 1, 2 * BLOCK + 3]),
+    data=st.data(),
+    repeats=st.integers(min_value=1, max_value=3),
+    kernel_name=st.sampled_from(sorted(KERNELS)),
+    op=st.sampled_from(["gw", "sw"]),
+)
+def test_a_hole_read_in_a_later_block_is_named_as_by_the_scalar_loop(
+    n, data, repeats, kernel_name, op
+):
+    # the first BLOCK points sit at x <= 0.3, the rest, each in a later block
+    # than the first point, at x >= 1.2: at w = 10 no window of the first
+    # reaches a cell of the rest.  Holes in the windows of the rest:
+    # MissingData names the first in point order, and then in ascending
+    # (k, j), at any block size
+    w, kernel = 10.0, KERNELS[kernel_name]
+    early = st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 1.5))
+    late = st.tuples(st.floats(1.2, 1.5), st.floats(0.0, 1.5))
+    points = data.draw(st.lists(early, min_size=BLOCK, max_size=BLOCK))
+    points += data.draw(st.lists(late, min_size=n - BLOCK, max_size=n - BLOCK))
+    kind = KIND_SAMPLES if op == "gw" else KIND_CELL_AVERAGES
+    field = LatticeField.from_function(
+        fn_lookup("gaussian"), w, -10, 25, -10, 25, kind, QUAD_ORDER
+    )
+    values = field.values.copy()
+    read_early = {
+        (k, j) for x, y in points[:BLOCK] for ks, js in [windows(kernel, w, x, y)]
+        for k in ks for j in js
+    }
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        x, y = points[data.draw(st.integers(min_value=BLOCK, max_value=n - 1))]
+        ks, js = windows(kernel, w, x, y)
+        k, j = data.draw(st.sampled_from(ks)), data.draw(st.sampled_from(js))
+        assert (k, j) not in read_early
+        values[k - field.kmin, j - field.jmin] = np.nan
+    field = LatticeField(w=w, kind=kind, values=values, kmin=field.kmin, jmin=field.jmin)
+    grid = EvalGrid(points=points, w=w)
+    want = first_missing(field, kernel, grid)
+    for block in (operators._BLOCK, BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_BLOCK", block)
+            with pytest.raises(MissingData) as err:
+                apply(op, field, kernel, grid.at_rates([w] * repeats))
+        assert (err.value.k, err.value.j) == want
+
+
+def traced_peak(call, box, grid_n, w):
+    """tracemalloc peak of a warm call, the grid built inside the trace."""
+    call(EvalGrid.regular(box, grid_n, w))  # warm: caches and first-call costs
+    tracemalloc.start()
+    try:
+        call(EvalGrid.regular(box, grid_n, w))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("op", ["gw", "sw", "gbs"])
+def test_a_call_holds_a_few_arrays_per_point(op):
+    # the per-point arrays of the core are a block's: from a 64 x 64 grid
+    # (one block) to a 256 x 256 one (sixteen) the peak grows by at most
+    # eight 8-byte arrays per point, the result and the grid's two point
+    # columns and two axis indices among them.  Gathering every point's
+    # weights and table positions at once grew it by about 24
+    w, kernel, f = 8.0, KERNELS["chibar3"], fn_lookup("gaussian")
+    source = LatticeField.from_function(f, w, -8, 40, -8, 40) if op == "gw" else f
+    box = admissible_box(source, kernel) if op == "gw" else (0.0, 0.0, 3.0, 3.0)
+
+    def call(grid):
+        apply(op, source, kernel, grid)
+
+    small, large = traced_peak(call, box, 64, w), traced_peak(call, box, 256, w)
+    assert large - small <= 8 * 8 * (256**2 - 64**2), (small, large)
+
+
 @pytest.mark.parametrize("kernel_name", ["chibar3", "m3_tensor"])
 def test_distinct_columns_of_several_rates_equal_those_of_each_rate(kernel_name):
     # rate after rate, the same rate twice too: each block holds that rate's
@@ -808,10 +949,12 @@ def test_distinct_columns_of_several_rates_equal_those_of_each_rate(kernel_name)
         idx, pos, counts = _distinct_columns(axis, len(rates))
         firsts = np.cumsum(counts) - counts
         for r, w in enumerate(rates):
-            cells, at, _ = _distinct_columns(_grid_windows(kernel, grid.at_rates([w]))[column])
+            alone_axis = _grid_windows(kernel, grid.at_rates([w]))[column]
+            cells, at, _ = _distinct_columns(alone_axis)
             assert idx[firsts[r] : firsts[r] + counts[r]].tolist() == cells.tolist()
-            read = [idx[p[r * n : (r + 1) * n]].tolist() for p in pos]
-            alone = [cells[p].tolist() for p in at]
+            # each point's positions, gathered from those of its axis value
+            read = [idx[p[axis.which[r * n : (r + 1) * n]]].tolist() for p in pos]
+            alone = [cells[p[alone_axis.which]].tolist() for p in at]
             assert read == alone + alone[-1:] * (len(read) - len(alone))
 
 

@@ -62,3 +62,18 @@ def test_benchmark_smoke_run():
     proc = run("perfbench/run.py", "--smoke", timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert proc.stdout.strip().splitlines()[-1] == "smoke: ok"
+
+
+def test_warm_calls_reports_one_workload():
+    # three warm calls of the smoke-size catalog workload: the report's
+    # lines, and the output digest that the golden test pins
+    proc = run("scripts/warm_calls.py", "catalog_sw", "--calls", "3", "--size", "smoke")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = dict(line.split(" ", 1) for line in proc.stdout.strip().splitlines())
+    assert report["workload"] == "catalog_sw seed 1 size smoke calls 3"
+    assert float(report["ms_per_call"]) > 0
+    assert float(report["minor_faults_per_call"]) >= 0
+    assert float(report["tracemalloc_peak_mb"]) > 0
+    assert report["sha256"] == (
+        "1b43fd32f17d619b6ff8d8b0066ea245ec4648800a97b9a9acc35289b180e696"
+    )
