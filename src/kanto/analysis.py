@@ -419,7 +419,7 @@ class ConvergenceTable:
 
 
 def _study_pass(op: Callable, f: Callable, kernel, grid: EvalGrid, rates, quad_order):
-    """op at the grid's points at each rate, rate-major, from one call.
+    """op at the grid's points at each of two or more rates, rate-major, in one call.
 
     The call pays the operator's per-call cost once for every rate, and
     runs its per-point work in blocks of points (see :mod:`kanto.operators`),
@@ -432,8 +432,7 @@ def _study_pass(op: Callable, f: Callable, kernel, grid: EvalGrid, rates, quad_o
     try:
         return op(f, kernel, grid.at_rates(rates), quad_order)
     except ValueError:
-        if len(rates) == 1:
-            raise
+        pass
     return np.concatenate([op(f, kernel, grid.at_rates([w]), quad_order) for w in rates])
 
 

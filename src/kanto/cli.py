@@ -24,7 +24,12 @@ import numpy as np
 
 from .csvio import Factored, write_csv
 from .functions import TestFunction, fn_lookup
-from .kernel1d import CentralBSpline, CombinationKernel, construct_combination_kernel
+from .kernel1d import (
+    CentralBSpline,
+    CombinationKernel,
+    _check_bspline_order,
+    construct_combination_kernel,
+)
 from .kernel2d import (
     MOMENT_GRID,
     MomentTable,
@@ -115,8 +120,14 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
 def _build_kernel(args) -> TensorKernel2D:
     if args.kernel == "bspline":
         axis = CentralBSpline(args.r)
-    else:
+    elif args.shifts is not None:
         axis = construct_combination_kernel(args.r, _parse_floats(args.shifts))
+    elif args.r == 3:  # one-sided, as ever, so that no r = 3 argv changes its output
+        axis = construct_combination_kernel(3, (2.0, 3.0, 4.0))
+    else:  # centred: i - (r - 1)/2, listed once the order is known to be in range
+        r = args.r
+        _check_bspline_order(r)
+        axis = construct_combination_kernel(r, [i - (r - 1) / 2 for i in range(r)])
     kernel = TensorKernel2D(axis, axis)
     validate_kernel(kernel)
     return kernel
@@ -276,8 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
     kernel_flags.add_argument("--r", type=int, default=3, help="kernel order")
     kernel_flags.add_argument(
         "--shifts",
-        default="2,3,4",
-        help="comma-separated shifts for the combination kernel",
+        help="comma-separated shifts for the combination kernel "
+        "(default: 2,3,4 at --r 3, else the centred i - (r-1)/2)",
     )
     out = _flag("--out", help="output CSV path (default: stdout)")
     fn = _flag("--fn", required=True, help="catalog function name")

@@ -20,8 +20,9 @@ values, and the boolean sum's two single-axis means once per (window
 cell, other-axis value) pair).  Quadrature rules stack their nodes in row
 blocks of up to ``_STACK`` elements, one source call a block.  The
 per-point work runs in equal blocks of at most ``_BLOCK`` points: a block
-gathers its points' window weights and table positions and runs over the
-window offsets in ascending (k, j) order; past a point's window a column
+finds once per axis the window columns its points reach, gathers its
+points' weights and table positions for those columns alone, and runs
+over them in ascending (k, j) order; past a point's window a column
 reads the window's last cell with weight exactly 0 and adds a zero.  No
 per-point array so outgrows a block, and each point gets the operations
 of a scalar loop over its own window, in its order, bit for bit.
@@ -51,7 +52,6 @@ import numpy as np
 
 from .csvio import Factored, write_csv, write_file
 from .functions import TestFunction, _evaluate
-from .kernel1d import Kernel1D
 from .kernel2d import TensorKernel2D, max_support_radius
 
 __all__ = [
@@ -363,11 +363,14 @@ class _AxisWindows(NamedTuple):
     cells: np.ndarray
     which: np.ndarray
 
-    def at(self, points: slice) -> list:
-        """The points' weights of each column that one of their windows reaches."""
+    def at(self, points: slice) -> Callable[[np.ndarray], list]:
+        """The gather of a block: rows of any (column, axis value) array at its points.
+
+        It takes only the columns that one of the points' windows reaches.
+        """
         which = self.which[points]
         reach = (self.cells[-1] - self.cells[0]).take(which).max(initial=-1) + 1
-        return [col.take(which) for col in self.weights[:reach]]
+        return lambda table: [row.take(which) for row in table[:reach]]
 
 
 def _window_offsets(
@@ -409,59 +412,50 @@ def _windows(
     return _AxisWindows(weights, cells, which)
 
 
-def _axis_windows(kernel: Kernel1D, ts: np.ndarray, which: np.ndarray) -> _AxisWindows:
-    """Windows of the points whose scaled coordinate is ``ts[which]``.
-
-    They are computed once per value of ts, in one kernel call, so each
-    point that reads them gets exactly the values it would get on its own.
-    """
-    offsets, last = _window_offsets(kernel.support, ts)
-    return _windows(kernel(ts - offsets), offsets, last, which)
-
-
 def _grid_windows(
     kernel: TensorKernel2D, grid: EvalGrid
 ) -> tuple[_AxisWindows, _AxisWindows]:
     """Both axes' windows, once per rate and axis value, from the grid's axes.
 
-    Axes that share one kernel object get their values from one call.
+    Each axis holds its values once per rate, rate after rate, and the
+    points at rate r read the windows at rate r.  Axes that share one
+    kernel object get their values from one call, others one call each.
     """
-    (xs, ix), (ys, iy) = grid.axes
     rates = grid.rates[:, None]
-    # an overflow to inf is left to the finiteness check of _window_offsets
-    with np.errstate(over="ignore"):
-        tx, ty = (rates * xs).ravel(), (rates * ys).ravel()
-    if len(rates) > 1:  # the points at rate r read the windows at rate r
-        rate = np.arange(len(rates))[:, None]
-        ix = (ix.reshape(len(rates), -1) + rate * len(xs)).ravel()
-        iy = (iy.reshape(len(rates), -1) + rate * len(ys)).ravel()
+    axes = []
+    for (values, index), kernel1d in zip(grid.axes, (kernel.kx, kernel.ky)):
+        # an overflow to inf is left to the finiteness check of _window_offsets
+        with np.errstate(over="ignore"):
+            ts = (rates * values).ravel()
+        offsets, last = _window_offsets(kernel1d.support, ts)
+        # one rate reads the grid's own index; a copy per call made glibc trim
+        # and refault the heap on each warm call at some checkout paths
+        first = np.arange(len(rates))[:, None] * len(values)  # each rate's first value
+        which = index if len(rates) == 1 else index.reshape(len(rates), -1) + first
+        axes.append((ts - offsets, offsets, last, which.ravel()))
+    (dx, *x), (dy, *y) = axes
     if kernel.kx is not kernel.ky:
-        return _axis_windows(kernel.kx, tx, ix), _axis_windows(kernel.ky, ty, iy)
-    (ox, lx), (oy, ly) = (_window_offsets(kernel.kx.support, t) for t in (tx, ty))
-    dx, dy = tx - ox, ty - oy
-    values = kernel.kx(np.concatenate([dx.ravel(), dy.ravel()]))
-    return (
-        _windows(values[: dx.size].reshape(dx.shape), ox, lx, ix),
-        _windows(values[dx.size :].reshape(dy.shape), oy, ly, iy),
-    )
+        return _windows(kernel.kx(dx), *x), _windows(kernel.ky(dy), *y)
+    vx, vy = np.split(kernel.kx(np.concatenate([dx.ravel(), dy.ravel()])), [dx.size])
+    return _windows(vx.reshape(dx.shape), *x), _windows(vy.reshape(dy.shape), *y)
 
 
-def _windowed_sum(
-    kx: _AxisWindows, ky: _AxisWindows, terms: Callable[[slice], Callable]
-) -> np.ndarray:
+def _windowed_sum(kx: _AxisWindows, ky: _AxisWindows, terms: Callable) -> np.ndarray:
     """sum over each point's window of (cx * cy) * term, a block of points at a time.
 
     The points run in order, in equal blocks of at most ``_BLOCK``, each
-    block's arrays gone before the next one's are gathered: ``terms(s)``
-    gives ``term(a, b)``, the summand of window column (a, b) at each point
-    of slice s.  A block runs only the columns its windows reach.
+    block's arrays gone before the next one's are gathered.  A block runs
+    only the columns its windows reach: ``terms(s, gx, gy)`` gives
+    ``term(a, b)``, the summand of window column (a, b) at each point of
+    slice s, from the block's gathers of the two axes (:meth:`_AxisWindows.at`).
     """
     n = len(kx.which)
     out = np.zeros(n)
     count = -(-n // _BLOCK)
     for block in range(count):
         s = slice(n * block // count, n * (block + 1) // count)
-        _add_windows(out[s], kx.at(s), ky.at(s), terms(s))
+        gx, gy = kx.at(s), ky.at(s)
+        _add_windows(out[s], gx(kx.weights), gy(ky.weights), terms(s, gx, gy))
     return out
 
 
@@ -483,16 +477,16 @@ def _add_windows(acc: np.ndarray, wx: list, wy: list, term: Callable) -> None:
         raise ValueError("the series overflows; scale the source values down") from None
 
 
-def _gather(flat: np.ndarray, starts, cols, kx: _AxisWindows, ky: _AxisWindows):
-    """terms(s) of a flat table: entry ``starts[a] + cols[b]`` at each point of s.
+def _gather(flat: np.ndarray, starts: np.ndarray, cols: np.ndarray) -> Callable:
+    """terms of a flat table: entry ``starts[a] + cols[b]`` at each point of a block.
 
     The offsets, per axis value, are gathered to the block's points, and
     each term is one flat ``take``, which is faster than 2-D fancy indexing
     and gives the same values.
     """
 
-    def terms(s: slice) -> Callable:
-        sx, sy = [r.take(kx.which[s]) for r in starts], [c.take(ky.which[s]) for c in cols]
+    def terms(s: slice, gx: Callable, gy: Callable) -> Callable:
+        sx, sy = gx(starts), gy(cols)
         return lambda a, b: flat.take(sx[a] + sy[b])
 
     return terms
@@ -545,7 +539,6 @@ def _distinct_columns(axis: _AxisWindows, rates: int = 1) -> tuple:
 
 def _index_table(
     f: Callable,
-    windows: tuple[_AxisWindows, _AxisWindows],
     columns: tuple,
     w: np.ndarray,
     kind: str,
@@ -554,7 +547,7 @@ def _index_table(
     """The ``kind`` values of f over the distinct window indices of each axis.
 
     ``columns`` are the :func:`_distinct_columns` of the two axes'
-    ``windows``, and ``w`` holds each rate.  The values are tabulated once,
+    windows, and ``w`` holds each rate.  The values are tabulated once,
     on each rate's rectangle of those indices (not on their whole range,
     which a coarse grid at a high rate would make large), and read by
     :func:`_gather`.  One rectangle keeps the broadcast shape of its axes, on which
@@ -587,7 +580,7 @@ def _index_table(
             f"({k / w:.6g}, {j / w:.6g}), at lattice rate {w!r}; choose a "
             "rate at which the source is finite on the cells k/w"
         )
-    return _gather(table.ravel(), starts, cols, *windows)
+    return _gather(table.ravel(), starts, cols)
 
 
 def _axis_means(
@@ -598,7 +591,7 @@ def _axis_means(
     w,
     quad_order: int,
 ) -> Callable:
-    """Row a, for block s: at each point i, the mean of g(., t[i]) over column a's cell.
+    """Per block, row a: at each point i, the mean of g(., t[i]) over column a's cell.
 
     ``columns`` are the :func:`_distinct_columns` of ``axis``, ``w`` each
     rate (or the one rate), and ``other`` is the grid's other axis:
@@ -606,26 +599,26 @@ def _axis_means(
     same values at every rate.  The means are tabulated once per (cell,
     value) pair, on the rectangle of the distinct cells of every rate and
     the other axis's values (on a tensor grid, exactly the pairs that
-    occur), each cell at its rate, and each column reads the table with one
-    flat ``take``.  Where that rectangle is larger than window columns
-    times points (scattered points), the means are taken per point, a block
-    of points at a time, instead.  Either way g gets the same (u, t) pairs,
-    and each mean the same operations.
+    occur), each cell at its rate, and each row is one flat ``take`` of it.
+    Where that rectangle is larger than window columns times points
+    (scattered points), the means are taken per point instead.  Either way
+    a block gets the rows of the columns its gather reaches, g gets the
+    same (u, t) pairs, and each mean the same operations.
     """
     cells, pos, counts = columns
     values, which = other
     if cells.size * values.size > len(pos) * which.size:
         rate = np.repeat(w, axis.cells.shape[1] // len(counts))  # per axis value
 
-        def means(s: slice) -> list:
-            at, t = axis.which[s], values[which[s]]
-            return list(_stacked_mean(g, axis.cells[:, at], t, rate.take(at), quad_order))
+        def means(s: slice, gather: Callable) -> list:
+            cells, t = np.array(gather(axis.cells)), values[which[s]]
+            return list(_stacked_mean(g, cells, t, rate.take(axis.which[s]), quad_order))
 
         return means
     w = np.repeat(w, counts)[:, None]
     flat = _stacked_mean(g, cells[:, None], values, w, quad_order).ravel()
     starts = pos * values.size
-    return lambda s: [flat.take(p.take(axis.which[s]) + which[s]) for p in starts]
+    return lambda s, gather: [flat.take(p + which[s]) for p in gather(starts)]
 
 
 def _check_coverage(field: LatticeField, kx: _AxisWindows, ky: _AxisWindows) -> None:
@@ -656,10 +649,10 @@ def _lattice_series(
     grid: EvalGrid,
     quad_order: int | None,
 ) -> np.ndarray:
-    kx, ky = windows = _grid_windows(kernel, grid)
+    kx, ky = _grid_windows(kernel, grid)
     if not isinstance(field, LatticeField):
-        columns = [_distinct_columns(axis, len(grid.rates)) for axis in windows]
-        table = _index_table(field, windows, columns, grid.rates, kind, quad_order)
+        columns = [_distinct_columns(axis, len(grid.rates)) for axis in (kx, ky)]
+        table = _index_table(field, columns, grid.rates, kind, quad_order)
         return _windowed_sum(kx, ky, table)
     # before coverage, so that a box the MissingData hint offers can run
     if field.kind != kind:
@@ -670,7 +663,7 @@ def _lattice_series(
     _check_coverage(field, kx, ky)
     # _check_coverage has put every window within the field
     starts = (kx.cells - field.kmin) * field.values.shape[1]
-    table = _gather(field.values.ravel(), starts, ky.cells - field.jmin, kx, ky)
+    table = _gather(field.values.ravel(), starts, ky.cells - field.jmin)
     acc = _windowed_sum(kx, ky, table)
     # a NaN result means a hole in some window: report the first one, in
     # point order and then ascending (k, j)
@@ -722,15 +715,15 @@ def apply_gbs(
     f = field
     w = grid.rates
     x, y = grid.axes
-    kx, ky = windows = _grid_windows(kernel, grid)
-    columns_x, columns_y = columns = [_distinct_columns(axis, len(w)) for axis in windows]
-    cell = _index_table(f, windows, columns, w, KIND_CELL_AVERAGES, quad_order)
+    kx, ky = _grid_windows(kernel, grid)
+    columns_x, columns_y = columns = [_distinct_columns(axis, len(w)) for axis in (kx, ky)]
+    cell = _index_table(f, columns, w, KIND_CELL_AVERAGES, quad_order)
     # row a: mean over window column a of the point's axis, through the point
     mean_u = _axis_means(f, kx, columns_x, y, w, quad_order)
     mean_v = _axis_means(lambda v, x: f(x, v), ky, columns_y, x, w, quad_order)
 
-    def terms(s: slice) -> Callable:
-        u, v, c = mean_u(s), mean_v(s), cell(s)
+    def terms(s: slice, gx: Callable, gy: Callable) -> Callable:
+        u, v, c = mean_u(s, gx), mean_v(s, gy), cell(s, gx, gy)
         return lambda a, b: v[b] + u[a] - c(a, b)
 
     return _windowed_sum(kx, ky, terms)

@@ -51,7 +51,7 @@ COMMON_FLAGS = {
     "--help": (argparse.SUPPRESS, None, False, None),
     "--kernel": ("combo", ["bspline", "combo"], False, None),
     "--r": (3, None, False, int),
-    "--shifts": ("2,3,4", None, False, None),
+    "--shifts": (None, None, False, None),
     "--out": (None, None, False, None),
 }
 FN = {"--fn": (None, None, True, None)}
@@ -166,6 +166,26 @@ class TestKernelInfo:
         assert table["moment_order"] == 3.0
         assert table["partition_deviation"] <= 1e-8
         assert table["coeff_0"] == pytest.approx(47.0 / 8.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "r, shifts",
+        [(2, "-0.5,0.5"), (3, "2,3,4"), (4, "-1.5,-0.5,0.5,1.5"), (5, "-2,-1,0,1,2")],
+    )
+    def test_default_shifts_per_order(self, r, shifts, tmp_path):
+        # without --shifts, r = 3 keeps the one-sided 2,3,4 and any other
+        # order gets the centred i - (r - 1)/2; with 2,3,4 for every order,
+        # r = 2, 4 and 5 exited 2 ("needs r shifts, got 3")
+        default, given = tmp_path / "default.csv", tmp_path / "given.csv"
+        argv = ["kernel-info", "--kernel", "combo", "--r", str(r)]
+        assert cli.main([*argv, "--out", str(default)]) == 0
+        assert cli.main([*argv, f"--shifts={shifts}", "--out", str(given)]) == 0
+        assert default.read_bytes() == given.read_bytes()
+        table = {n: float(v) for n, v in parse_csv(default.read_text())[1]}
+        assert [table[f"shift_{i}"] for i in range(r)] == [float(s) for s in shifts.split(",")]
+        assert table["moment_order"] == r
+        assert table["partition_deviation"] <= 1e-8
+        if r != 3:
+            assert 1.0 <= table["abs_mass"] < 2.0
 
     def test_plain_spline(self):
         proc = run_cli("kernel-info", "--kernel", "bspline", "--r", "3")

@@ -22,7 +22,9 @@ Gauss-Legendre rules, their nodes stacked in blocks of rows, must equal
 nested scalar loops bit for bit at every block size, and no source call
 may get more elements than the block cap or one node's values.  A grid
 that holds its points once per lattice rate must give each point the bits
-of a call at its own rate, from one kernel call.
+of a call at its own rate, from one kernel call.  A block of points gathers
+only the window columns that its points reach, and blocks of any size give
+the bits of one block.
 """
 
 import contextlib
@@ -60,9 +62,10 @@ from kanto.operators import (
     KIND_SAMPLES,
     QUAD_ORDER_MAX,
     _axis_means,
-    _axis_windows,
     _distinct_columns,
     _grid_windows,
+    _window_offsets,
+    _windows,
 )
 
 _chi3 = construct_combination_kernel(3, (2.0, 3.0, 4.0))
@@ -351,6 +354,12 @@ def test_missing_data_reports_the_scalar_index(w, kernel_name, op, pad, points, 
         assert (err.value.k, err.value.j) == want
 
 
+def axis_windows(kernel, ts, which):
+    """Windows of the points whose scaled coordinate is ``ts[which]``, per value of ts."""
+    offsets, last = _window_offsets(kernel.support, ts)
+    return _windows(kernel(ts - offsets), offsets, last, which)
+
+
 def per_point_windows(kernel, t):
     """Window ends and column weights evaluated at every point, repeats and all."""
     lo, hi = kernel.support
@@ -398,11 +407,11 @@ def test_axis_windows_per_distinct_coordinate_match_per_point(axis, kernel_name)
     kernel = AXIS_KERNELS[kernel_name]
     ts, which = axis
     t = ts[which]
-    got = _axis_windows(kernel, ts, which)
+    got = axis_windows(kernel, ts, which)
     assert got.which is which
     first, last, weights = per_point_windows(kernel, t)
     cells = got.cells[:, got.which]
-    got_weights = got.at(slice(None))  # as a block of every point gathers them
+    got_weights = got.at(slice(None))(got.weights)  # as a block of every point gathers them
     assert len(cells) == len(got_weights) == len(weights)
     # the window ends, and past its last cell a column reads that cell again
     assert cells[0].tolist() == first.tolist()
@@ -516,7 +525,7 @@ def test_gbs_evaluates_scattered_points_per_point(w, quad_order):
     f = Counting(fn_lookup("sin_x_cos_y"))
     apply_gbs(f, KERNELS["chibar3"], grid, quad_order)
     assert f.calls == quad_order + 2
-    columns = len(_axis_windows(_chi3, w * t, np.arange(len(t))).weights)
+    columns = len(axis_windows(_chi3, w * t, np.arange(len(t))).weights)
     cells = distinct_cells(_chi3, w * t)
     assert cells * len(t) > columns * len(t)
     assert f.sizes[:quad_order] == [quad_order * cells * cells] * quad_order
@@ -550,7 +559,7 @@ def test_stacked_nodes_stay_within_the_cap(op, scattered):
     if op == "gbs":
         # the axis means: distinct cells by the 4 values of the other axis,
         # or per point on the diagonal, window columns by points
-        columns = len(_axis_windows(_chi3, 40.0 * t, np.arange(4)).weights)
+        columns = len(axis_windows(_chi3, 40.0 * t, np.arange(4)).weights)
         want += block_sizes((columns if scattered else cells) * 4, q, cap) * 2
     assert f.sizes == want
     assert max(f.sizes) <= cap
@@ -642,12 +651,14 @@ def test_stacked_axis_means_match_scalar_loops(
         n = min(len(xs), len(ys))
         ix, iy = np.arange(n), np.arange(n)[::-1]
     xs, ys = np.array(xs), np.array(ys)
-    axis = _axis_windows(_chi3, w * xs, ix)
+    axis = axis_windows(_chi3, w * xs, ix)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "_STACK", cap)
         means = _axis_means(g, axis, _distinct_columns(axis), Factored(ys, iy), w, quad_order)
-        got = means(slice(0, len(ix)))  # one block of every point
-    assert len(got) == len(axis.cells)
+        block = slice(0, len(ix))  # one block of every point
+        got = means(block, axis.at(block))
+    # the columns that the widest window of the points reaches
+    assert len(got) == 1 + (axis.cells[-1] - axis.cells[0])[ix].max()
     for row, cells_of in zip(got, axis.cells):
         want = [
             scalar_mean(lambda u: g(u, ys[b]), cells_of[a], w, quad_order)
@@ -858,6 +869,50 @@ def test_blocks_of_points_give_the_bits_of_one_block(
     assert len(sizes) == -(-size // BLOCK) and sum(sizes) == size
     assert max(sizes) - min(sizes) <= 1 and max(sizes) <= BLOCK
     assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize(
+    "op, via_field", [("gw", False), ("gw", True), ("sw", False), ("gbs", False)]
+)
+def test_a_block_of_narrower_windows_gathers_one_row_fewer(monkeypatch, op, via_field):
+    # chibar3's support is [0.5, 5.5]: at w = 4 the window of x holds 6
+    # columns where 4x - 0.5 is an integer and 5 elsewhere.  In blocks of 3
+    # points, the first block's x windows are all 5 wide, the second's all
+    # 6, and every y window is 5 wide.  Each gather of a block (weights,
+    # table positions, axis-mean rows, the cells of per-point means) takes
+    # the rows its block reaches: on x one fewer in the first block than in
+    # the second.  The gbs means of x are tabulated, those of y per point
+    w, kernel, f = 4.0, KERNELS["chibar3"], fn_lookup("sin_x_cos_y")
+    xs = [0.3, 0.55, 0.8, 0.375, 0.625, 0.875]
+    points = [(x, y) for x, y in zip(xs, [0.3, 0.55] * 3)]
+    source = LatticeField.from_function(f, w, -8, 8, -8, 8) if via_field else f
+    grid = EvalGrid(points=points, w=w)
+    want = apply(op, source, kernel, grid)  # one block
+    at, taken = operators._AxisWindows.at, []
+
+    def recording(self, block):
+        gather, rows = at(self, block), []
+        taken.append(rows)
+
+        def counted(table):
+            got = gather(table)
+            rows.append((len(table), len(got)))
+            return got
+
+        return counted
+
+    monkeypatch.setattr(operators, "_BLOCK", 3)
+    monkeypatch.setattr(operators._AxisWindows, "at", recording)
+    got = apply(op, source, kernel, grid)
+    # per block, x then y; x tables hold 6 rows, y tables 5, and the per-point
+    # means gather a 1-row table of rates
+    gathers = 3 if op == "gbs" else 2
+    for rows, reach in zip(taken, [5, 5, 6, 5]):
+        assert [got for n, got in rows if n > 1] == [reach] * gathers
+        assert all(got == min(n, reach) for n, got in rows)
+    assert len(taken) == 4
+    assert bits(got) == bits(want)
+    assert got.tolist() == [oracle(op, source, kernel, w, x, y) for x, y in points]
 
 
 @settings(max_examples=60, deadline=None)
