@@ -81,7 +81,6 @@ QUAD_ORDER = 5
 QUAD_ORDER_MAX = 256
 _STACK = 2**16  # elements a block of stacked quadrature nodes gives a source
 _BLOCK = 2**12  # points a block of the windowed sum gathers its arrays for
-_CELL_SPAN = 4  # widest cell range per window cell mapped without a sort
 EVAL_GRID = 20  # points per axis of the default evaluation grid
 
 
@@ -498,42 +497,31 @@ def _distinct_columns(axis: _AxisWindows, rates: int = 1) -> tuple:
     The axis values fall in ``rates`` equal runs, one per lattice rate.  The
     distinct cells run rate by rate, ``counts[r]`` of rate r in ascending
     order, and ``pos[a, d]`` is the position among them of the cell that
-    window column a of axis value d reads.  Rate r's cells are integers
-    from ``lo[r]`` to ``hi[r]``, keyed ``cell - lo[r]`` plus the spans of
-    the rates before it, so that no two rates share a key.  Where each
-    rate's range spans at most ``_CELL_SPAN`` times as many integers as it
-    has window cells, a presence mask over the keys gives the distinct
-    cells in order and a running count of it each cell's position, with no
-    sort.  A wider range (a coarse grid at a high rate) would make the mask
-    large, and ``np.unique`` sorts each rate's cells instead.  Both give the
-    same cells and positions.
+    window column a of axis value d reads.  Window d reads every cell from
+    ``cells[0, d]`` to ``cells[-1, d]``.  Taken in order of their first
+    cells (the order of an ascending axis; any other axis is sorted so),
+    each window adds the cells past the last one read before it, so that
+    one running maximum gives each window's new cells, and the cells of
+    window d sit at ``cell - shift[d]``.  Nothing is sorted or masked on
+    an ascending axis, and the work is bounded by the number of windows
+    and columns, however far apart the windows lie.
     """
     cells = axis.cells.reshape(len(axis.cells), rates, -1)
-    if cells.size:
-        # columns ascend: the first holds each rate's least cell, the last its most
-        lo, hi = cells[0].min(1), cells[-1].max(1)
-    else:
-        lo = hi = np.zeros(rates, dtype=np.int64)
-    span = hi - lo + 1
-    if (span <= _CELL_SPAN * (cells.size // rates)).all():
-        ends = np.cumsum(span)  # rate r keys its cells below ends[r]
-        shift = lo + span - ends
-        keys = (cells - shift[:, None]).reshape(len(cells), -1)
-        present = np.zeros(ends[-1], dtype=bool)
-        present[keys] = True
-        seen = np.cumsum(present)
-        counts = seen[ends - 1]  # distinct cells up to each rate's end
-        counts[1:] -= seen[ends[:-1] - 1]
-        idx = np.flatnonzero(present) + np.repeat(shift, counts)
-        pos = (seen - 1)[keys]
-    else:
-        idx, pos, counts = [], [], []
-        for run in cells.swapaxes(0, 1):
-            found, where = np.unique(run, return_inverse=True)
-            idx.append(found)
-            pos.append(where.reshape(run.shape) + sum(counts))
-            counts.append(len(found))
-        idx, pos, counts = np.concatenate(idx), np.concatenate(pos, 1), np.array(counts)
+    first, last = cells[0], cells[-1]
+    order = None
+    if (first[:, 1:] < first[:, :-1]).any():
+        order = np.argsort(first, 1)
+        first, last = (np.take_along_axis(a, order, 1) for a in (first, last))
+    read = np.maximum.accumulate(last, 1)  # the last cell read up to each window
+    start = np.maximum(first, np.concatenate([first[:, :1], read[:, :-1] + 1], 1))
+    new = np.maximum(last - start + 1, 0)  # the cells each window adds
+    counts = new.sum(1)
+    shift = start - (np.cumsum(new, 1) - new) - (np.cumsum(counts) - counts)[:, None]
+    if order is not None:
+        np.put_along_axis(shift, order, shift.copy(), 1)
+    pos = (cells - shift).reshape(axis.cells.shape)
+    idx = np.empty(counts.sum(), dtype=np.int64)
+    idx[pos] = axis.cells
     return idx, pos, counts
 
 
@@ -590,6 +578,7 @@ def _axis_means(
     other: Factored,
     w,
     quad_order: int,
+    names: str = "xy",
 ) -> Callable:
     """Per block, row a: at each point i, the mean of g(., t[i]) over column a's cell.
 
@@ -603,7 +592,9 @@ def _axis_means(
     Where that rectangle is larger than window columns times points
     (scattered points), the means are taken per point instead.  Either way
     a block gets the rows of the columns its gather reaches, g gets the
-    same (u, t) pairs, and each mean the same operations.
+    same (u, t) pairs, and each mean the same operations.  A mean that is
+    not finite is an error naming its cell, t and rate; ``names`` names the
+    averaged axis and the other one.
     """
     cells, pos, counts = columns
     values, which = other
@@ -612,13 +603,32 @@ def _axis_means(
 
         def means(s: slice, gather: Callable) -> list:
             cells, t = np.array(gather(axis.cells)), values[which[s]]
-            return list(_stacked_mean(g, cells, t, rate.take(axis.which[s]), quad_order))
+            w = rate.take(axis.which[s])
+            return list(_finite_means(g, cells, t, w, quad_order, names))
 
         return means
     w = np.repeat(w, counts)[:, None]
-    flat = _stacked_mean(g, cells[:, None], values, w, quad_order).ravel()
+    flat = _finite_means(g, cells[:, None], values, w, quad_order, names).ravel()
     starts = pos * values.size
     return lambda s, gather: [flat.take(p + which[s]) for p in gather(starts)]
+
+
+def _finite_means(g: Callable, k, t, w, quad_order: int, names: str) -> np.ndarray:
+    """:func:`_stacked_mean`, raising at the first mean that is not finite."""
+    with np.errstate(all="ignore"):
+        mean = _stacked_mean(g, k, t, w, quad_order)
+    finite = np.isfinite(mean)
+    if not finite.all():
+        k, t, w = (np.broadcast_to(a, mean.shape).flat[finite.argmin()] for a in (k, t, w))
+        k, t, w = int(k), float(t), float(w)
+        raise ValueError(
+            f"source is not finite over lattice cell {k} of {names[0]}, from "
+            f"{k / w:.6g} to {(k + 1) / w:.6g}, at {names[1]} = {t!r} (the line "
+            f"of a point), at lattice rate {w!r}; the boolean sum averages the "
+            "source along each point's lines, so keep the points off the lines "
+            "where it is not finite"
+        )
+    return mean
 
 
 def _check_coverage(field: LatticeField, kx: _AxisWindows, ky: _AxisWindows) -> None:
@@ -720,7 +730,7 @@ def apply_gbs(
     cell = _index_table(f, columns, w, KIND_CELL_AVERAGES, quad_order)
     # row a: mean over window column a of the point's axis, through the point
     mean_u = _axis_means(f, kx, columns_x, y, w, quad_order)
-    mean_v = _axis_means(lambda v, x: f(x, v), ky, columns_y, x, w, quad_order)
+    mean_v = _axis_means(lambda v, x: f(x, v), ky, columns_y, x, w, quad_order, "yx")
 
     def terms(s: slice, gx: Callable, gy: Callable) -> Callable:
         u, v, c = mean_u(s, gx), mean_v(s, gy), cell(s, gx, gy)

@@ -16,8 +16,8 @@ reads the window's last cell with weight exactly 0, also where the kernel
 itself rounds to a tiny nonzero value there.  A regular grid's axes, taken
 from its ``linspace`` arrays, must reproduce its points and give every
 operator the same bits as the axes found from the points alone.  The
-distinct window cells, mapped without a sort where their range is narrow,
-must equal ``np.unique`` of the cells on regular and scattered grids.  The
+distinct window cells, found without a sort on an ascending axis, must
+equal ``np.unique`` of the cells on regular and scattered grids.  The
 Gauss-Legendre rules, their nodes stacked in blocks of rows, must equal
 nested scalar loops bit for bit at every block size, and no source call
 may get more elements than the block cap or one node's values.  A grid
@@ -748,8 +748,8 @@ def sorted_columns(axis):
 def scattered_grids(draw):
     """Up to 8 points (none at all too) in a square of half-width up to 1e4.
 
-    Their windows range from overlapping to far apart, where the cell range
-    is too wide for a presence mask.
+    Their windows range from overlapping to far apart, and negative
+    coordinates put the axis values out of ascending order.
     """
     half = draw(st.sampled_from([0.1, 1.0, 100.0, 1e4]))
     coordinate = st.floats(-half, half)
@@ -1013,18 +1013,32 @@ def test_distinct_columns_of_several_rates_equal_those_of_each_rate(kernel_name)
             assert read == alone + alone[-1:] * (len(read) - len(alone))
 
 
+# the windows of bare points come in the bit-pattern order of the axis
+# values, which puts negative coordinates after positive ones, descending
+BARE = EvalGrid(points=[(-0.3, 0.6), (0.4, -0.2), (-0.7, 0.1)], w=10.0)
+
+
 @pytest.mark.parametrize(
     "grid, sorts",
-    [(EvalGrid.regular((-1.0, -1.0, 2.0, 2.0), 20, 40.0), 0), (WIDE, 1)],
+    [
+        (EvalGrid.regular((-1.0, -1.0, 2.0, 2.0), 20, 40.0), []),
+        (WIDE, []),
+        (BARE, ["argsort", "argsort"]),
+    ],
+    ids=["regular", "wide", "bare"],
 )
-def test_distinct_columns_sort_only_a_wide_cell_range(monkeypatch, grid, sorts):
+def test_distinct_columns_sort_only_an_axis_that_does_not_ascend(monkeypatch, grid, sorts):
     axes = _grid_windows(KERNELS["chibar3"], grid)
     calls = []
-    unique = np.unique
-    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+
+    def counted(search):
+        return lambda *a, **k: calls.append(search.__name__) or search(*a, **k)
+
+    for search in (np.sort, np.unique, np.argsort):
+        monkeypatch.setattr(np, search.__name__, counted(search))
     for axis in axes:
         _distinct_columns(axis)
-    assert len(calls) == sorts
+    assert calls == sorts
 
 
 @pytest.mark.parametrize("op", ["sw", "gbs"])

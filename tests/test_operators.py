@@ -431,6 +431,35 @@ class TestBooleanSum:
             slow = apply_sw(g, m3_tensor, single)[0]
             assert fast[idx] == pytest.approx(slow, abs=1e-10)
 
+    # 1 / (y - 0.5) has finite cell averages, but its mean over a cell of x
+    # on the line y = 0.5 is not: was "the series overflows" after a
+    # RuntimeWarning (divide by zero)
+    def test_source_not_finite_on_the_line_of_a_grid_point(self, chibar3):
+        # a regular grid tabulates the means on the rectangle of cells and y
+        grid = EvalGrid.regular((0.0, 0.3, 1.0, 0.7), 3, 10.0)
+        message = (
+            "source is not finite over lattice cell -5 of x, from -0.5 to -0.4, "
+            "at y = 0.5 (the line of a point), at lattice rate 10.0; "
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_gbs(lambda x, y: 1.0 / (y - 0.5) + 0 * x, chibar3, grid)
+
+    @pytest.mark.parametrize(
+        "f, cell",
+        [
+            (lambda x, y: 1 / (y - 0.5) + 0 * x, "cell -2 of x, from -0.2 to -0.1, at y = 0.5"),
+            (lambda x, y: 1 / (x - 0.3) + 0 * y, "cell 0 of y, from 0 to 0.1, at x = 0.3"),
+        ],
+        ids=["x_cell", "y_cell"],
+    )
+    def test_source_not_finite_on_the_line_of_a_bare_point(self, chibar3, f, cell):
+        # the y windows of these two points lie apart, so the means over y
+        # are taken point by point (those over x on the rectangle)
+        grid = EvalGrid(points=[(0.3, 0.5), (0.31, 0.2)], w=10.0)
+        message = f"source is not finite over lattice {cell} (the line of a point), "
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_gbs(f, chibar3, grid)
+
     def test_rejects_lattice_field(self, m3_tensor):
         field = LatticeField.from_function(fn_lookup("x"), 10.0, -5, 15, -5, 15)
         grid = EvalGrid(points=[(0.5, 0.5)], w=10.0)

@@ -72,6 +72,8 @@ def test_warm_calls_reports_one_workload():
     report = dict(line.split(" ", 1) for line in proc.stdout.strip().splitlines())
     assert report["workload"] == "catalog_sw seed 1 size smoke calls 3"
     assert float(report["ms_per_call"]) > 0
+    q1, q3 = map(float, report["cpu_ms_quartiles"].split())
+    assert 0 <= q1 <= float(report["cpu_ms_per_call"]) <= q3
     assert float(report["minor_faults_per_call"]) >= 0
     assert float(report["tracemalloc_peak_mb"]) > 0
     assert report["sha256"] == (
