@@ -8,6 +8,8 @@ analysis module evaluates the matching error bounds so every reconstruction
 can be compared against its guarantee.
 """
 
+import importlib
+
 from .functions import (
     CATALOG,
     TestFunction,
@@ -49,34 +51,19 @@ from .operators import (
 
 __version__ = "0.1.0"
 
-# The analysis names load kanto.analysis on first use (PEP 562): of the
-# subcommands only bounds, converge and gbs need it, and every cold run
-# compiles what it imports.
-_ANALYSIS = frozenset({
-    "BoundReport",
-    "ConvergenceTable",
-    "FunctionProfile",
-    "KFunctionalConstants",
-    "build_bound_report",
-    "convergence_study",
-    "gbs_differential_bound",
-    "gbs_modulus_bound",
-    "gw_error_bound",
-    "inverse_result_probe",
-    "kfunctional_constants",
-    "mixed_modulus_estimate",
-    "polynomial_reproduction_check",
-    "sw_remainder_bound",
-})
+# The names of analysis.__all__ load kanto.analysis on first use (PEP 562):
+# of the subcommands only bounds, converge and gbs need it, and every cold
+# run compiles what it imports.  import_module, because ``from . import
+# analysis`` would probe this __getattr__ for "analysis" and recurse.
 
 
 def __getattr__(name: str):
-    if name in _ANALYSIS:
-        from . import analysis
-
-        return getattr(analysis, name)
+    if not name.startswith("__"):
+        analysis = importlib.import_module(".analysis", __name__)
+        if name in analysis.__all__:
+            return getattr(analysis, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list:
-    return sorted({*globals(), *_ANALYSIS})
+    return sorted({*globals(), *importlib.import_module(".analysis", __name__).__all__})

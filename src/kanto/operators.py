@@ -189,22 +189,29 @@ def _check_box(box: tuple[float, float, float, float]) -> None:
 
 
 def _factor(t: np.ndarray) -> Factored:
-    """The distinct values of t, told apart by bit pattern, and each one's index."""
-    bits, index = np.unique(t.view(np.uint64), return_inverse=True)
-    return Factored(bits.view(np.float64), index)
+    """The distinct values of t, told apart by bit pattern, and each one's index.
+
+    The values ascend, with -0.0 just before 0.0: each one is keyed by its
+    int64 bits with every bit but the sign flipped on a negative, which
+    orders the keys as the values, and the same flip gives the bits back.
+    """
+    bits = t.view(np.int64)
+    keys, index = np.unique(bits ^ (bits >> 63 & (2**63 - 1)), return_inverse=True)
+    return Factored((keys ^ (keys >> 63 & (2**63 - 1))).view(np.float64), index)
 
 
 @dataclass(frozen=True)
 class EvalGrid:
     """Evaluation points (N x 2 array, row-major build order) at lattice rate w.
 
-    ``axes`` holds each axis as a :class:`~kanto.csvio.Factored`: values and
-    each point's index into them, so that ``values[index]`` is that column
-    of ``points`` bit for bit.  :meth:`regular` takes them from its
-    ``linspace`` axes; otherwise they are the distinct coordinates (told
-    apart by bit pattern, so 0.0 and -0.0 stay apart), found once, on first
-    use.  An axis may hold one value twice; both copies get the same
-    windows.  ``points`` is a read-only view, so that the axes stay true.
+    ``axes`` holds each axis as a :class:`~kanto.csvio.Factored`: values in
+    ascending order and each point's index into them, so that
+    ``values[index]`` is that column of ``points`` bit for bit.
+    :meth:`regular` takes them from its ``linspace`` axes; otherwise they
+    are the distinct coordinates (told apart by bit pattern, so -0.0 comes
+    just before 0.0), found once, on first use.  An axis may hold one value
+    twice; both copies get the same windows.  ``points`` is a read-only
+    view, so that the axes stay true.
 
     ``rates`` holds the lattice rates as an array: ``[w]`` here, and on a
     grid of :meth:`at_rates` one run of points per rate.
@@ -237,6 +244,8 @@ class EvalGrid:
         never found again.
         """
         rates = [_check_rate(w) for w in rates]
+        if not rates:
+            raise ValueError("lattice rate w must be finite and > 0, got no rate")
         if len(rates) == 1:
             grid = EvalGrid(points=self.points, w=rates[0])
             object.__setattr__(grid, "axes", self.axes)
@@ -498,27 +507,19 @@ def _distinct_columns(axis: _AxisWindows, rates: int = 1) -> tuple:
     distinct cells run rate by rate, ``counts[r]`` of rate r in ascending
     order, and ``pos[a, d]`` is the position among them of the cell that
     window column a of axis value d reads.  Window d reads every cell from
-    ``cells[0, d]`` to ``cells[-1, d]``.  Taken in order of their first
-    cells (the order of an ascending axis; any other axis is sorted so),
-    each window adds the cells past the last one read before it, so that
-    one running maximum gives each window's new cells, and the cells of
-    window d sit at ``cell - shift[d]``.  Nothing is sorted or masked on
-    an ascending axis, and the work is bounded by the number of windows
+    ``cells[0, d]`` to ``cells[-1, d]``.  Every axis ascends (see
+    :attr:`EvalGrid.axes`), so within a rate both window ends ascend, and
+    the cells a window adds start one past the last cell of the window
+    before it; the cells of window d sit at ``cell - shift[d]``.  Nothing
+    is sorted or masked, and the work is bounded by the number of windows
     and columns, however far apart the windows lie.
     """
     cells = axis.cells.reshape(len(axis.cells), rates, -1)
     first, last = cells[0], cells[-1]
-    order = None
-    if (first[:, 1:] < first[:, :-1]).any():
-        order = np.argsort(first, 1)
-        first, last = (np.take_along_axis(a, order, 1) for a in (first, last))
-    read = np.maximum.accumulate(last, 1)  # the last cell read up to each window
-    start = np.maximum(first, np.concatenate([first[:, :1], read[:, :-1] + 1], 1))
+    start = np.maximum(first, np.concatenate([first[:, :1], last[:, :-1] + 1], 1))
     new = np.maximum(last - start + 1, 0)  # the cells each window adds
     counts = new.sum(1)
     shift = start - (np.cumsum(new, 1) - new) - (np.cumsum(counts) - counts)[:, None]
-    if order is not None:
-        np.put_along_axis(shift, order, shift.copy(), 1)
     pos = (cells - shift).reshape(axis.cells.shape)
     idx = np.empty(counts.sum(), dtype=np.int64)
     idx[pos] = axis.cells

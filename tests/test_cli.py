@@ -908,7 +908,7 @@ class TestDeterminism:
 
 
 class TestColdStart:
-    """What a ``python -m kanto`` process loads, and how it exits."""
+    """What a ``python -m kanto`` process, or ``import kanto``, loads, and how it exits."""
 
     @staticmethod
     def imported(*args):
@@ -933,6 +933,26 @@ class TestColdStart:
             assert code == 0
             assert "kanto.operators" in names
             assert {"kanto.analysis", "json"}.isdisjoint(names), args
+
+    @pytest.mark.parametrize(
+        "argv",
+        [None, ["moments", "--grid-n", "2"], ["kernel-info", "--grid-n", "2"]],
+        ids=["import", "moments", "kernel-info"],
+    )
+    def test_package_and_kernel_commands_load_neither_analysis_nor_json(
+        self, argv, tmp_path
+    ):
+        # sys.modules of a child after importing the package alone, which
+        # probes its __all__ through the module __getattr__, or after main
+        script = "import sys\nfrom kanto import *\n"
+        if argv is not None:
+            argv = [*argv, "--out", str(tmp_path / "out.csv")]
+            script += f"import kanto.cli\nassert kanto.cli.main({argv!r}) == 0\n"
+        script += "print(sorted({'kanto.analysis', 'json'} & set(sys.modules)))\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        )
+        assert (proc.stdout, proc.stderr) == ("[]\n", "")
 
     @pytest.mark.parametrize(
         "args",

@@ -15,12 +15,13 @@ column by column at every point; a column past a point's shorter window
 reads the window's last cell with weight exactly 0, also where the kernel
 itself rounds to a tiny nonzero value there.  A regular grid's axes, taken
 from its ``linspace`` arrays, must reproduce its points and give every
-operator the same bits as the axes found from the points alone.  The
-distinct window cells, found without a sort on an ascending axis, must
-equal ``np.unique`` of the cells on regular and scattered grids.  The
-Gauss-Legendre rules, their nodes stacked in blocks of rows, must equal
-nested scalar loops bit for bit at every block size, and no source call
-may get more elements than the block cap or one node's values.  A grid
+operator the same bits as the axes found from the points alone.  Every
+axis ascends by value; one found from the points keeps each bit pattern
+apart, -0.0 just before 0.0.  The distinct window cells, found without a
+sort, must equal ``np.unique`` of the cells on regular and scattered
+grids.  The Gauss-Legendre rules, their nodes stacked in blocks of rows,
+must equal nested scalar loops bit for bit at every block size, and no
+source call may get more elements than the block cap or one node's values.  A grid
 that holds its points once per lattice rate must give each point the bits
 of a call at its own rate, from one kernel call.  A block of points gathers
 only the window columns that its points reach, and blocks of any size give
@@ -63,6 +64,7 @@ from kanto.operators import (
     QUAD_ORDER_MAX,
     _axis_means,
     _distinct_columns,
+    _factor,
     _grid_windows,
     _window_offsets,
     _windows,
@@ -424,11 +426,14 @@ def test_axis_windows_per_distinct_coordinate_match_per_point(axis, kernel_name)
     for got_w, want_w, p in zip(got_weights, weights, past):
         assert bits(got_w[~p]) == bits(want_w[~p])
         assert got_w[p].tolist() == [0.0] * p.sum()
-    # distinct window cells and each column's position among them
-    idx, pos, counts = _distinct_columns(got)
+    # distinct window cells and each column's position among them, from the
+    # values in ascending order, as every grid's axes hold them
+    order = np.argsort(ts)
+    ranked = axis_windows(kernel, ts[order], np.argsort(order)[which])
+    idx, pos, counts = _distinct_columns(ranked)
     assert counts.tolist() == [len(idx)]
     assert idx.tolist() == sorted(set(span.ravel().tolist()))
-    assert idx[pos[:, got.which]].tolist() == span.tolist()
+    assert idx[pos[:, ranked.which]].tolist() == span.tolist()
 
 
 class Counting:
@@ -650,7 +655,7 @@ def test_stacked_axis_means_match_scalar_loops(
     else:
         n = min(len(xs), len(ys))
         ix, iy = np.arange(n), np.arange(n)[::-1]
-    xs, ys = np.array(xs), np.array(ys)
+    xs, ys = np.sort(xs), np.array(ys)  # the averaged axis ascends, as a grid's do
     axis = axis_windows(_chi3, w * xs, ix)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "_STACK", cap)
@@ -727,9 +732,35 @@ def test_regular_axes_reproduce_the_points(grid):
     for column, (values, index) in enumerate(grid.axes):
         assert values.size == n and index.size == n * n
         assert bits(values[index]) == bits(grid.points[:, column])
-        # the points' own factorisation agrees
+        # the points' own factorisation agrees, and both ascend
         found, which = EvalGrid(points=grid.points, w=grid.w).axes[column]
         assert bits(found[which]) == bits(grid.points[:, column])
+        assert (np.diff(values) >= 0).all() and (np.diff(found) >= 0).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(allow_nan=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310, math.inf, -math.inf]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    picks=st.lists(st.integers(min_value=0, max_value=11), max_size=12),
+)
+def test_factor_ascends_by_value_and_keeps_every_bit_pattern(values, picks):
+    column = values + [values[p % len(values)] for p in picks]  # with repeats
+    points = np.column_stack([column, column])  # a grid's column is strided
+    got, index = _factor(points[:, 0])
+    keys = [(v, math.copysign(1.0, v)) for v in got.tolist()]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert sorted(bits(got)) == sorted(set(bits(column)))
+    negative, positive = bits([-0.0, 0.0])
+    if {negative, positive} <= set(bits(got)):
+        assert bits(got).index(negative) + 1 == bits(got).index(positive)
+    assert bits(got[index]) == bits(column)
 
 
 def test_linspace_axis_may_repeat_a_value():
@@ -748,8 +779,8 @@ def sorted_columns(axis):
 def scattered_grids(draw):
     """Up to 8 points (none at all too) in a square of half-width up to 1e4.
 
-    Their windows range from overlapping to far apart, and negative
-    coordinates put the axis values out of ascending order.
+    Their windows range from overlapping to far apart, and the axes hold
+    negative coordinates and both zeros.
     """
     half = draw(st.sampled_from([0.1, 1.0, 100.0, 1e4]))
     coordinate = st.floats(-half, half)
@@ -1013,32 +1044,29 @@ def test_distinct_columns_of_several_rates_equal_those_of_each_rate(kernel_name)
             assert read == alone + alone[-1:] * (len(read) - len(alone))
 
 
-# the windows of bare points come in the bit-pattern order of the axis
-# values, which puts negative coordinates after positive ones, descending
+# bare points with negative coordinates, given out of order: their axes
+# ascend all the same
 BARE = EvalGrid(points=[(-0.3, 0.6), (0.4, -0.2), (-0.7, 0.1)], w=10.0)
 
 
 @pytest.mark.parametrize(
-    "grid, sorts",
-    [
-        (EvalGrid.regular((-1.0, -1.0, 2.0, 2.0), 20, 40.0), []),
-        (WIDE, []),
-        (BARE, ["argsort", "argsort"]),
-    ],
+    "grid",
+    [EvalGrid.regular((-1.0, -1.0, 2.0, 2.0), 20, 40.0), WIDE, BARE],
     ids=["regular", "wide", "bare"],
 )
-def test_distinct_columns_sort_only_an_axis_that_does_not_ascend(monkeypatch, grid, sorts):
+def test_distinct_columns_sort_nothing(monkeypatch, grid):
     axes = _grid_windows(KERNELS["chibar3"], grid)
     calls = []
 
     def counted(search):
         return lambda *a, **k: calls.append(search.__name__) or search(*a, **k)
 
-    for search in (np.sort, np.unique, np.argsort):
+    searches = (np.sort, np.unique, np.argsort, np.take_along_axis, np.put_along_axis)
+    for search in searches:
         monkeypatch.setattr(np, search.__name__, counted(search))
     for axis in axes:
         _distinct_columns(axis)
-    assert calls == sorts
+    assert calls == []
 
 
 @pytest.mark.parametrize("op", ["sw", "gbs"])

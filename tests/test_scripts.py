@@ -79,3 +79,21 @@ def test_warm_calls_reports_one_workload():
     assert report["sha256"] == (
         "1b43fd32f17d619b6ff8d8b0066ea245ec4648800a97b9a9acc35289b180e696"
     )
+
+
+def test_warm_calls_against_a_tree_alternates_calls_in_two_children():
+    # the tree against itself: one child on each side, the same digest
+    proc = run(
+        "scripts/warm_calls.py", "catalog_sw", "--calls", "3", "--size", "smoke", "--against", "."
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = dict(line.split(" ", 1) for line in proc.stdout.strip().splitlines())
+    assert report["workload"] == "catalog_sw seed 1 size smoke calls 3"
+    assert report["against"] == str(ROOT)
+    ours, theirs = map(float, report["cpu_ms_per_call"].split())
+    assert ours > 0 and theirs > 0
+    assert float(report["cpu_ratio_median"]) > 0
+    assert sum(map(int, report["rounds_won"].split())) <= 3
+    assert report["sha256"] == (
+        "1b43fd32f17d619b6ff8d8b0066ea245ec4648800a97b9a9acc35289b180e696"
+    )
