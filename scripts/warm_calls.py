@@ -1,13 +1,15 @@
 """Time one benchmark workload's command line, called again and again in one process.
 
 Each call is ``kanto.cli.main(argv)`` followed by a sha256 of its ``--out``
-file, as the benchmark's warm calls are.  After one untimed call, prints
-the median milliseconds of ``main`` per call, in wall-clock time and in
-CPU time of the process (``time.process_time``) with its quartiles, the
-minor page faults per call (``resource.getrusage``, over calls and
-digests), the tracemalloc peak of one further call, and the output's
-sha256.  The argv comes from ``perfbench/workloads.py``; the inputs are
-written to a temporary folder.
+file, as the benchmark's warm calls are.  Prints the CPU milliseconds of
+the first call, which also does the once-per-process work (the argument
+parser, the kernel, lazily imported modules) and is timed apart; then the
+median milliseconds of ``main`` per call, in wall-clock time and in CPU
+time of the process (``time.process_time``) with its quartiles, the minor
+page faults per call (``resource.getrusage``, over calls and digests), the
+tracemalloc peak of one further call, and the output's sha256.  The argv
+comes from ``perfbench/workloads.py``; the inputs are written to a
+temporary folder.
 
     PYTHONPATH=src python scripts/warm_calls.py image_gw --calls 200
 
@@ -20,8 +22,9 @@ one's root to ``--against``:
 The argv then runs in two long-lived child processes, one on this tree's
 ``src/`` and one on the other's, in rounds of one call each, the side that
 goes first switching each round.  Both outputs must have the same sha256.
-The report gives each side's median CPU milliseconds per call, the median
-per-round ratio (this tree over the other) and the rounds each side won.
+The report gives each side's first-call and median CPU milliseconds, the
+median per-round ratio (this tree over the other) and the rounds each side
+won.
 Run both trees from sibling directories whose paths have the same length:
 the path's length alone can shift the heap layout, and with it the minor
 faults and the time.
@@ -98,7 +101,8 @@ def against(other: Path, argv: list, tmp: Path, rounds: int) -> None:
     """Alternate single calls on this tree and on ``other``; print the comparison."""
     sides = [Side(root, argv, tmp / f"out{i}.csv") for i, root in enumerate((ROOT, other))]
     try:
-        sha = {side.call()[1] for side in sides}  # warm-up
+        first = [side.call() for side in sides]  # warm-up
+        sha = {s for _, s in first}
         cpu = [[], []]
         for r in range(rounds):
             for i in (0, 1) if r % 2 == 0 else (1, 0):
@@ -113,6 +117,7 @@ def against(other: Path, argv: list, tmp: Path, rounds: int) -> None:
         raise SystemExit("the two trees' outputs differ")
     ratio = [a / b for a, b in zip(*cpu)]
     print(f"against {other.resolve()}")
+    print("first_call_cpu_ms " + " ".join(f"{1e3 * t:.3f}" for t, _ in first))
     print("cpu_ms_per_call " + " ".join(f"{1e3 * statistics.median(c):.3f}" for c in cpu))
     print(f"cpu_ratio_median {statistics.median(ratio):.4f}")
     print(f"rounds_won {sum(a < b for a, b in zip(*cpu))} {sum(b < a for a, b in zip(*cpu))}")
@@ -137,8 +142,10 @@ def run() -> None:
             return
         out = Path(tmp) / "out.csv"
         argv = [*load.argv, "--out", str(out)]
+        c0 = time.process_time()
         if main(argv) != 0:  # warm-up
             raise SystemExit(f"kanto {' '.join(load.argv)} failed")
+        first = time.process_time() - c0
         sha, times, cpu = digest(out), [], []
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(args.calls):
@@ -153,6 +160,7 @@ def run() -> None:
         main(argv)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
+    print(f"first_call_cpu_ms {1e3 * first:.3f}")
     print(f"ms_per_call {1e3 * statistics.median(times):.3f}")
     q1, median, q3 = 1e3 * np.percentile(cpu, [25, 50, 75])
     print(f"cpu_ms_per_call {median:.3f}")

@@ -1,10 +1,11 @@
 """Command line front end.
 
 Every subcommand takes the kernel flags --kernel, --r and --shifts and the
-output flag --out.  ``main`` builds and validates that kernel once, before
-dispatch, and hands it to the subcommand, which runs one computation and
-writes a CSV (to --out, or stdout).  Floats are printed with 17 significant
-digits so runs can be compared byte for byte.
+output flag --out.  ``main`` builds and validates that kernel before
+dispatch, once per process for each set of kernel flags, and hands it to
+the subcommand, which runs one computation and writes a CSV (to --out, or
+stdout).  Floats are printed with 17 significant digits so runs can be
+compared byte for byte.
 
 Exit codes: 0 success, 2 configuration error (bad flags, any ValueError or
 OSError, an array too large to allocate), 3 missing lattice data (MissingData).
@@ -17,7 +18,7 @@ import dataclasses
 import gc
 import math
 import sys
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -117,15 +118,21 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
     return parts
 
 
-def _build_kernel(args) -> TensorKernel2D:
-    if args.kernel == "bspline":
-        axis = CentralBSpline(args.r)
-    elif args.shifts is not None:
-        axis = construct_combination_kernel(args.r, _parse_floats(args.shifts))
-    elif args.r == 3:  # one-sided, as ever, so that no r = 3 argv changes its output
+@lru_cache(maxsize=16)
+def _build_kernel(kind: str, r: int, shifts: str | None) -> TensorKernel2D:
+    """The kernel of the flags --kernel, --r and --shifts, built and validated once.
+
+    The kernel classes are frozen, so every later ``main`` call with the
+    same flags shares the object.  An inadmissible kernel raises and is not
+    cached, so it fails with the same message on every call.
+    """
+    if kind == "bspline":
+        axis = CentralBSpline(r)
+    elif shifts is not None:
+        axis = construct_combination_kernel(r, _parse_floats(shifts))
+    elif r == 3:  # one-sided, as ever, so that no r = 3 argv changes its output
         axis = construct_combination_kernel(3, (2.0, 3.0, 4.0))
     else:  # centred: i - (r - 1)/2, listed once the order is known to be in range
-        r = args.r
         _check_bspline_order(r)
         axis = construct_combination_kernel(r, [i - (r - 1) / 2 for i in range(r)])
     kernel = TensorKernel2D(axis, axis)
@@ -347,6 +354,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(code: int, message: str) -> int:
+    """Write the one ``error:`` line to standard error, then return code.
+
+    With standard error closed, the line is lost but the code stands.
+    """
+    try:
+        sys.stderr.write(f"error: {message}\n")
+    except (AttributeError, OSError):  # sys.stderr is None, or its fd is closed
+        pass
+    return code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -358,17 +377,14 @@ def main(argv=None) -> int:
         if hasattr(args, "quad_order"):
             # gw, and sw on a lattice file, build no rule that would check it
             _check_quad_order(args.quad_order)
-        kernel = _build_kernel(args)
+        kernel = _build_kernel(args.kernel, args.r, args.shifts)
         args.handler(args, kernel)
     except MissingData as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(EXIT_DATA, str(exc))
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(EXIT_CONFIG, str(exc))
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(EXIT_CONFIG, f"out of memory: {exc}")
     return EXIT_OK
 
 

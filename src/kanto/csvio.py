@@ -334,10 +334,13 @@ def write_csv(header: Sequence[str], columns: Sequence, out=None) -> None:
     as an evaluation grid's axis, has each value formatted once.  The table
     is written a block of rows at a time, and never held whole.  Standard
     output gets text (each block decoded as it comes), so a replaced
-    ``sys.stdout`` such as a ``StringIO`` works too.
+    ``sys.stdout`` such as a ``StringIO`` works too.  A process started with
+    standard output closed has none, and gets an ``OSError`` naming --out.
     """
     chunks = _csv_chunks(header, columns)
     if not out:
+        if sys.stdout is None:
+            raise OSError("standard output is closed: give a file with --out")
         for chunk in chunks:
             sys.stdout.write(chunk.decode())
     else:

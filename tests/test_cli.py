@@ -1,7 +1,10 @@
 """End-to-end CLI checks through subprocess: formats, exit codes, determinism."""
 
 import argparse
+import dataclasses
+import errno
 import gc
+import io
 import json
 import os
 import subprocess
@@ -131,6 +134,92 @@ def test_one_parser_per_process(capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.encode() == outputs[0]
+
+
+def counting(calls, fn):
+    """fn, appending its name to calls on each call."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The names of the kernel builders and checks that main calls, from an empty cache."""
+    calls = []
+    for name in ("CentralBSpline", "construct_combination_kernel", "TensorKernel2D",
+                 "validate_kernel"):
+        monkeypatch.setattr(cli, name, counting(calls, getattr(cli, name)))
+    cli._build_kernel.cache_clear()
+    yield calls
+    cli._build_kernel.cache_clear()  # drop kernels built through the wrappers
+
+
+def test_one_kernel_per_process_and_kernel_flags(kernel_calls, capsys):
+    argv = ["gbs", "--fn", "sin_x_cos_y", "--w", "5", "--grid-n", "3"]
+    outputs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        outputs.append(out.encode())
+    assert kernel_calls == ["construct_combination_kernel", "TensorKernel2D", "validate_kernel"]
+    assert outputs[0] == outputs[1]
+    assert cli._build_kernel.cache_info().currsize == 1
+
+
+def test_kernel_flags_that_differ_give_different_kernels(kernel_calls, tmp_path):
+    flag_sets = [
+        [],
+        ["--kernel", "bspline"],
+        ["--r", "4"],
+        ["--shifts=-1,0,1"],
+        ["--kernel", "bspline", "--r", "4"],
+    ]
+    outputs = set()
+    for i, flags in enumerate(flag_sets, 1):
+        out = tmp_path / f"{i}.csv"
+        assert cli.main(["kernel-info", *flags, "--out", str(out)]) == 0
+        outputs.add(out.read_bytes())
+        assert kernel_calls.count("validate_kernel") == i
+    assert len(outputs) == len(flag_sets)
+    kernels = [cli._build_kernel(kind, r, shifts) for kind, r, shifts in
+               [("combo", 3, None), ("bspline", 3, None), ("combo", 4, None),
+                ("combo", 3, "-1,0,1"), ("bspline", 4, None)]]
+    assert len(set(kernels)) == len(kernels)
+    assert kernel_calls.count("validate_kernel") == len(flag_sets)  # all five were hits
+    assert cli._build_kernel("combo", 3, None) is kernels[0]
+
+
+def test_inadmissible_kernel_is_checked_on_every_call(kernel_calls, capsys):
+    argv = ["kernel-info", "--shifts", "2,3,1e300"]
+    for calls in (1, 2):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: moment matrix condition inf exceeds 1e+12\n"
+        )
+        assert kernel_calls == ["construct_combination_kernel"] * calls
+    assert cli._build_kernel.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        CentralBSpline(3),
+        construct_combination_kernel(3, (2.0, 3.0, 4.0)),
+        TensorKernel2D(CentralBSpline(2), CentralBSpline(3)),
+    ],
+    ids=["bspline", "combination", "tensor"],
+)
+def test_kernel_classes_are_frozen(kernel):
+    # main shares one kernel between calls: no caller can change it
+    for name in [f.name for f in dataclasses.fields(kernel)] + ["extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(kernel, name, 1)
+    hash(kernel)  # every field is immutable, down to the tuples of floats
 
 
 KERNELS = [("bspline", r, None) for r in range(1, 21)] + [
@@ -831,6 +920,48 @@ class TestErrorPaths:
         proc = run_cli("kernel-info", "--out", out)
         assert proc.returncode == 2
         assert proc.stderr == f"error: [Errno 2] No such file or directory: {out!r}\n"
+
+    def test_no_standard_output_names_out(self, monkeypatch, capsys):
+        # a process started with fd 1 closed has sys.stdout None
+        monkeypatch.setattr(sys, "stdout", None)
+        assert cli.main(["kernel-info"]) == 2
+        assert capsys.readouterr().err == (
+            "error: standard output is closed: give a file with --out\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reconstruct", "--fn", "nosuch"],
+            ["reconstruct", "--fn", "x", "--grid-n", "three"],
+            ["kernel-info", "--shifts", "2,3,1e300"],
+        ],
+    )
+    @pytest.mark.parametrize("stderr", ["closed", "none"])
+    def test_closed_standard_error_keeps_the_exit_code(self, monkeypatch, capsys, argv, stderr):
+        class Closed(io.TextIOBase):
+            def write(self, text):
+                raise OSError(errno.EBADF, "Bad file descriptor")
+
+        monkeypatch.setattr(sys, "stderr", Closed() if stderr == "closed" else None)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out == ""  # the lost line does not go to stdout
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("kernel-info >&-", "error: standard output is closed: give a file with --out\n"),
+            ("reconstruct --fn nosuch 2>&-", ""),
+        ],
+    )
+    def test_closed_stream_in_a_child_exits_2(self, command, message):
+        # was exit 1 with an AttributeError traceback (fd 1), or with none (fd 2)
+        proc = subprocess.run(
+            ["sh", "-c", f'exec "$0" -m kanto {command}', sys.executable],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2
+        assert (proc.stdout, proc.stderr) == ("", message)
 
     def test_missing_subcommand(self):
         proc = run_cli()

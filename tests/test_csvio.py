@@ -102,6 +102,9 @@ def test_write_csv_targets(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdout", io.StringIO())
     write_csv(["a"], [[1.0]])
     assert sys.stdout.getvalue() == "a\n1\n"
+    monkeypatch.setattr(sys, "stdout", None)  # as in a process started with fd 1 closed
+    with pytest.raises(OSError, match="--out"):
+        write_csv(["a"], [[1.0]])
 
 
 # -- rewriting a file in place -----------------------------------------------

@@ -74,6 +74,8 @@ def test_warm_calls_reports_one_workload():
     assert float(report["ms_per_call"]) > 0
     q1, q3 = map(float, report["cpu_ms_quartiles"].split())
     assert 0 <= q1 <= float(report["cpu_ms_per_call"]) <= q3
+    # the first call also builds the parser and the kernel
+    assert float(report["first_call_cpu_ms"]) > float(report["cpu_ms_per_call"])
     assert float(report["minor_faults_per_call"]) >= 0
     assert float(report["tracemalloc_peak_mb"]) > 0
     assert report["sha256"] == (
@@ -92,6 +94,7 @@ def test_warm_calls_against_a_tree_alternates_calls_in_two_children():
     assert report["against"] == str(ROOT)
     ours, theirs = map(float, report["cpu_ms_per_call"].split())
     assert ours > 0 and theirs > 0
+    assert all(float(t) > 0 for t in report["first_call_cpu_ms"].split())
     assert float(report["cpu_ratio_median"]) > 0
     assert sum(map(int, report["rounds_won"].split())) <= 3
     assert report["sha256"] == (
